@@ -30,7 +30,7 @@ from .coherence import (
     probe_algebra,
     probe_ideal,
 )
-from .errors import CohprobeError
+from .errors import CohprobeError, InputError
 from .freealg import parse_poly
 from .gbasis import complete_to_degree, component_dim_bruteforce, hilbert_dims, opposite
 from .grmod import ModulePresentation, audit_resolution, minimal_resolution
@@ -151,7 +151,11 @@ def cmd_tor(args):
     tgb = complete_to_degree(pres, D)
     if args.module:
         with open(args.module, "r", encoding="utf-8") as fh:
-            mpres = _module_from_json(tgb, json.load(fh))
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"malformed module JSON in {args.module}: {exc}")
+        mpres = _module_from_json(tgb, spec)
         name = args.module
     else:
         mpres = _simple_module(tgb)
@@ -302,7 +306,7 @@ def _parse_window(text):
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError:
-        raise CohprobeError(f"bad window spec {text!r}, want lo..hi")
+        raise InputError(f"bad window spec {text!r}, want lo..hi")
 
 
 def cmd_corpus(args):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
 from .gbasis import AlgebraPresentation, RelationFamily, complete_to_degree, opposite
 from .grmod import FreeModule, ModuleMap, kernel_min_generators
@@ -41,12 +42,12 @@ class RightIdealSpec:
         for g in gens:
             nf = tgb.normal_form(g)
             if nf.is_zero():
-                raise ValueError("ideal generator is zero in the algebra")
+                raise InputError("ideal generator is zero in the algebra")
             if nf.degree < 1:
-                raise ValueError("ideal generators must have degree >= 1")
+                raise InputError("ideal generators must have degree >= 1")
             out.append(nf)
         if not out:
-            raise ValueError("ideal needs at least one generator")
+            raise InputError("ideal needs at least one generator")
         return cls(out)
 
     def strings(self, tgb):
@@ -189,16 +190,20 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right",
     """Probe every enumerated ideal and aggregate the worst verdict.
 
     The left variant probes the opposite presentation; its ideals live in
-    opposite coordinates.
+    opposite coordinates.  Raises InputError when no ideal is enumerated, so
+    that no verdict is ever aggregated over zero ideals.
     """
     if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+        raise InputError("side must be 'right' or 'left'")
     probed = p if side == "right" else opposite(p)
     tgb = complete_to_degree(probed, D)
-    reports = [
-        probe_ideal(tgb, ideal, D, margin)
-        for ideal in enumerate_ideals(tgb, gen_degree_bound, max_ideals)
-    ]
+    ideals = enumerate_ideals(tgb, gen_degree_bound, max_ideals)
+    if not ideals:
+        raise InputError(
+            f"no ideals to probe with gen degree bound {gen_degree_bound} "
+            f"and max ideals {max_ideals}"
+        )
+    reports = [probe_ideal(tgb, ideal, D, margin) for ideal in ideals]
     aggregate = worst_verdict([r.verdict for r in reports])
     witness = []
     for r in reports:

@@ -5,6 +5,10 @@ class CohprobeError(Exception):
     """Base class for all errors raised by cohprobe."""
 
 
+class InputError(CohprobeError, ValueError):
+    """An argument or input value outside what the computation accepts."""
+
+
 class InhomogeneousSum(CohprobeError):
     """Sum of homogeneous polynomials of different degrees."""
 

@@ -9,7 +9,8 @@ comparison is total, and the order is admissible: u < v implies aub < avb.
 
 from __future__ import annotations
 
-from .errors import InhomogeneousSum, ParseError, ZeroDegreeGenerator
+from .errors import InhomogeneousSum, InputError, ParseError, ZeroDegreeGenerator
+from .linalg import axpy
 
 EMPTY_WORD = ()
 
@@ -24,11 +25,11 @@ class GeneratorTable:
     def __init__(self, names, weights=None, precedence=None):
         names = list(names)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
+            raise InputError("duplicate generator names")
         self.names = names
         self.weights = list(weights) if weights is not None else [1] * len(names)
         if len(self.weights) != len(names):
-            raise ValueError("one weight per generator required")
+            raise InputError("one weight per generator required")
         for name, w in zip(names, self.weights):
             if w < 1:
                 raise ZeroDegreeGenerator(f"generator {name} has weight {w}")
@@ -37,7 +38,7 @@ class GeneratorTable:
         else:
             order = list(precedence)
             if sorted(order) != sorted(names):
-                raise ValueError("precedence must list every generator exactly once")
+                raise InputError("precedence must list every generator exactly once")
         # larger value = greater letter in the order
         self.prec_value = [0] * len(names)
         for pos, name in enumerate(order):
@@ -72,20 +73,10 @@ def word_key(gt, word):
     return (gt.word_degree(word), tuple(gt.prec_value[i] for i in word))
 
 
-def deglex_compare(gt, w1, w2):
-    """-1, 0 or 1 as w1 <, ==, > w2 in the weighted deglex order."""
-    k1, k2 = word_key(gt, w1), word_key(gt, w2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 def enumerate_words(gt, d):
     """All words of degree exactly d, sorted ascending by the order."""
     if d < 0:
-        raise ValueError("degree must be >= 0")
+        raise InputError("degree must be >= 0")
     out = []
     letters = range(len(gt))
 
@@ -186,13 +177,7 @@ def poly_add(field, p, q):
     if p.degree != q.degree:
         raise InhomogeneousSum(f"cannot add degrees {p.degree} and {q.degree}")
     terms = dict(p.terms)
-    for w, c in q.terms.items():
-        cur = terms.get(w)
-        nv = c if cur is None else field.add(cur, c)
-        if cur is not None and field.is_zero(nv):
-            del terms[w]
-        elif not field.is_zero(nv):
-            terms[w] = nv
+    axpy(field, terms, field.one(), q.terms)
     return NcPoly(terms, p.degree if terms else None)
 
 
@@ -207,27 +192,8 @@ def poly_mul(field, p, q):
         return NcPoly.zero()
     terms = {}
     for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            w = w1 + w2
-            c = field.mul(c1, c2)
-            cur = terms.get(w)
-            nv = c if cur is None else field.add(cur, c)
-            if cur is not None and field.is_zero(nv):
-                del terms[w]
-            elif not field.is_zero(nv):
-                terms[w] = nv
+        axpy(field, terms, c1, {w1 + w2: c2 for w2, c2 in q.terms.items()})
     return NcPoly(terms, p.degree + q.degree if terms else None)
-
-
-def poly_arith(field, p, other, kind):
-    """Dispatch: kind in {'add', 'mul', 'scale'}; for scale, other is a scalar."""
-    if kind == "add":
-        return poly_add(field, p, other)
-    if kind == "mul":
-        return poly_mul(field, p, other)
-    if kind == "scale":
-        return poly_scale(field, other, p)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def leading_word(gt, p):

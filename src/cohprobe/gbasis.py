@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
+from .errors import DegreeBoundExceeded, InputError, NonHomogeneousRelation, ZeroDegreeGenerator
 from .freealg import (
     GeneratorTable,
     NcPoly,
@@ -29,7 +29,7 @@ from .freealg import (
     word_key,
     word_str,
 )
-from .linalg import SpanSolver
+from .linalg import SpanSolver, axpy
 
 
 @dataclass
@@ -51,7 +51,7 @@ class RelationFamily:
         for idx, (a, b) in self.factors:
             exp = a * n + b
             if exp < 0:
-                raise ValueError(f"negative exponent at n={n} in {self.raw!r}")
+                raise InputError(f"negative exponent at n={n} in {self.raw!r}")
             word.extend([idx] * exp)
         return tuple(word)
 
@@ -60,7 +60,7 @@ class RelationFamily:
 
     def expand(self, gt, field, bound):
         if self.degree_slope(gt) <= 0:
-            raise ValueError(f"relation family {self.raw!r} does not grow in degree")
+            raise InputError(f"relation family {self.raw!r} does not grow in degree")
         out = []
         n = self.n_min
         while True:
@@ -164,17 +164,8 @@ class TruncatedGroebnerBasis:
 
     # --- rewriting ---------------------------------------------------
 
-    def _find_factor(self, word):
-        for i in range(len(word)):
-            for L in self._lead_lens:
-                if i + L > len(word):
-                    break
-                if word[i : i + L] in self._leads_by_len[L]:
-                    return i, L
-        return None
-
     def is_normal_word(self, word):
-        return self._find_factor(word) is None
+        return _find_factor(word, self._leads_by_len, self._lead_lens) is None
 
     def normal_form_word(self, word):
         """Normal form of a single word, as a terms dict; memoized."""
@@ -199,16 +190,9 @@ class TruncatedGroebnerBasis:
             return q
         if q.degree > self.D:
             raise DegreeBoundExceeded(f"degree {q.degree} > bound {self.D}")
-        fld = self.field
         out = {}
         for w, c in q.terms.items():
-            for t, tc in self.normal_form_word(w).items():
-                cur = out.get(t)
-                nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-                if cur is not None and fld.is_zero(nv):
-                    del out[t]
-                elif not fld.is_zero(nv):
-                    out[t] = nv
+            axpy(self.field, out, c, self.normal_form_word(w))
         return NcPoly(out, q.degree if out else None)
 
     # --- normal word bases --------------------------------------------
@@ -272,6 +256,17 @@ class TruncatedGroebnerBasis:
         )
 
 
+def _find_factor(word, leads_by_len, lead_lens):
+    """(start, length) of the leftmost leading word occurring in word, or None."""
+    for i in range(len(word)):
+        for L in lead_lens:
+            if i + L > len(word):
+                break
+            if word[i : i + L] in leads_by_len[L]:
+                return i, L
+    return None
+
+
 def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=None):
     """Fully reduce a terms dict; deterministic descending-word sweep.
 
@@ -287,15 +282,6 @@ def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=No
         pending[w] = c
     in_heap = set(pending)
 
-    def find_factor(word):
-        for i in range(len(word)):
-            for L in lead_lens:
-                if i + L > len(word):
-                    break
-                if word[i : i + L] in leads_by_len[L]:
-                    return i, L
-        return None
-
     while heap:
         _, w = heapq.heappop(heap)
         if w not in in_heap:
@@ -306,21 +292,15 @@ def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=No
             continue
         hit = memo.get(w) if memo is not None else None
         if hit is not None:
-            for t, tc in hit.items():
-                cur = result.get(t)
-                nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-                if cur is not None and fld.is_zero(nv):
-                    del result[t]
-                elif not fld.is_zero(nv):
-                    result[t] = nv
+            axpy(fld, result, c, hit)
             continue
-        pos = find_factor(w)
+        pos = _find_factor(w, leads_by_len, lead_lens)
         if pos is None:
             cur = result.get(w)
             nv = c if cur is None else fld.add(cur, c)
-            if cur is not None and fld.is_zero(nv):
-                del result[w]
-            elif not fld.is_zero(nv):
+            if fld.is_zero(nv):
+                result.pop(w, None)
+            else:
                 result[w] = nv
             continue
         i, L = pos
@@ -367,7 +347,6 @@ def complete_to_degree(p, D):
 
     basis = {}  # leading word -> poly
     by_len = {}
-    lens = []
 
     def leads_state():
         return by_len, sorted(by_len)
@@ -537,6 +516,30 @@ def normal_word_counts(tgb, D):
     return counts
 
 
+def _ideal_slice(p, d):
+    """Index of the degree-d words and the span of the ideal slice in them.
+
+    The slice is spanned by every u*r*v of degree d, r a relation or a
+    family member, eliminated directly with no Groebner machinery.
+    """
+    gt, fld = p.gens, p.field
+    index = {w: i for i, w in enumerate(enumerate_words(gt, d))}
+    relations = list(p.relations)
+    for fam in p.relfams:
+        relations.extend(fam.expand(gt, fld, d))
+    solver = SpanSolver(fld)
+    for r in relations:
+        rd = r.degree
+        if rd is None or rd > d:
+            continue
+        rest = d - rd
+        for a in range(rest + 1):
+            for u in enumerate_words(gt, a):
+                for v in enumerate_words(gt, rest - a):
+                    solver.add({index[u + t + v]: c for t, c in r.terms.items()})
+    return index, solver
+
+
 def component_dim_bruteforce(p, d):
     """Oracle: dim A_d = dim F_d - rank span{u*r*v}, no Groebner machinery.
 
@@ -544,63 +547,13 @@ def component_dim_bruteforce(p, d):
     two-sided ideal directly.
     """
     validate_presentation(p)
-    gt, fld = p.gens, p.field
-    words = enumerate_words(gt, d)
-    index = {w: i for i, w in enumerate(words)}
-    relations = list(p.relations)
-    for fam in p.relfams:
-        relations.extend(fam.expand(gt, fld, d))
-    solver = SpanSolver(fld)
-    for r in relations:
-        rd = r.degree
-        if rd is None or rd > d:
-            continue
-        rest = d - rd
-        for a in range(rest + 1):
-            for u in enumerate_words(gt, a):
-                for v in enumerate_words(gt, rest - a):
-                    vec = {}
-                    for t, c in r.terms.items():
-                        i = index[u + t + v]
-                        cur = vec.get(i)
-                        nv = c if cur is None else fld.add(cur, c)
-                        if cur is not None and fld.is_zero(nv):
-                            del vec[i]
-                        elif not fld.is_zero(nv):
-                            vec[i] = nv
-                    solver.add(vec)
-    return len(words) - solver.rank
+    index, solver = _ideal_slice(p, d)
+    return len(index) - solver.rank
 
 
 def poly_in_ideal_bruteforce(p, q):
     """Oracle membership test: is q in the two-sided relation ideal (degree slice)."""
-    gt, fld = p.gens, p.field
     if q.is_zero():
         return True
-    d = q.degree
-    words = enumerate_words(gt, d)
-    index = {w: i for i, w in enumerate(words)}
-    relations = list(p.relations)
-    for fam in p.relfams:
-        relations.extend(fam.expand(gt, fld, d))
-    solver = SpanSolver(fld)
-    for r in relations:
-        rd = r.degree
-        if rd is None or rd > d:
-            continue
-        rest = d - rd
-        for a in range(rest + 1):
-            for u in enumerate_words(gt, a):
-                for v in enumerate_words(gt, rest - a):
-                    vec = {}
-                    for t, c in r.terms.items():
-                        i = index[u + t + v]
-                        cur = vec.get(i)
-                        nv = c if cur is None else fld.add(cur, c)
-                        if cur is not None and fld.is_zero(nv):
-                            del vec[i]
-                        elif not fld.is_zero(nv):
-                            vec[i] = nv
-                    solver.add(vec)
-    qvec = {index[w]: c for w, c in q.terms.items()}
-    return solver.contains(qvec)
+    index, solver = _ideal_slice(p, q.degree)
+    return solver.contains({index[w]: c for w, c in q.terms.items()})

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeBoundExceeded
+from .errors import DegreeBoundExceeded, InputError
 from .freealg import NcPoly, poly_str
-from .linalg import SpanSolver
+from .linalg import SpanSolver, axpy, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,17 @@ def free_dim(tgb, fm, d):
     return total
 
 
+def _block_offsets(tgb, fm, d):
+    """Position of generator k's first basis pair in free_basis(tgb, fm, d)."""
+    offsets = []
+    off = 0
+    for s in fm.shifts:
+        offsets.append(off)
+        if d - s >= 0:
+            off += tgb.dim(d - s)
+    return offsets
+
+
 class ModuleMap:
     """Degree-0 map of free modules: e_l -> sum_k e_k * entry[(k, l)].
 
@@ -65,27 +76,16 @@ class ModuleMap:
                 continue
             want = source.shifts[l] - target.shifts[k]
             if poly.degree != want:
-                raise ValueError(
+                raise InputError(
                     f"entry ({k},{l}) has degree {poly.degree}, expected {want}"
                 )
             self.entries[(k, l)] = poly
-
-    def column_polys(self, l):
-        """The image of e_l as a list over target generators."""
-        return [
-            self.entries.get((k, l), NcPoly.zero()) for k in range(len(self.target))
-        ]
 
     def component_columns(self, d):
         """Columns of the degree-d component matrix over the target basis index."""
         tgb = self.tgb
         fld = tgb.field
-        tgt_off = {}
-        off = 0
-        for k, s in enumerate(self.target.shifts):
-            n = tgb.dim(d - s) if d - s >= 0 else 0
-            tgt_off[k] = off
-            off += n
+        tgt_off = _block_offsets(tgb, self.target, d)
         cols = []
         for l, s in enumerate(self.source.shifts):
             if d - s < 0:
@@ -95,15 +95,11 @@ class ModuleMap:
                 vec = {}
                 for k, a in polys:
                     idx = tgb.normal_index(d - self.target.shifts[k])
+                    image = {}
                     for w, c in a.terms.items():
-                        for t, tc in tgb.normal_form_word(w + u).items():
-                            i = tgt_off[k] + idx[t]
-                            cur = vec.get(i)
-                            nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-                            if cur is not None and fld.is_zero(nv):
-                                del vec[i]
-                            elif not fld.is_zero(nv):
-                                vec[i] = nv
+                        axpy(fld, image, c, tgb.normal_form_word(w + u))
+                    for t, v in image.items():
+                        vec[tgt_off[k] + idx[t]] = v
                 cols.append(vec)
         return cols
 
@@ -141,34 +137,48 @@ class ModulePresentation:
         )
 
 
-def _mult_basis_vector(tgb, fm, d_from, vec, letter):
-    """Right-multiply a coordinate vector at degree d_from by a generator letter.
+def push_up(tgb, fm, d_from, vectors, word):
+    """Right-multiply coordinate vectors at degree d_from by a word.
 
-    vec is indexed over free_basis(tgb, fm, d_from); the result is indexed
-    over free_basis at d_from + weight(letter).
+    vectors are indexed over free_basis(tgb, fm, d_from); the products are
+    indexed over free_basis at d_from + deg(word).  The basis, the block
+    offsets and the product of each basis pair with word are built once
+    per call, not once per vector.
     """
+    if not vectors:
+        return []
     fld = tgb.field
     basis_from = free_basis(tgb, fm, d_from)
-    d_to = d_from + tgb.gt.weights[letter]
-    offsets = {}
-    off = 0
-    for k, s in enumerate(fm.shifts):
-        n = tgb.dim(d_to - s) if d_to - s >= 0 else 0
-        offsets[k] = off
-        off += n
-    out = {}
-    for i, c in vec.items():
-        k, u = basis_from[i]
-        idx = tgb.normal_index(d_to - fm.shifts[k])
-        for t, tc in tgb.normal_form_word(u + (letter,)).items():
-            j = offsets[k] + idx[t]
-            cur = out.get(j)
-            nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-            if cur is not None and fld.is_zero(nv):
-                del out[j]
-            elif not fld.is_zero(nv):
-                out[j] = nv
+    d_to = d_from + tgb.gt.word_degree(word)
+    offsets = _block_offsets(tgb, fm, d_to)
+    products = {}
+    out = []
+    for vec in vectors:
+        pushed = {}
+        for i, c in vec.items():
+            prod = products.get(i)
+            if prod is None:
+                k, u = basis_from[i]
+                idx = tgb.normal_index(d_to - fm.shifts[k])
+                prod = products[i] = {
+                    offsets[k] + idx[t]: tc for t, tc in tgb.normal_form_word(u + word).items()
+                }
+            axpy(fld, pushed, c, prod)
+        out.append(pushed)
     return out
+
+
+def pushed_span(tgb, fm, d, lower, words):
+    """Span, at degree d, of lower[d - deg(a)] pushed up by every word a in words.
+
+    lower maps a degree to coordinate vectors over free_basis(tgb, fm, .).
+    """
+    span = SpanSolver(tgb.field)
+    for a in words:
+        e = d - tgb.gt.word_degree(a)
+        for vec in push_up(tgb, fm, e, lower.get(e, ()), a):
+            span.add(vec)
+    return span
 
 
 class ModuleComponents:
@@ -254,55 +264,51 @@ def _vector_to_element(tgb, fm, d, vec):
     )
 
 
-def kernel_min_generators(f, tgb, D):
-    """Minimal generators of ker(f) in degrees <= D, with witnesses.
+def _letters(tgb):
+    return [(a,) for a in range(len(tgb.gt))]
 
-    Degree by degree: compute the kernel of the component matrix, knock out
-    the span of lower-degree kernel components pushed up by every generator
-    (that span equals the A-span of the previously emitted generators), and
-    emit the kernel basis vectors that extend it — graded Nakayama makes
-    this a minimal generating set on the window.
+
+def _min_generators(tgb, src, D, kernel_at):
+    """Minimal generators of a submodule K of the free module src, degrees <= D.
+
+    kernel_at(d) is a basis of K_d over free_basis(tgb, src, d).  Degree by
+    degree, knock out the span of lower-degree components of K pushed up by
+    every generator (that span equals the A-span of the previously emitted
+    generators), and emit the basis vectors that extend it; graded Nakayama
+    makes this a minimal generating set on the window.
     """
-    fld = tgb.field
     gens = []
-    kernel_bases = {}
-    if len(f.source) == 0:
+    bases = {}
+    if len(src) == 0:
         return gens
-    dmin = min(f.source.shifts)
-    weights = tgb.gt.weights
-    for d in range(dmin, D + 1):
-        kbasis = _kernel_from_columns(fld, f.component_columns(d))
-        kernel_bases[d] = kbasis
-        old_span = SpanSolver(fld)
-        for letter, w in enumerate(weights):
-            for vec in kernel_bases.get(d - w, ()):
-                old_span.add(_mult_basis_vector(tgb, f.source, d - w, vec, letter))
-        for vec in kbasis:
+    letters = _letters(tgb)
+    for d in range(min(src.shifts), D + 1):
+        bases[d] = kernel_at(d)
+        old_span = pushed_span(tgb, src, d, bases, letters)
+        for vec in bases[d]:
             if old_span.add(vec):
-                gens.append(
-                    KernelGenerator(d, vec, _vector_to_element(tgb, f.source, d, vec))
-                )
+                gens.append(KernelGenerator(d, vec, _vector_to_element(tgb, src, d, vec)))
     return gens
 
 
-def _kernel_from_columns(fld, cols):
-    """Kernel of the map with the given columns; deterministic free-column basis."""
-    rref = SpanSolver(fld, track=True)
-    pivots = {}
-    for j, col in enumerate(cols):
-        residue, expr = rref.reduce(col)
-        if residue:
-            rref.add(col, tag=j)
-        else:
-            pivots[j] = expr
-    out = []
-    one = fld.one()
-    for j in sorted(pivots):
-        vec = {j: one}
-        for t, c in pivots[j].items():
-            vec[t] = fld.neg(c)
-        out.append(vec)
-    return out
+def kernel_min_generators(f, tgb, D):
+    """Minimal generators of ker(f) in degrees <= D, with witnesses."""
+    return _min_generators(
+        tgb, f.source, D, lambda d: kernel_basis(tgb.field, f.component_columns(d))
+    )
+
+
+def _projected_kernel(fld, pcols, rcols):
+    """Basis of ker(P -> coker(rel)) at one degree, from the two column lists.
+
+    The kernel of the stacked matrix [pcols | rcols], projected to the P
+    block and span-reduced to a deterministic basis (RREF rows by pivot).
+    """
+    reducer = SpanSolver(fld)
+    nsrc = len(pcols)
+    for vec in kernel_basis(fld, pcols + rcols):
+        reducer.add({i: c for i, c in vec.items() if i < nsrc})
+    return [reducer.pivot_rows[p] for p in reducer.pivot_cols()]
 
 
 @dataclass
@@ -335,7 +341,7 @@ def minimal_resolution(pres, tgb, D, length=2):
     """
     fld = tgb.field
     if pres.f0.shifts and min(pres.f0.shifts) < 0:
-        raise ValueError("minimal_resolution expects nonnegative shifts")
+        raise InputError("minimal_resolution expects nonnegative shifts")
     comps = ModuleComponents(pres, tgb)
     f0 = pres.f0
 
@@ -344,16 +350,14 @@ def minimal_resolution(pres, tgb, D, length=2):
     p0_shifts = []
     p0_entries = {}
     mgen_vectors = {}
+    letters = _letters(tgb)
     for d in range(0, D + 1):
         fb = free_basis(tgb, f0, d)
         if not fb:
             continue
-        span = SpanSolver(fld)
+        span = pushed_span(tgb, f0, d, mgen_vectors, letters)
         for col in pres.relations.component_columns(d):
             span.add(col)
-        for letter, w in enumerate(tgb.gt.weights):
-            for vec in mgen_vectors.get(d - w, ()):
-                span.add(_mult_basis_vector(tgb, f0, d - w, vec, letter))
         one = fld.one()
         for i in range(len(fb)):
             if span.add({i: one}):
@@ -374,7 +378,9 @@ def minimal_resolution(pres, tgb, D, length=2):
     prev_module = p0
     for level in range(1, length + 1):
         if level == 1:
-            gens = _kernel_of_into_quotient(p0_map, pres.relations, tgb, D)
+            gens = _min_generators(tgb, p0, D, lambda d: _projected_kernel(
+                fld, p0_map.component_columns(d), pres.relations.component_columns(d)
+            ))
         else:
             gens = kernel_min_generators(diffs[-1], tgb, D)
         shifts = tuple(g.degree for g in gens)
@@ -393,41 +399,6 @@ def minimal_resolution(pres, tgb, D, length=2):
         diffs.append(dmap)
         prev_module = pmod
     return TruncatedResolution(pres, tgb, D, p0, p0_map, diffs, modules, tor)
-
-
-def _kernel_of_into_quotient(pmap, rel_map, tgb, D):
-    """Minimal generators of ker(P -> coker(rel_map)) in degrees <= D.
-
-    Kernel vectors at degree d are the projections to the P block of the
-    kernel of the stacked matrix [pmap | rel_map], span-reduced to a
-    deterministic basis (RREF rows by pivot order).
-    """
-    fld = tgb.field
-    gens = []
-    kernel_bases = {}
-    src = pmap.source
-    if len(src) == 0:
-        return gens
-    dmin = min(src.shifts)
-    weights = tgb.gt.weights
-    for d in range(dmin, D + 1):
-        pcols = pmap.component_columns(d)
-        rcols = rel_map.component_columns(d)
-        kvecs = _kernel_from_columns(fld, pcols + rcols)
-        nsrc = len(pcols)
-        reducer = SpanSolver(fld)
-        for vec in kvecs:
-            reducer.add({i: c for i, c in vec.items() if i < nsrc})
-        kbasis = [dict(reducer.pivot_rows[p]) for p in reducer.pivot_cols()]
-        kernel_bases[d] = kbasis
-        old_span = SpanSolver(fld)
-        for letter, w in enumerate(weights):
-            for vec in kernel_bases.get(d - w, ()):
-                old_span.add(_mult_basis_vector(tgb, src, d - w, vec, letter))
-        for vec in kbasis:
-            if old_span.add(vec):
-                gens.append(KernelGenerator(d, vec, _vector_to_element(tgb, src, d, vec)))
-    return gens
 
 
 @dataclass
@@ -476,12 +447,7 @@ def audit_resolution(res):
             findings["surjective"] = False
             findings["detail"].append(f"P0 -> M not onto at degree {d}")
         # kernel of P0 -> M dimensionwise
-        stacked = _kernel_from_columns(fld, pcols + rcols)
-        proj_span = SpanSolver(fld)
-        nsrc = len(pcols)
-        for vec in stacked:
-            proj_span.add({i: c for i, c in vec.items() if i < nsrc})
-        want = proj_span.rank
+        want = len(_projected_kernel(fld, pcols, rcols))
         if res.diffs:
             have = SpanSolver(fld)
             for col in res.diffs[0].component_columns(d):
@@ -494,7 +460,7 @@ def audit_resolution(res):
         for i in range(1, len(res.diffs)):
             upper_cols = res.diffs[i].component_columns(d)
             lower_cols = res.diffs[i - 1].component_columns(d)
-            kern = len(_kernel_from_columns(fld, lower_cols))
+            kern = len(kernel_basis(fld, lower_cols))
             im = SpanSolver(fld)
             for col in upper_cols:
                 im.add(col)

@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Every degreewise computation in the package reduces to rank / kernel /
-complement questions over an exact field.  Vectors are sparse dicts
-``{index: scalar}`` with no stored zeros; matrices are sparse maps
-``(row, col) -> scalar``.  Pivoting is deterministic (leftmost nonzero),
-so every downstream report is reproducible byte for byte.
+Every degreewise computation in the package reduces to rank, kernel and
+span-membership questions over an exact field.  Vectors are sparse dicts
+``{index: scalar}`` with no stored zeros; a matrix is a list of column
+vectors.  Pivoting is deterministic (leftmost nonzero), so every downstream
+report is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import InputError
 
 
 class Rationals:
@@ -73,7 +75,7 @@ class PrimeField:
 
     def __init__(self, p):
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
 
@@ -125,60 +127,24 @@ def parse_field(spec):
     s = spec.strip().replace(":", " ")
     if s in ("Q", "QQ"):
         return QQ
-    if s.startswith("Fp"):
-        return PrimeField(int(s[2:].strip()))
-    if s.startswith("F"):
-        return PrimeField(int(s[1:].strip()))
-    raise ValueError(f"unknown field spec {spec!r}")
+    digits = s[2:] if s.startswith("Fp") else s[1:]
+    if s.startswith("F") and digits.strip().isdecimal():
+        return PrimeField(int(digits))
+    raise InputError(f"unknown field spec {spec!r}")
 
 
-class Mat:
-    """Sparse matrix; entries holds only nonzero scalars."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = dict(entries or {})
-
-    @classmethod
-    def from_row_list(cls, field, rows):
-        entries = {}
-        ncols = 0
-        for i, row in enumerate(rows):
-            ncols = max(ncols, len(row))
-            for j, v in enumerate(row):
-                fv = field.of_int(v) if isinstance(v, int) else v
-                if not field.is_zero(fv):
-                    entries[(i, j)] = fv
-        return cls(len(rows), ncols, entries)
-
-    @classmethod
-    def from_columns(cls, nrows, columns):
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return cls(nrows, len(columns), entries)
-
-    def row_vectors(self):
-        out = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def column_vectors(self):
-        out = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
-    def __eq__(self, other):
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, nnz={len(self.entries)})"
+def axpy(field, target, coeff, source):
+    """target += coeff * source for sparse vectors, in place, dropping zeros."""
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    for c, v in source.items():
+        nv = mul(coeff, v)
+        cur = target.get(c)
+        if cur is not None:
+            nv = add(cur, nv)
+        if is_zero(nv):
+            target.pop(c, None)
+        else:
+            target[c] = nv
 
 
 class SpanSolver:
@@ -204,16 +170,6 @@ class SpanSolver:
     def pivot_cols(self):
         return sorted(self.pivot_rows)
 
-    def _axpy(self, target, coeff, source):
-        f = self.field
-        for c, v in source.items():
-            cur = target.get(c)
-            nv = f.mul(coeff, v) if cur is None else f.add(cur, f.mul(coeff, v))
-            if cur is not None and f.is_zero(nv):
-                del target[c]
-            elif not f.is_zero(nv):
-                target[c] = nv
-
     def reduce(self, vec):
         """Reduce vec against the stored rows; returns (residue, expr).
 
@@ -229,15 +185,9 @@ class SpanSolver:
                 break
             c = min(hits)
             coeff = residue[c]
-            self._axpy(residue, f.neg(coeff), self.pivot_rows[c])
+            axpy(f, residue, f.neg(coeff), self.pivot_rows[c])
             if self.track:
-                for tag, ec in self.exprs[c].items():
-                    cur = expr.get(tag, f.zero())
-                    nv = f.add(cur, f.mul(coeff, ec))
-                    if f.is_zero(nv):
-                        expr.pop(tag, None)
-                    else:
-                        expr[tag] = nv
+                axpy(f, expr, coeff, self.exprs[c])
         return residue, expr
 
     def add(self, vec, tag=None):
@@ -251,26 +201,17 @@ class SpanSolver:
         row = {c: f.mul(scale, v) for c, v in residue.items()}
         if self.track:
             row_expr = {}
-            for t, ec in expr.items():
-                row_expr[t] = f.neg(f.mul(scale, ec))
+            axpy(f, row_expr, f.neg(scale), expr)
             if tag is not None:
-                row_expr[tag] = f.add(row_expr.get(tag, f.zero()), scale)
-                if f.is_zero(row_expr[tag]):
-                    del row_expr[tag]
+                axpy(f, row_expr, scale, {tag: f.one()})
             self.exprs[lead] = row_expr
         # back-substitute so stored rows stay fully reduced
         for p, prow in self.pivot_rows.items():
             if lead in prow:
-                coeff = prow[lead]
-                self._axpy(prow, f.neg(coeff), row)
+                coeff = f.neg(prow[lead])
+                axpy(f, prow, coeff, row)
                 if self.track:
-                    for t, ec in self.exprs[lead].items():
-                        cur = self.exprs[p].get(t, f.zero())
-                        nv = f.sub(cur, f.mul(coeff, ec))
-                        if f.is_zero(nv):
-                            self.exprs[p].pop(t, None)
-                        else:
-                            self.exprs[p][t] = nv
+                    axpy(f, self.exprs[p], coeff, self.exprs[lead])
         self.pivot_rows[lead] = row
         return True
 
@@ -279,86 +220,23 @@ class SpanSolver:
         return not residue
 
 
-def rref(field, m):
-    """Reduced row echelon form and pivot columns of m. rank == len(pivots)."""
-    solver = SpanSolver(field)
-    for row in m.row_vectors():
-        solver.add(row)
-    pivots = solver.pivot_cols()
-    entries = {}
-    for i, p in enumerate(pivots):
-        for j, v in solver.pivot_rows[p].items():
-            entries[(i, j)] = v
-    return Mat(m.rows, m.cols, entries), pivots
+def kernel_basis(field, columns):
+    """Deterministic basis of the kernel of the map with the given columns.
 
-
-def rank(field, m):
-    solver = SpanSolver(field)
-    for row in m.row_vectors():
-        solver.add(row)
-    return solver.rank
-
-
-def kernel_basis(field, m):
-    """Deterministic basis of the right null space of m.
-
-    One vector per free column j, in ascending j, with a 1 in position j
-    and pivot back-fill; count == cols - rank.
+    One vector per column j that depends on the columns before it, in
+    ascending j: a 1 in position j and minus the dependency coefficients,
+    so the count is len(columns) - rank.
     """
-    _, pivots = _rref_rows(field, m)
-    pivot_set = {p for p, _ in pivots}
+    solver = SpanSolver(field, track=True)
     out = []
     one = field.one()
-    for j in range(m.cols):
-        if j in pivot_set:
+    for j, col in enumerate(columns):
+        residue, expr = solver.reduce(col)
+        if residue:
+            solver.add(col, tag=j)
             continue
         vec = {j: one}
-        for p, row in pivots:
-            v = row.get(j)
-            if v is not None:
-                vec[p] = field.neg(v)
+        for t, c in expr.items():
+            vec[t] = field.neg(c)
         out.append(vec)
     return out
-
-
-def _rref_rows(field, m):
-    solver = SpanSolver(field)
-    for row in m.row_vectors():
-        solver.add(row)
-    pivots = [(p, solver.pivot_rows[p]) for p in solver.pivot_cols()]
-    return solver, pivots
-
-
-def complement_basis(field, sub, ambient_dim):
-    """Unit vectors extending a basis of span(sub) to the full space.
-
-    Selection rule: smallest-index unit vectors not in the span so far,
-    taken in index order.
-    """
-    solver = SpanSolver(field)
-    for vec in sub:
-        solver.add(vec)
-    out = []
-    one = field.one()
-    for i in range(ambient_dim):
-        if solver.add({i: one}):
-            out.append({i: one})
-    return out
-
-
-def vec_add(field, a, b):
-    out = dict(a)
-    for c, v in b.items():
-        cur = out.get(c)
-        nv = v if cur is None else field.add(cur, v)
-        if cur is not None and field.is_zero(nv):
-            del out[c]
-        elif not field.is_zero(nv):
-            out[c] = nv
-    return out
-
-
-def vec_scale(field, coeff, a):
-    if field.is_zero(coeff):
-        return {}
-    return {c: field.mul(coeff, v) for c, v in a.items()}

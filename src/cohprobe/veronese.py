@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HilbertMismatch, NotDegreeOneGenerated
+from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree
-from .linalg import SpanSolver
+from .grmod import FreeModule, ModuleMap, pushed_span
+from .linalg import SpanSolver, kernel_basis
 from .coherence import probe_algebra
 
 
@@ -86,7 +87,7 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
     Hilbert agreement with the ambient algebra is a hard invariant.
     """
     if n < 2:
-        raise ValueError("Veronese step n must be >= 2")
+        raise InputError("Veronese step n must be >= 2")
     if require_degree_one and not degree_one_generated(tgb):
         raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
     fld = tgb.field
@@ -110,7 +111,10 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
             concat = tuple(letter for s in sw for letter in gen_words[s])
             nf = tgb.normal_form_word(concat)
             cols.append({ambient_index[w]: c for w, c in nf.items()})
-        new_rels = _kernel_polys(fld, sym_gt, sym_words, cols, i)
+        new_rels = [
+            NcPoly({sym_words[t]: c for t, c in vec.items()}, i)
+            for vec in kernel_basis(fld, cols)
+        ]
         relations_per_degree[i] = len(new_rels)
         relation_monomial[i] = all(len(r.terms) == 1 for r in new_rels)
         relations.extend(new_rels)
@@ -135,26 +139,6 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
         hilbert_internal,
         hilbert_ambient,
     )
-
-
-def _kernel_polys(fld, sym_gt, sym_words, cols, degree):
-    """Kernel vectors of the evaluation map, as symbol polynomials."""
-    rref = SpanSolver(fld, track=True)
-    dependent = {}
-    for j, col in enumerate(cols):
-        residue, expr = rref.reduce(col)
-        if residue:
-            rref.add(col, tag=j)
-        else:
-            dependent[j] = expr
-    out = []
-    one = fld.one()
-    for j in sorted(dependent):
-        terms = {sym_words[j]: one}
-        for t, c in dependent[j].items():
-            terms[sym_words[t]] = fld.neg(c)
-        out.append(NcPoly(terms, degree))
-    return out
 
 
 @dataclass
@@ -191,67 +175,28 @@ def pm_module_presentations(p, tgb, n, D, require_degree_one=True):
     if require_degree_one and not degree_one_generated(tgb):
         raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
     fld = tgb.field
+    push_words = tgb.normal_words(n)
     reports = []
     for m in range(n):
         window = (D - m) // n
         gens = tgb.normal_words(m)  # generators of P^m in internal degree 0
         gen_degrees = [0] * len(gens)
+        # P^m's generators as a map onto A: its kernel holds the syzygies
+        src = FreeModule((m,) * len(gens))
+        onto = ModuleMap(tgb, src, FreeModule((0,)), {
+            (0, k): NcPoly.monomial(tgb.gt, fld, u) for k, u in enumerate(gens)
+        })
         kernel_bases = {}
         syz_profile = [0] * (window + 1)
         for i in range(window + 1):
-            amb = m + i * n
-            tgt_index = tgb.normal_index(amb)
-            src_basis = []
-            cols = []
-            for g_idx, u in enumerate(gens):
-                for w in tgb.normal_words(i * n):
-                    src_basis.append((g_idx, w))
-                    nf = tgb.normal_form_word(u + w)
-                    cols.append({tgt_index[t]: c for t, c in nf.items()})
-            kvecs = _kernel_from_cols(fld, cols)
-            kernel_bases[i] = (kvecs, src_basis)
-            old_span = SpanSolver(fld)
-            if i >= 1:
-                prev_vecs, prev_basis = kernel_bases[i - 1]
-                pos = {pair: idx for idx, pair in enumerate(src_basis)}
-                for vec in prev_vecs:
-                    for a in tgb.normal_words(n):
-                        pushed = {}
-                        for idx, c in vec.items():
-                            g_idx, w = prev_basis[idx]
-                            for t, tc in tgb.normal_form_word(w + a).items():
-                                jdx = pos[(g_idx, t)]
-                                cur = pushed.get(jdx)
-                                nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-                                if cur is not None and fld.is_zero(nv):
-                                    del pushed[jdx]
-                                elif not fld.is_zero(nv):
-                                    pushed[jdx] = nv
-                        old_span.add(pushed)
-            for vec in kvecs:
+            d = m + i * n
+            kernel_bases[d] = kernel_basis(fld, onto.component_columns(d))
+            old_span = pushed_span(tgb, src, d, kernel_bases, push_words)
+            for vec in kernel_bases[d]:
                 if old_span.add(vec):
                     syz_profile[i] += 1
         reports.append(PmModuleReport(m, gen_degrees, syz_profile, window))
     return reports
-
-
-def _kernel_from_cols(fld, cols):
-    rref = SpanSolver(fld, track=True)
-    dependent = {}
-    for j, col in enumerate(cols):
-        residue, expr = rref.reduce(col)
-        if residue:
-            rref.add(col, tag=j)
-        else:
-            dependent[j] = expr
-    out = []
-    one = fld.one()
-    for j in sorted(dependent):
-        vec = {j: one}
-        for t, c in dependent[j].items():
-            vec[t] = fld.neg(c)
-        out.append(vec)
-    return out
 
 
 def decomposition_audit(tgb, n, D):

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeBoundExceeded,
+    InputError,
     NotPresentedByProjectives,
     WindowTooShallow,
 )
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree
 from .grmod import FreeModule, ModuleMap, ModulePresentation, ModuleComponents, free_basis
-from .linalg import SpanSolver
+from .linalg import SpanSolver, axpy
 
 STABLE_RUN = 4
 MIN_LEVELS = 6
@@ -40,7 +41,7 @@ class ZAlgebraWindow:
         if hi - lo > tgb.D:
             raise DegreeBoundExceeded(f"window width {hi - lo} > bound {tgb.D}")
         if lo > hi:
-            raise ValueError("empty window")
+            raise InputError("empty window")
         self.tgb = tgb
         self.lo = lo
         self.hi = hi
@@ -112,23 +113,10 @@ class ZAlgebraWindow:
                 for zi in range(dim_z):
                     left = {}
                     for t, c in xy.items():
-                        for r, c2 in m_jl_i[(t, zi)].items():
-                            cur = left.get(r)
-                            nv = fld.mul(c, c2) if cur is None else fld.add(cur, fld.mul(c, c2))
-                            if cur is not None and fld.is_zero(nv):
-                                del left[r]
-                            elif not fld.is_zero(nv):
-                                left[r] = nv
-                    yz = m_jk_i[(yi, zi)]
+                        axpy(fld, left, c, m_jl_i[(t, zi)])
                     right = {}
-                    for t, c in yz.items():
-                        for r, c2 in m_kl_i2[(xi, t)].items():
-                            cur = right.get(r)
-                            nv = fld.mul(c, c2) if cur is None else fld.add(cur, fld.mul(c, c2))
-                            if cur is not None and fld.is_zero(nv):
-                                del right[r]
-                            elif not fld.is_zero(nv):
-                                right[r] = nv
+                    for t, c in m_jk_i[(yi, zi)].items():
+                        axpy(fld, right, c, m_kl_i2[(xi, t)])
                     if left != right:
                         return False
         return True
@@ -163,19 +151,9 @@ class ZModuleWindow:
     def action(self, i, j):
         return self.act.get((i, j))
 
-    def support_top(self):
-        for i in range(self.hi, self.lo - 1, -1):
-            if self.dim(i):
-                return i
-        return self.lo
-
-    def is_bounded_by(self, count):
-        return sum(self.dims.values()) <= count
-
     def audit(self):
         """Action consistency: every stored tensor equals the letter-by-letter fold."""
         tgb = self.tgb
-        fld = tgb.field
         problems = []
         for (i, j), tensor in sorted(self.act.items()):
             span = j - i
@@ -207,13 +185,7 @@ class ZModuleWindow:
             out = {}
             if ai is not None:
                 for bb, c in vec.items():
-                    for r, c2 in tensor[bb][ai].items():
-                        curv = out.get(r)
-                        nv = fld.mul(c, c2) if curv is None else fld.add(curv, fld.mul(c, c2))
-                        if curv is not None and fld.is_zero(nv):
-                            del out[r]
-                        elif not fld.is_zero(nv):
-                            out[r] = nv
+                    axpy(fld, out, c, tensor[bb][ai])
             else:
                 # the letter itself is not a normal word; expand it
                 nf = tgb.normal_form_word((letter,))
@@ -221,14 +193,7 @@ class ZModuleWindow:
                 for t, tc in nf.items():
                     aj = idx[t]
                     for bb, c in vec.items():
-                        for r, c2 in tensor[bb][aj].items():
-                            curv = out.get(r)
-                            nv = fld.mul(fld.mul(c, tc), c2)
-                            nv = nv if curv is None else fld.add(curv, nv)
-                            if curv is not None and fld.is_zero(nv):
-                                del out[r]
-                            elif not fld.is_zero(nv):
-                                out[r] = nv
+                        axpy(fld, out, fld.mul(c, tc), tensor[bb][aj])
             vec = out
             cur = nxt
             if not vec:
@@ -258,7 +223,6 @@ def transport_module(pres, tgb, lo, hi, pp=None):
     """Window module of the graded module coker(pres): (M_Z)_i = M_{-i}."""
     comps = ModuleComponents(pres, tgb)
     f0 = pres.f0
-    fld = tgb.field
 
     dims = {}
     bases = {}
@@ -277,16 +241,7 @@ def transport_module(pres, tgb, lo, hi, pp=None):
     def act_fn(i, j, b, a):
         k, u = bases[j][b]
         pos = positions[i]
-        out = {}
-        for t, tc in tgb.normal_form_word(u + a).items():
-            out_idx = pos[(k, t)]
-            cur = out.get(out_idx)
-            nv = tc if cur is None else fld.add(cur, tc)
-            if cur is not None and fld.is_zero(nv):
-                del out[out_idx]
-            elif not fld.is_zero(nv):
-                out[out_idx] = nv
-        return comps.coords(-i, out)
+        return comps.coords(-i, {pos[(k, t)]: tc for t, tc in tgb.normal_form_word(u + a).items()})
 
     return _window_from_components(tgb, lo, hi, dims, act_fn, labels=labels, pp=pp)
 
@@ -323,7 +278,7 @@ def direct_sum(windows):
     tgb, lo, hi = base.tgb, base.lo, base.hi
     for w in windows[1:]:
         if (w.lo, w.hi) != (lo, hi):
-            raise ValueError("windows not aligned")
+            raise InputError("windows not aligned")
     dims = {i: sum(w.dim(i) for w in windows) for i in range(lo, hi + 1)}
     act = {}
     for j in range(lo, hi + 1):
@@ -358,7 +313,7 @@ def hom_dim_window(m1, m2):
     tgb = m1.tgb
     fld = tgb.field
     if (m1.lo, m1.hi) != (m2.lo, m2.hi):
-        raise ValueError("windows not aligned")
+        raise InputError("windows not aligned")
     lo, hi = m1.lo, m1.hi
     unknowns = {}
     for i in range(lo, hi + 1):
@@ -391,14 +346,9 @@ def hom_dim_window(m1, m2):
                         row = {}
                         for c, coeff in bg.items():
                             row[unknowns[(i, r, c)]] = coeff
+                        # unknowns of index j never meet those of index i < j
                         for rp, v in rhs.get((ai, r), ()):
-                            uid = unknowns[(j, rp, b)]
-                            cur = row.get(uid)
-                            nv = fld.neg(v) if cur is None else fld.sub(cur, v)
-                            if cur is not None and fld.is_zero(nv):
-                                del row[uid]
-                            elif not fld.is_zero(nv):
-                                row[uid] = nv
+                            row[unknowns[(j, rp, b)]] = fld.neg(v)
                         if row:
                             rows.add(row)
     return len(unknowns) - rows.rank
@@ -545,7 +495,7 @@ class ProjectivePresentation:
                 continue
             want = self.target_indices[s] - self.source_indices[t]
             if poly.degree != want:
-                raise ValueError(f"entry ({s},{t}) has degree {poly.degree}, want {want}")
+                raise InputError(f"entry ({s},{t}) has degree {poly.degree}, want {want}")
 
 
 def gamma_star_presentation(m, tgb):
@@ -602,14 +552,8 @@ def coker_window(pp, tgb, lo, hi):
                     if poly is None or poly.is_zero():
                         continue
                     for w, c in poly.terms.items():
-                        for tw, tc in tgb.normal_form_word(w + u).items():
-                            n = pos[(s, tw)]
-                            cur = vec.get(n)
-                            nv = fld.mul(c, tc) if cur is None else fld.add(cur, fld.mul(c, tc))
-                            if cur is not None and fld.is_zero(nv):
-                                del vec[n]
-                            elif not fld.is_zero(nv):
-                                vec[n] = nv
+                        nf = tgb.normal_form_word(w + u)
+                        axpy(fld, vec, c, {pos[(s, tw)]: tc for tw, tc in nf.items()})
                 solver.add(vec, tag=None)
         chosen = []
         one = fld.one()
@@ -624,15 +568,7 @@ def coker_window(pp, tgb, lo, hi):
         tbasis_j, chosen_j, _ = bases[j]
         tbasis_i, chosen_i, pos_i = bases[i]
         s, u = tbasis_j[chosen_j[b]]
-        vec = {}
-        for tw, tc in tgb.normal_form_word(u + a).items():
-            n = pos_i[(s, tw)]
-            cur = vec.get(n)
-            nv = tc if cur is None else fld.add(cur, tc)
-            if cur is not None and fld.is_zero(nv):
-                del vec[n]
-            elif not fld.is_zero(nv):
-                vec[n] = nv
+        vec = {pos_i[(s, tw)]: tc for tw, tc in tgb.normal_form_word(u + a).items()}
         residue, expr = solvers[i].reduce(vec)
         if residue:
             raise AssertionError("cokernel action did not reduce")

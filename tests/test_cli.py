@@ -1,8 +1,10 @@
 import io
 import json
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from cohprobe.cli import main
 
@@ -136,6 +138,49 @@ def test_exit_codes_on_corrupted_inputs(tmp_path):
         if code == 1:
             corruptions += 1
     assert corruptions >= 10  # most random corruptions must be rejected
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _tor_module(tmp_path, text):
+    return ["tor", str(ALGEBRAS / "free2.alg"), "-D", "4",
+            "--module", _write(tmp_path, "mod.json", text)]
+
+
+BAD_INPUTS = {
+    "veronese step 1": lambda tmp: ["veronese", str(ALGEBRAS / "commutative.alg"), "--n", "1"],
+    "ideal generator zero in A": lambda tmp: [
+        "probe", str(ALGEBRAS / "example1.alg"), "--ideal", "x*y"],
+    "empty zalg window": lambda tmp: ["zalg", str(ALGEBRAS / "commutative.alg"), "--window=5..2"],
+    "relfam negative exponent": lambda tmp: ["hilbert", _write(
+        tmp, "fam.alg", "gen x 1\ngen y 1\nrelfam x*y^{n-1}*x n >= 0\n"), "-D", "4"],
+    "module entry of wrong degree": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [["x*y"]]})),
+    "negative shifts0": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [-1], "shifts1": [], "matrix": []})),
+    "malformed module json": lambda tmp: _tor_module(tmp, "{not json"),
+    "composite field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "F4"],
+    "unknown field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "R"],
+    "probe over zero ideals (max ideals)": lambda tmp: [
+        "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--max-ideals", "0"],
+    "probe over zero ideals (gen degree bound)": lambda tmp: [
+        "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--gen-degree-bound", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exit_code(case, tmp_path):
+    # a bad input gives "error: ..." and exit 1; an exception escaping main fails the test
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(BAD_INPUTS[case](tmp_path))
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert out == ""
 
 
 def test_text_mode_runs():

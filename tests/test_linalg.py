@@ -2,69 +2,52 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohprobe.linalg import (
-    Mat,
     PrimeField,
     QQ,
     SpanSolver,
-    complement_basis,
+    axpy,
     kernel_basis,
     parse_field,
-    rank,
-    rref,
 )
 
-
-def test_rref_identity():
-    m = Mat.from_row_list(QQ, [[1, 0], [0, 1]])
-    r, pivots = rref(QQ, m)
-    assert pivots == [0, 1]
-    assert r.entries == m.entries
+from oracles import kernel_dim, span_rank
 
 
-def test_rref_zero_matrix():
-    m = Mat(2, 3)
-    r, pivots = rref(QQ, m)
-    assert pivots == []
-    assert r.entries == {}
+def columns_of(field, rows):
+    """Sparse column vectors of a dense integer matrix given by rows."""
+    ncols = len(rows[0]) if rows else 0
+    cols = []
+    for j in range(ncols):
+        col = {}
+        for i, row in enumerate(rows):
+            v = field.of_int(row[j])
+            if not field.is_zero(v):
+                col[i] = v
+        cols.append(col)
+    return cols
 
 
-def test_rref_rank_one():
-    m = Mat.from_row_list(QQ, [[1, 2], [2, 4]])
-    r, pivots = rref(QQ, m)
-    assert pivots == [0]
-    assert r.entries == {(0, 0): Fraction(1), (0, 1): Fraction(2)}
-
-
-def test_rref_idempotent_random():
-    rng = random.Random(7)
-    for _ in range(30):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 6)
-        m = Mat.from_row_list(
-            QQ, [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-        )
-        r1, p1 = rref(QQ, m)
-        r2, p2 = rref(QQ, r1)
-        assert p1 == p2
-        assert r1.entries == r2.entries
+def solver_rank(field, vectors):
+    solver = SpanSolver(field)
+    for vec in vectors:
+        solver.add(vec)
+    return solver.rank
 
 
 def test_kernel_identity_empty():
-    m = Mat.from_row_list(QQ, [[1, 0], [0, 1]])
-    assert kernel_basis(QQ, m) == []
+    assert kernel_basis(QQ, columns_of(QQ, [[1, 0], [0, 1]])) == []
 
 
 def test_kernel_one_minus_one():
-    m = Mat.from_row_list(QQ, [[1, -1]])
-    (vec,) = kernel_basis(QQ, m)
+    (vec,) = kernel_basis(QQ, columns_of(QQ, [[1, -1]]))
     assert vec == {1: Fraction(1), 0: Fraction(1)}
 
 
 def test_kernel_rank_one():
-    m = Mat.from_row_list(QQ, [[1, 2], [2, 4]])
-    (vec,) = kernel_basis(QQ, m)
+    (vec,) = kernel_basis(QQ, columns_of(QQ, [[1, 2], [2, 4]]))
     # proportional to (2, -1), normalized with a 1 in the free column
     assert vec[1] == Fraction(1)
     assert vec[0] == Fraction(-2)
@@ -75,26 +58,34 @@ def test_rank_plus_nullity_random():
     for _ in range(40):
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
-        m = Mat.from_row_list(
-            QQ, [[rng.randrange(-2, 3) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert rank(QQ, m) + len(kernel_basis(QQ, m)) == cols
+        m = columns_of(QQ, [[rng.randrange(-2, 3) for _ in range(cols)] for _ in range(rows)])
+        assert solver_rank(QQ, m) + len(kernel_basis(QQ, m)) == cols
 
 
-def test_complement_empty_sub():
-    out = complement_basis(QQ, [], 2)
-    assert out == [{0: Fraction(1)}, {1: Fraction(1)}]
-
-
-def test_complement_e0():
-    out = complement_basis(QQ, [{0: Fraction(1)}], 2)
-    assert out == [{1: Fraction(1)}]
-
-
-def test_complement_stated_rule():
-    # sub = {(1,1,0)}: e0 enters, e1 is then dependent, e2 completes
-    out = complement_basis(QQ, [{0: Fraction(1), 1: Fraction(1)}], 3)
-    assert out == [{0: Fraction(1)}, {2: Fraction(1)}]
+@settings(deadline=None)
+@given(
+    field=st.sampled_from([QQ, PrimeField(32003)]),
+    rows=st.integers(1, 6).flatmap(lambda ncols: st.lists(
+        st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=6,
+    )),
+)
+def test_kernel_basis_property(field, rows):
+    cols = columns_of(field, rows)
+    basis = kernel_basis(field, cols)
+    assert len(basis) == kernel_dim(field, cols, len(rows))
+    # free columns: those in the span of the columns before them
+    free = [j for j in range(len(cols))
+            if span_rank(field, cols[: j + 1]) == span_rank(field, cols[:j])]
+    assert len(basis) == len(free)
+    for j, vec in zip(free, basis):
+        assert vec[j] == field.one()
+        assert max(vec) == j
+        assert not (set(vec) & set(free)) - {j}
+        image = {}
+        for t, c in vec.items():
+            axpy(field, image, c, cols[t])
+        assert image == {}
 
 
 def test_prime_field_rejects_composite():
@@ -116,9 +107,7 @@ def test_q_vs_fp_agreement_random():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         data = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        mq = Mat.from_row_list(QQ, data)
-        mp = Mat.from_row_list(fp, data)
-        assert rank(QQ, mq) == rank(fp, mp)
+        assert solver_rank(QQ, columns_of(QQ, data)) == solver_rank(fp, columns_of(fp, data))
 
 
 def test_solver_certificates():

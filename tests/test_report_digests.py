@@ -1,0 +1,51 @@
+"""Byte-identity guard: the sha256 of the ``--json`` report of a few fast
+requests, pinned so that refactors of the linear-algebra core cannot change
+any report.  Together the requests cover every subcommand and every
+kernel / minimal-generator routine (probe kernels, resolution levels,
+Veronese relations and P^m syzygies, cohproj Hom tables, the span oracles).
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cohprobe.cli import main
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+
+REQUESTS = [
+    (["hilbert", "example1.alg", "-D", "7", "--oracle-check"],
+     "14eac0511c08532d8b58c869dc56ebd42d24dbb9cfda2dcecb6843c8c0a8198b"),
+    (["gb", "remark.alg", "-D", "8"],
+     "4fc135a306354ef63da76034815cc72e79f16f1edeadde34a0c3cab8c5c0836e"),
+    (["tor", "example1.alg", "-D", "8", "--length", "3"],
+     "91ce3b7224147be2b0f2c5cc0dc678e78fa47c8afa7e9df03fdf235cfe70f3ff"),
+    (["probe", "example2.alg", "--side", "both", "--field", "F32003", "-D", "9",
+      "--max-ideals", "8"],
+     "56ac8541f1e8ecf9a01d0ecbb115cda8971b5e2bfc66ebb06ad166e402eea551"),
+    (["probe", "example1.alg", "--side", "both", "--ideal", "x;y*y", "-D", "10"],
+     "9badf0ef6ee68bdfb44882d86efd150d68e3eb5bac0bd49ff0d7365bd50d8aef"),
+    (["veronese", "example1.alg", "--n", "2", "--cross-check", "--pm-modules", "-D", "10",
+      "--max-ideals", "6"],
+     "5b3d881f95febe2ef16475a1afaede014f2c853293a6bb3cc11cc7295ceb7857"),
+    (["zalg", "commutative.alg", "--window=-2..8", "--hom-range", "2"],
+     "59decb14cde25e2838a79fc226595fc1123b512c2099fbbce4d45182e46e8cf7"),
+    (["corpus", "-D", "7", "--field", "F32003", "--max-ideals", "4"],
+     "5c79317234fdcc0c2c072d679c5cb9efdb5d59b3541979bff7afda5b6e0fc802"),
+]
+
+
+def _argv(args):
+    return [str(ALGEBRAS / a) if a.endswith(".alg") else a for a in args] + ["--json"]
+
+
+@pytest.mark.parametrize("args,digest", REQUESTS, ids=[" ".join(args[:2]) for args, _ in REQUESTS])
+def test_report_digest(args, digest):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_argv(args))
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
