@@ -126,15 +126,31 @@ def cmd_gb(args):
 
 
 def _module_from_json(tgb, spec):
-    shifts0 = tuple(spec.get("shifts0", [0]))
-    shifts1 = tuple(spec.get("shifts1", []))
+    if not isinstance(spec, dict):
+        raise InputError("module JSON must be an object")
+    shifts0 = spec.get("shifts0", [0])
+    shifts1 = spec.get("shifts1", [])
+    for shifts in (shifts0, shifts1):
+        if not isinstance(shifts, list) or not all(type(s) is int for s in shifts):
+            raise InputError("module JSON: shifts0 and shifts1 must be lists of integers")
     matrix = spec.get("matrix", [])
+    if not isinstance(matrix, list) or len(matrix) > len(shifts0) or not all(
+        isinstance(row, list) and len(row) <= len(shifts1) for row in matrix
+    ):
+        raise InputError(
+            f"module JSON: matrix must be a list of at most {len(shifts0)} rows, "
+            f"each a list of at most {len(shifts1)} cells"
+        )
     entries = {}
     for k, row in enumerate(matrix):
         for l, cell in enumerate(row):
-            if cell and cell.strip() not in ("0", ""):
+            if not cell:
+                continue
+            if not isinstance(cell, str):
+                raise InputError(f"module JSON: matrix cell ({k},{l}) must be a string")
+            if cell.strip() not in ("0", ""):
                 entries[(k, l)] = parse_poly(tgb.gt, tgb.field, cell)
-    return ModulePresentation.of_map(tgb, shifts1, shifts0, entries)
+    return ModulePresentation.of_map(tgb, tuple(shifts1), tuple(shifts0), entries)
 
 
 def _simple_module(tgb):

@@ -230,12 +230,6 @@ class ModuleComponents:
             raise AssertionError("vector not reduced to the quotient basis")
         return expr
 
-    def basis_free_vectors(self, d):
-        """The chosen basis as unit vectors in free-component coordinates."""
-        fld = self.tgb.field
-        _, basis, _ = self._degree_data(d)
-        return [{i: fld.one()} for i, _ in basis]
-
 
 def component_basis(pres, tgb, d):
     """Deterministic basis of M_d = (F0 / im r)_d."""
@@ -252,49 +246,50 @@ class KernelGenerator:
         return [poly_str(tgb.gt, tgb.field, p) for p in self.element]
 
 
-def _vector_to_element(tgb, fm, d, vec):
-    fld = tgb.field
-    fb = free_basis(tgb, fm, d)
+def _vector_to_element(fm, d, basis, vec):
+    """The element of fm with coordinates vec over basis = free_basis(., fm, d)."""
     polys = [dict() for _ in fm.shifts]
     for i, c in vec.items():
-        k, u = fb[i]
+        k, u = basis[i]
         polys[k][u] = c
     return tuple(
         NcPoly(t, d - fm.shifts[k] if t else None) for k, t in enumerate(polys)
     )
 
 
-def _letters(tgb):
+def letters(tgb):
+    """The generators of the algebra as one-letter words."""
     return [(a,) for a in range(len(tgb.gt))]
 
 
-def _min_generators(tgb, src, D, kernel_at):
-    """Minimal generators of a submodule K of the free module src, degrees <= D.
+def min_generators(tgb, src, degrees, span_at, words):
+    """Minimal generators of a submodule K of the free module src, in the given degrees.
 
-    kernel_at(d) is a basis of K_d over free_basis(tgb, src, d).  Degree by
-    degree, knock out the span of lower-degree components of K pushed up by
-    every generator (that span equals the A-span of the previously emitted
-    generators), and emit the basis vectors that extend it; graded Nakayama
-    makes this a minimal generating set on the window.
+    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d); words
+    are the elements that push a lower degree of K up into the next ones (the
+    letters, or a basis of A_n on a Veronese grading), so that the pushed
+    span at d is the A-span of the generators already emitted.  Degree by
+    degree, emit the spanning vectors that extend it; graded Nakayama makes
+    this a minimal generating set on the window.
     """
     gens = []
-    bases = {}
-    if len(src) == 0:
-        return gens
-    letters = _letters(tgb)
-    for d in range(min(src.shifts), D + 1):
-        bases[d] = kernel_at(d)
-        old_span = pushed_span(tgb, src, d, bases, letters)
-        for vec in bases[d]:
-            if old_span.add(vec):
-                gens.append(KernelGenerator(d, vec, _vector_to_element(tgb, src, d, vec)))
+    spans = {}
+    for d in degrees:
+        spans[d] = span_at(d)
+        old_span = pushed_span(tgb, src, d, spans, words)
+        new = [vec for vec in spans[d] if old_span.add(vec)]
+        if new:
+            basis = free_basis(tgb, src, d)
+            gens.extend(KernelGenerator(d, vec, _vector_to_element(src, d, basis, vec))
+                        for vec in new)
     return gens
 
 
 def kernel_min_generators(f, tgb, D):
     """Minimal generators of ker(f) in degrees <= D, with witnesses."""
-    return _min_generators(
-        tgb, f.source, D, lambda d: kernel_basis(tgb.field, f.component_columns(d))
+    return min_generators(
+        tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1),
+        lambda d: kernel_basis(tgb.field, f.component_columns(d)), letters(tgb),
     )
 
 
@@ -302,13 +297,13 @@ def _projected_kernel(fld, pcols, rcols):
     """Basis of ker(P -> coker(rel)) at one degree, from the two column lists.
 
     The kernel of the stacked matrix [pcols | rcols], projected to the P
-    block and span-reduced to a deterministic basis (RREF rows by pivot).
+    block and span-reduced to a deterministic basis (echelon rows by pivot).
     """
     reducer = SpanSolver(fld)
     nsrc = len(pcols)
     for vec in kernel_basis(fld, pcols + rcols):
         reducer.add({i: c for i, c in vec.items() if i < nsrc})
-    return [reducer.pivot_rows[p] for p in reducer.pivot_cols()]
+    return [reducer.pivot_rows[p] for p in sorted(reducer.pivot_rows)]
 
 
 @dataclass
@@ -328,9 +323,6 @@ class TruncatedResolution:
     modules: list        # [P^0, P^1, ..., P^L]
     tor: list            # tor[i][d] = generators of P^i in degree d
 
-    def tor_row(self, i):
-        return self.tor[i] if i < len(self.tor) else [0] * (self.D + 1)
-
 
 def minimal_resolution(pres, tgb, D, length=2):
     """Minimal free resolution window of M = coker(pres) up to degree D.
@@ -342,32 +334,28 @@ def minimal_resolution(pres, tgb, D, length=2):
     fld = tgb.field
     if pres.f0.shifts and min(pres.f0.shifts) < 0:
         raise InputError("minimal_resolution expects nonnegative shifts")
-    comps = ModuleComponents(pres, tgb)
     f0 = pres.f0
 
-    # P^0: minimal generators of M, degree by degree
+    # P^0 from M (x) k = F0 / (F0 * A_+ + im r): in degree d, the generator e_k
+    # with s_k == d survives iff it extends the relations at d restricted to
+    # the coordinates (k, empty word)
     tor0 = [0] * (D + 1)
     p0_shifts = []
     p0_entries = {}
-    mgen_vectors = {}
-    letters = _letters(tgb)
+    unit = NcPoly.monomial(tgb.gt, fld, ())
     for d in range(0, D + 1):
-        fb = free_basis(tgb, f0, d)
-        if not fb:
+        offsets = _block_offsets(tgb, f0, d)
+        heads = {offsets[k]: k for k, s in enumerate(f0.shifts) if s == d}
+        if not heads:
             continue
-        span = pushed_span(tgb, f0, d, mgen_vectors, letters)
+        span = SpanSolver(fld)
         for col in pres.relations.component_columns(d):
-            span.add(col)
-        one = fld.one()
-        for i in range(len(fb)):
-            if span.add({i: one}):
-                k, u = fb[i]
-                col = len(p0_shifts)
+            span.add({heads[i]: c for i, c in col.items() if i in heads})
+        for k in heads.values():
+            if span.add({k: fld.one()}):
+                p0_entries[(k, len(p0_shifts))] = unit
                 p0_shifts.append(d)
-                p0_entries[(k, col)] = NcPoly.monomial(tgb.gt, fld, u)
                 tor0[d] += 1
-        # spanning set of M_d for the next degrees: quotient basis representatives
-        mgen_vectors[d] = comps.basis_free_vectors(d)
     p0 = FreeModule(tuple(p0_shifts))
     p0_map = ModuleMap(tgb, p0, f0, p0_entries)
 
@@ -378,9 +366,13 @@ def minimal_resolution(pres, tgb, D, length=2):
     prev_module = p0
     for level in range(1, length + 1):
         if level == 1:
-            gens = _min_generators(tgb, p0, D, lambda d: _projected_kernel(
-                fld, p0_map.component_columns(d), pres.relations.component_columns(d)
-            ))
+            gens = min_generators(
+                tgb, p0, range(min(p0.shifts, default=D + 1), D + 1),
+                lambda d: _projected_kernel(
+                    fld, p0_map.component_columns(d), pres.relations.component_columns(d)
+                ),
+                letters(tgb),
+            )
         else:
             gens = kernel_min_generators(diffs[-1], tgb, D)
         shifts = tuple(g.degree for g in gens)
@@ -407,9 +399,6 @@ class TorProfile:
 
     D: int
     rows: list
-
-    def row(self, i):
-        return self.rows[i] if i < len(self.rows) else [0] * (self.D + 1)
 
     def to_dict(self):
         return {f"tor{i}": row for i, row in enumerate(self.rows)}

@@ -148,13 +148,15 @@ def axpy(field, target, coeff, source):
 
 
 class SpanSolver:
-    """Incremental row-space elimination, kept in fully reduced (RREF) form.
+    """Incremental row-space elimination, kept in echelon form.
 
-    Pivots are leftmost nonzero columns.  With ``track=True`` every stored
-    row carries a certificate expressing it as a combination of the tagged
-    vectors fed to :meth:`add`; untagged vectors (tag None) are treated as
-    zero objects in certificates, which is exactly what reduction modulo a
-    known subspace needs.
+    Every stored row has a 1 at its pivot, its leftmost nonzero column, and
+    no two rows share a pivot; rows are never reduced against later pivots,
+    since residues, certificates and ranks do not depend on that.  With
+    ``track=True`` every stored row carries a certificate expressing it as a
+    combination of the tagged vectors fed to :meth:`add`; untagged vectors
+    (tag None) are treated as zero objects in certificates, which is exactly
+    what reduction modulo a known subspace needs.
     """
 
     def __init__(self, field, track=False):
@@ -166,9 +168,6 @@ class SpanSolver:
     @property
     def rank(self):
         return len(self.pivot_rows)
-
-    def pivot_cols(self):
-        return sorted(self.pivot_rows)
 
     def reduce(self, vec):
         """Reduce vec against the stored rows; returns (residue, expr).
@@ -192,27 +191,23 @@ class SpanSolver:
 
     def add(self, vec, tag=None):
         """Insert vec into the span; returns True iff the rank increased."""
-        f = self.field
         residue, expr = self.reduce(vec)
+        return self._insert(residue, expr, tag)
+
+    def _insert(self, residue, expr, tag):
+        """Store the reduced residue of the vector tagged tag as a new row."""
         if not residue:
             return False
+        f = self.field
         lead = min(residue)
         scale = f.inv(residue[lead])
-        row = {c: f.mul(scale, v) for c, v in residue.items()}
+        self.pivot_rows[lead] = {c: f.mul(scale, v) for c, v in residue.items()}
         if self.track:
             row_expr = {}
             axpy(f, row_expr, f.neg(scale), expr)
             if tag is not None:
                 axpy(f, row_expr, scale, {tag: f.one()})
             self.exprs[lead] = row_expr
-        # back-substitute so stored rows stay fully reduced
-        for p, prow in self.pivot_rows.items():
-            if lead in prow:
-                coeff = f.neg(prow[lead])
-                axpy(f, prow, coeff, row)
-                if self.track:
-                    axpy(f, self.exprs[p], coeff, self.exprs[lead])
-        self.pivot_rows[lead] = row
         return True
 
     def contains(self, vec):
@@ -232,8 +227,7 @@ def kernel_basis(field, columns):
     one = field.one()
     for j, col in enumerate(columns):
         residue, expr = solver.reduce(col)
-        if residue:
-            solver.add(col, tag=j)
+        if solver._insert(residue, expr, j):
             continue
         vec = {j: one}
         for t, c in expr.items():

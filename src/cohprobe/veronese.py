@@ -15,26 +15,19 @@ from dataclasses import dataclass
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree
-from .grmod import FreeModule, ModuleMap, pushed_span
-from .linalg import SpanSolver, kernel_basis
+from .grmod import FreeModule, ModuleMap, min_generators, pushed_span
+from .linalg import kernel_basis
 from .coherence import probe_algebra
 
 
 def degree_one_generated(tgb, D=None):
     """True iff A_1 * A_(d-1) spans A_d for every d <= D."""
     D = tgb.D if D is None else D
-    fld = tgb.field
-    for d in range(2, D + 1):
-        index = tgb.normal_index(d)
-        solver = SpanSolver(fld)
-        for u in tgb.normal_words(1):
-            for v in tgb.normal_words(d - 1):
-                prod = tgb.normal_form_word(u + v)
-                if prod:
-                    solver.add({index[w]: c for w, c in prod.items()})
-        if solver.rank != tgb.dim(d):
-            return False
-    return True
+    units = {1: [{i: tgb.field.one()} for i in range(tgb.dim(1))]}
+    return all(
+        pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
+        for d in range(2, D + 1)
+    )
 
 
 @dataclass
@@ -186,15 +179,13 @@ def pm_module_presentations(p, tgb, n, D, require_degree_one=True):
         onto = ModuleMap(tgb, src, FreeModule((0,)), {
             (0, k): NcPoly.monomial(tgb.gt, fld, u) for k, u in enumerate(gens)
         })
-        kernel_bases = {}
         syz_profile = [0] * (window + 1)
-        for i in range(window + 1):
-            d = m + i * n
-            kernel_bases[d] = kernel_basis(fld, onto.component_columns(d))
-            old_span = pushed_span(tgb, src, d, kernel_bases, push_words)
-            for vec in kernel_bases[d]:
-                if old_span.add(vec):
-                    syz_profile[i] += 1
+        syzygies = min_generators(
+            tgb, src, range(m, m + window * n + 1, n),
+            lambda d: kernel_basis(fld, onto.component_columns(d)), push_words,
+        )
+        for g in syzygies:
+            syz_profile[(g.degree - m) // n] += 1
         reports.append(PmModuleReport(m, gen_degrees, syz_profile, window))
     return reports
 

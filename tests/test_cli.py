@@ -163,6 +163,17 @@ BAD_INPUTS = {
     "negative shifts0": lambda tmp: _tor_module(
         tmp, json.dumps({"shifts0": [-1], "shifts1": [], "matrix": []})),
     "malformed module json": lambda tmp: _tor_module(tmp, "{not json"),
+    "module json not an object": lambda tmp: _tor_module(tmp, "[1, 2]"),
+    "module cell not a string": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [[5]]})),
+    "module shifts not a list": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": "ab", "shifts1": [], "matrix": []})),
+    "module matrix not a list": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": "x"})),
+    "module matrix rows beyond shifts0": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [["x"], ["y"]]})),
+    "module matrix row beyond shifts1": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [["x", "y"]]})),
     "composite field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "F4"],
     "unknown field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "R"],
     "probe over zero ideals (max ideals)": lambda tmp: [

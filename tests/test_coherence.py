@@ -151,13 +151,18 @@ def test_noetherian_chain(tgb_fast):
     assert stages == [True] * 5
 
 
-def test_ideal_tor0_single_generator(tgb_fast):
+@pytest.mark.parametrize("texts,profile", [
+    (["x"], [0, 1, 0, 0, 0, 0, 0]),
+    (["x", "x*y"], [0, 1, 0, 0, 0, 0, 0]),   # x*y lies in xA
+    (["x", "y"], [0, 2, 0, 0, 0, 0, 0]),
+    (["x*y", "y"], [0, 1, 1, 0, 0, 0, 0]),   # x*y is not in yA
+], ids=["x", "x,x*y", "x,y", "x*y,y"])
+def test_ideal_tor0_profile(tgb_fast, texts, profile):
     tgb = tgb_fast("free2")
-    from cohprobe.freealg import NcPoly
+    from cohprobe.freealg import parse_poly
 
-    gens = [NcPoly.monomial(tgb.gt, tgb.field, (0,))]
-    profile = ideal_tor0_profile(tgb, gens, 6)
-    assert profile == [0, 1, 0, 0, 0, 0, 0]
+    gens = [parse_poly(tgb.gt, tgb.field, t) for t in texts]
+    assert ideal_tor0_profile(tgb, gens, 6) == profile
 
 
 def test_probe_mixed_degree_ideal(tgb_fast):

@@ -14,7 +14,7 @@ from cohprobe.grmod import (
     minimal_resolution,
     tor_dims,
 )
-from cohprobe.linalg import QQ
+from cohprobe.linalg import QQ, PrimeField
 
 from oracles import bar_tor_trivial_module
 
@@ -112,6 +112,24 @@ def test_resolution_free_module_trivial(free2):
     assert res.tor[0] == [1] + [0] * 6
     assert res.tor[1] == [0] * 7
     assert res.tor[2] == [0] * 7
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("shifts0,shifts1,cells,tor0", [
+    # e0*x + e1 = 0 makes e1 redundant: M = A
+    ((0, 1), (1,), {(0, 0): "x", (1, 0): "1"}, [1, 0, 0, 0, 0, 0, 0]),
+    # the identity relation kills the generator: M = 0
+    ((0,), (0,), {(0, 0): "1"}, [0] * 7),
+], ids=["redundant generator", "identity relation"])
+def test_resolution_non_minimal_presentation(field, shifts0, shifts1, cells, tor0):
+    tgb = make_tgb("xy", [], D=6, field=field)
+    entries = {kl: parse_poly(tgb.gt, field, t) for kl, t in cells.items()}
+    pres = ModulePresentation.of_map(tgb, shifts1, shifts0, entries)
+    res = minimal_resolution(pres, tgb, 6, length=3)
+    assert res.tor == [tor0, [0] * 7, [0] * 7, [0] * 7]
+    audit = audit_resolution(res)
+    assert audit["minimal"] and audit["exact"] and audit["surjective"]
+    assert all(euler_characteristic_check(res))
 
 
 def test_tor_simple_module_xy_zero_matches_bar_oracle(xy_zero):

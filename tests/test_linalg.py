@@ -120,24 +120,26 @@ def test_solver_certificates():
     assert expr == {"a": Fraction(2), "b": Fraction(1)}
 
 
-def test_solver_certificate_identity_random():
-    # vec == residue + sum(expr[tag] * original[tag]) for tracked solvers
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_solver_certificate_identity_random(field):
+    # vec == residue + sum(expr[tag] * original[tag]) for tracked solvers, and
+    # every stored row is echelon: a 1 at its pivot, nothing to the left of it
     rng = random.Random(17)
     for _ in range(20):
-        solver = SpanSolver(QQ, track=True)
+        solver = SpanSolver(field, track=True)
         originals = {}
         for t in range(6):
-            vec = {i: Fraction(rng.randrange(-3, 4)) for i in range(5)}
-            vec = {i: v for i, v in vec.items() if v}
+            vec = {i: field.of_int(rng.randrange(-3, 4)) for i in range(5)}
+            vec = {i: v for i, v in vec.items() if not field.is_zero(v)}
             originals[t] = vec
             solver.add(dict(vec), tag=t)
-        probe = {i: Fraction(rng.randrange(-4, 5)) for i in range(5)}
-        probe = {i: v for i, v in probe.items() if v}
+        probe = {i: field.of_int(rng.randrange(-4, 5)) for i in range(5)}
+        probe = {i: v for i, v in probe.items() if not field.is_zero(v)}
         residue, expr = solver.reduce(dict(probe))
         rebuilt = dict(residue)
         for tag, coeff in expr.items():
-            for i, v in originals[tag].items():
-                rebuilt[i] = rebuilt.get(i, Fraction(0)) + coeff * v
-                if rebuilt[i] == 0:
-                    del rebuilt[i]
+            axpy(field, rebuilt, coeff, originals[tag])
         assert rebuilt == probe
+        for pivot, row in solver.pivot_rows.items():
+            assert row[pivot] == field.one()
+            assert min(row) == pivot

@@ -2,11 +2,13 @@
 requests, pinned so that refactors of the linear-algebra core cannot change
 any report.  Together the requests cover every subcommand and every
 kernel / minimal-generator routine (probe kernels, resolution levels,
-Veronese relations and P^m syzygies, cohproj Hom tables, the span oracles).
+Veronese relations and P^m syzygies, cohproj Hom tables, the span oracles),
+and P^0 of a module presentation that is not minimal.
 """
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -38,14 +40,33 @@ REQUESTS = [
 ]
 
 
+# a non-minimal presentation over example2: the scalar entry 2 makes e1
+# redundant, so P^0 keeps e0 and e2 only
+MODULE = {"shifts0": [0, 1, 1], "shifts1": [1, 2, 2],
+          "matrix": [["x", "y*y", "0"], ["2", "z", "x"], ["0", "0", "y"]]}
+MODULE_DIGEST = "8240f48a444c8d9cb9d8bf0febc1bc642240f2b243be9da1b3a1422e522a865f"
+
+
 def _argv(args):
     return [str(ALGEBRAS / a) if a.endswith(".alg") else a for a in args] + ["--json"]
 
 
-@pytest.mark.parametrize("args,digest", REQUESTS, ids=[" ".join(args[:2]) for args, _ in REQUESTS])
-def test_report_digest(args, digest):
+def _digest(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(_argv(args))
+        code = main(argv)
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", REQUESTS, ids=[" ".join(args[:2]) for args, _ in REQUESTS])
+def test_report_digest(args, digest):
+    assert _digest(_argv(args)) == digest
+
+
+def test_module_tor_report_digest(tmp_path, monkeypatch):
+    # the report names the module file, so it is read from a fixed relative path
+    (tmp_path / "mod.json").write_text(json.dumps(MODULE), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["tor", "example2.alg", "--module", "mod.json", "-D", "7", "--length", "3"]
+    assert _digest(_argv(argv)) == MODULE_DIGEST
