@@ -24,10 +24,8 @@ from .grmod import (
     FreeModule,
     ModuleMap,
     ModulePresentation,
-    component_basis,
     kernel_min_generators,
     minimal_resolution,
-    tor_dims,
 )
 from .coherence import (
     RightIdealSpec,
@@ -68,10 +66,8 @@ __all__ = [
     "FreeModule",
     "ModuleMap",
     "ModulePresentation",
-    "component_basis",
     "kernel_min_generators",
     "minimal_resolution",
-    "tor_dims",
     "RightIdealSpec",
     "builtin_corpus",
     "probe_algebra",

@@ -284,13 +284,12 @@ def cmd_zalg(args):
     audit = zw.audit()
     report = _base_report(pres, args)
     hom_top = min(hi, args.hom_range)
+    projectives = [projective_window(tgb, a, lo, hi) for a in range(0, hom_top + 1)]
     homtables = {}
     for a in range(0, hom_top + 1):
         for b in range(a, hom_top + 1):
             try:
-                r = cohproj_hom(
-                    projective_window(tgb, a, lo, hi), projective_window(tgb, b, lo, hi)
-                )
+                r = cohproj_hom(projectives[a], projectives[b])
                 homtables[f"P{a}->P{b}"] = r.to_dict()
             except CohprobeError as exc:
                 homtables[f"P{a}->P{b}"] = {"error": str(exc)}

@@ -68,10 +68,11 @@ class Verdict:
         return {"kind": self.kind, "d0": self.d0}
 
 
-def classify_profile(profile, D, margin=STABILITY_MARGIN):
+def classify_profile(profile, D):
     """Verdict from a new-generator profile indexed 0..D.
 
-    STABLE(d0) when the last new generator sits at d0 with D - d0 >= margin;
+    STABLE(d0) when the last new generator sits at d0 with
+    D - d0 >= STABILITY_MARGIN;
     otherwise GROWING when at least half (floor) of the degrees in the top
     half-window (D//2, D] carry new generators; otherwise INCONCLUSIVE.
     """
@@ -79,7 +80,7 @@ def classify_profile(profile, D, margin=STABILITY_MARGIN):
     for d, c in enumerate(profile):
         if c:
             d0 = d
-    if D - d0 >= margin:
+    if D - d0 >= STABILITY_MARGIN:
         return Verdict("STABLE", d0)
     top = range(D // 2 + 1, D + 1)
     nnz = sum(1 for d in top if d <= D and profile[d])
@@ -95,7 +96,6 @@ class CoherenceProbeReport:
     profile: list                 # new minimal kernel generators per module degree
     verdict: Verdict
     witness: list                 # (degree, [component strings]) in the top window
-    margin: int = STABILITY_MARGIN
 
     def to_dict(self):
         return {
@@ -104,7 +104,7 @@ class CoherenceProbeReport:
             "profile": self.profile,
             "verdict": self.verdict.to_dict(),
             "witness": [[d, comps] for d, comps in self.witness],
-            "margin": self.margin,
+            "margin": STABILITY_MARGIN,
         }
 
 
@@ -115,17 +115,17 @@ def ideal_map(tgb, ideal):
     return ModuleMap(tgb, FreeModule(shifts), FreeModule((0,)), entries)
 
 
-def probe_ideal(tgb, ideal, D=None, margin=STABILITY_MARGIN):
+def probe_ideal(tgb, ideal, D=None):
     """Per-degree Tor_1 new-generator profile of the ideal, with verdict."""
     D = tgb.D if D is None else D
     gens = kernel_min_generators(ideal_map(tgb, ideal), tgb, D)
     profile = [0] * (D + 1)
     for g in gens:
         profile[g.degree] += 1
-    verdict = classify_profile(profile, D, margin)
+    verdict = classify_profile(profile, D)
     top_floor = D // 2
     witness = [(g.degree, g.strings(tgb)) for g in gens if g.degree > top_floor]
-    return CoherenceProbeReport(ideal.strings(tgb), D, profile, verdict, witness, margin)
+    return CoherenceProbeReport(ideal.strings(tgb), D, profile, verdict, witness)
 
 
 _VERDICT_RANK = {"STABLE": 0, "INCONCLUSIVE": 1, "GROWING": 2}
@@ -185,8 +185,7 @@ def enumerate_ideals(tgb, gen_degree_bound, max_ideals):
     return ideals[:max_ideals]
 
 
-def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right",
-                  margin=STABILITY_MARGIN):
+def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
     """Probe every enumerated ideal and aggregate the worst verdict.
 
     The left variant probes the opposite presentation; its ideals live in
@@ -203,7 +202,7 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right",
             f"no ideals to probe with gen degree bound {gen_degree_bound} "
             f"and max ideals {max_ideals}"
         )
-    reports = [probe_ideal(tgb, ideal, D, margin) for ideal in ideals]
+    reports = [probe_ideal(tgb, ideal, D) for ideal in ideals]
     aggregate = worst_verdict([r.verdict for r in reports])
     witness = []
     for r in reports:

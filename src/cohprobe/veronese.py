@@ -17,16 +17,18 @@ from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree
 from .grmod import FreeModule, ModuleMap, min_generators, pushed_span
 from .linalg import kernel_basis
-from .coherence import probe_algebra
+from .coherence import STABILITY_MARGIN, probe_algebra
+
+# cumulative component dimensions the Veronese side of a cross-check may probe
+DIM_BUDGET = 2500
 
 
-def degree_one_generated(tgb, D=None):
-    """True iff A_1 * A_(d-1) spans A_d for every d <= D."""
-    D = tgb.D if D is None else D
+def degree_one_generated(tgb):
+    """True iff A_1 * A_(d-1) spans A_d for every d <= tgb.D."""
     units = {1: [{i: tgb.field.one()} for i in range(tgb.dim(1))]}
     return all(
         pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
-        for d in range(2, D + 1)
+        for d in range(2, tgb.D + 1)
     )
 
 
@@ -190,15 +192,6 @@ def pm_module_presentations(p, tgb, n, D, require_degree_one=True):
     return reports
 
 
-def decomposition_audit(tgb, n, D):
-    """sum_m dim P^m at matching degrees == dim A_e for every ambient e <= D."""
-    for e in range(D + 1):
-        m, i = e % n, e // n
-        if tgb.dim(e) != tgb.dim(m + i * n):
-            return False
-    return True
-
-
 @dataclass
 class VeroneseCrossCheck:
     label: str
@@ -241,29 +234,23 @@ def _affordable_depth(pres, D, budget):
     return m
 
 
-def veronese_cross_check(p, n, D, gen_degree_bound=2, max_ideals=64, veronese_D=None,
-                         dim_budget=2500):
+def veronese_cross_check(p, n, D, gen_degree_bound=2, max_ideals=64):
     """Probe A and the discovered A^{(n)} presentation; report agreement.
 
     The discovered presentation is certified equal to A^{(n)} only up to the
     discovery window D // n; probing it deeper probes the algebra defined by
     the discovered relations, which is the honest reading of "finitely
-    presented approximation".  The default probe depth on the Veronese side
-    goes as deep as the cumulative Veronese dimensions afford (dim_budget),
-    never below margin + 2 so a stability verdict stays reachable, never
+    presented approximation".  The probe depth on the Veronese side goes as
+    deep as the cumulative Veronese dimensions afford (DIM_BUDGET), never
+    below STABILITY_MARGIN + 2 so a stability verdict stays reachable, never
     beyond the ambient D.  Disagreement is flagged as evidence, never
     refutation.
     """
-    from .coherence import STABILITY_MARGIN
-
     tgb = complete_to_degree(p, D)
     vp = veronese_presentation(p, tgb, n, D, require_degree_one=True)
     ambient = probe_algebra(p, D, gen_degree_bound, max_ideals, side="right")
-    if veronese_D is None:
-        vD = _affordable_depth(vp.presentation, D, dim_budget)
-        vD = min(D, max(vD, STABILITY_MARGIN + 2))
-    else:
-        vD = veronese_D
+    vD = _affordable_depth(vp.presentation, D, DIM_BUDGET)
+    vD = min(D, max(vD, STABILITY_MARGIN + 2))
     ver = probe_algebra(vp.presentation, vD, gen_degree_bound, max_ideals, side="right")
     agree = ambient.aggregate.kind == ver.aggregate.kind
     note = (

@@ -8,7 +8,8 @@ factors as (x, y) -> x*y, and the right action lowers the window index.
 Hom in cohproj is computed by truncation-stabilization: the dimension of
 the degree-0 homomorphism space Hom(M_{<=n}, N) is tabulated as n walks
 down the window, and a value is declared stable after four constant
-levels.  Growth tables (tensor algebra behavior) are reported unreduced.
+levels.  One elimination gives every level.  Growth tables (tensor algebra
+behavior) are reported unreduced.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NotPresentedByProjectives,
     WindowTooShallow,
 )
-from .freealg import GeneratorTable, NcPoly, word_str
+from .freealg import GeneratorTable, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree
 from .grmod import FreeModule, ModuleMap, ModulePresentation, ModuleComponents, free_basis
 from .linalg import SpanSolver, axpy
@@ -132,17 +133,16 @@ class ZModuleWindow:
 
     act[(i, j)][b][a] is the image of (basis b of M_j) * (basis word a of
     A_ij) as a sparse vector over the M_i basis; pairs with dim M_j == 0
-    are absent.  labels[i] names the M_i basis for reports; pp remembers a
-    projective presentation when the module was built as one.
+    are absent.  pp remembers a projective presentation when the module was
+    built as one.
     """
 
-    def __init__(self, tgb, lo, hi, dims, act, labels=None, pp=None):
+    def __init__(self, tgb, lo, hi, dims, act, pp=None):
         self.tgb = tgb
         self.lo = lo
         self.hi = hi
         self.dims = {i: dims.get(i, 0) for i in range(lo, hi + 1)}
         self.act = act
-        self.labels = labels or {}
         self.pp = pp
 
     def dim(self, i):
@@ -201,7 +201,7 @@ class ZModuleWindow:
         return vec
 
 
-def _window_from_components(tgb, lo, hi, dims, act_fn, labels=None, pp=None):
+def _window_from_components(tgb, lo, hi, dims, act_fn, pp=None):
     """Assemble a ZModuleWindow by evaluating act_fn on every window pair."""
     act = {}
     for j in range(lo, hi + 1):
@@ -216,7 +216,7 @@ def _window_from_components(tgb, lo, hi, dims, act_fn, labels=None, pp=None):
                     row.append(act_fn(i, j, b, a))
                 tensor.append(row)
             act[(i, j)] = tensor
-    return ZModuleWindow(tgb, lo, hi, dims, act, labels=labels, pp=pp)
+    return ZModuleWindow(tgb, lo, hi, dims, act, pp=pp)
 
 
 def transport_module(pres, tgb, lo, hi, pp=None):
@@ -226,7 +226,6 @@ def transport_module(pres, tgb, lo, hi, pp=None):
 
     dims = {}
     bases = {}
-    labels = {}
     positions = {}
     for i in range(lo, hi + 1):
         d = -i
@@ -236,14 +235,13 @@ def transport_module(pres, tgb, lo, hi, pp=None):
         dims[i] = len(basis)
         bases[i] = basis
         positions[i] = {pair: n for n, pair in enumerate(free_basis(tgb, f0, d))}
-        labels[i] = [f"e{k}*{word_str(tgb.gt, u)}" for k, u in basis]
 
     def act_fn(i, j, b, a):
         k, u = bases[j][b]
         pos = positions[i]
         return comps.coords(-i, {pos[(k, t)]: tc for t, tc in tgb.normal_form_word(u + a).items()})
 
-    return _window_from_components(tgb, lo, hi, dims, act_fn, labels=labels, pp=pp)
+    return _window_from_components(tgb, lo, hi, dims, act_fn, pp=pp)
 
 
 def projective_window(tgb, j, lo, hi):
@@ -261,16 +259,14 @@ def simple_window(tgb, j, lo, hi):
         dims[j] = 1
         for i in range(lo, j):
             act[(i, j)] = [[{} for _ in tgb.normal_words(j - i)]]
-    return ZModuleWindow(tgb, lo, hi, dims, act, labels={j: ["s"]})
+    return ZModuleWindow(tgb, lo, hi, dims, act)
 
 
 def truncate_below(m, n):
     """M_{<=n}: zero out components with index above n; action restricted."""
     dims = {i: (d if i <= n else 0) for i, d in m.dims.items()}
     act = {(i, j): tensor for (i, j), tensor in m.act.items() if j <= n}
-    return ZModuleWindow(m.tgb, m.lo, m.hi, dims, act, labels={
-        i: lab for i, lab in m.labels.items() if i <= n
-    })
+    return ZModuleWindow(m.tgb, m.lo, m.hi, dims, act)
 
 
 def direct_sum(windows):
@@ -304,11 +300,14 @@ def direct_sum(windows):
 
 
 def hom_dim_window(m1, m2):
-    """dim of degree-0 module homomorphisms m1 -> m2 on the shared window.
+    """dim Hom((m1)_{<=n}, m2) of degree-0 homomorphisms, for n = lo..hi.
 
     Unknowns are the matrices phi_i: (m1)_i -> (m2)_i; constraints impose
     compatibility with the action of every basis word of each generator
-    weight, which generates all of A.
+    weight, which generates all of A.  The truncation (m1)_{<=n} keeps
+    exactly the unknowns of index <= n and the constraints from index j <= n,
+    so one elimination fed in ascending j gives every level; the last entry
+    is dim Hom(m1, m2).
     """
     tgb = m1.tgb
     fld = tgb.field
@@ -316,19 +315,16 @@ def hom_dim_window(m1, m2):
         raise InputError("windows not aligned")
     lo, hi = m1.lo, m1.hi
     unknowns = {}
-    for i in range(lo, hi + 1):
-        for r in range(m2.dim(i)):
-            for c in range(m1.dim(i)):
-                unknowns[(i, r, c)] = len(unknowns)
-    if not unknowns:
-        return 0
     rows = SpanSolver(fld)
-    weights = sorted(set(tgb.gt.weights))
-    for w in weights:
-        words = tgb.normal_words(w)
-        for j in range(lo + w, hi + 1):
+    weight_words = {w: tgb.normal_words(w) for w in sorted(set(tgb.gt.weights))}
+    levels = []
+    for j in range(lo, hi + 1):
+        for r in range(m2.dim(j)):
+            for c in range(m1.dim(j)):
+                unknowns[(j, r, c)] = len(unknowns)
+        for w, words in weight_words.items():
             i = j - w
-            if m1.dim(j) == 0 or m2.dim(i) == 0:
+            if i < lo or m1.dim(j) == 0 or m2.dim(i) == 0:
                 continue
             act1 = m1.action(i, j)
             act2 = m2.action(i, j)
@@ -351,7 +347,8 @@ def hom_dim_window(m1, m2):
                             row[unknowns[(j, rp, b)]] = fld.neg(v)
                         if row:
                             rows.add(row)
-    return len(unknowns) - rows.rank
+        levels.append(len(unknowns) - rows.rank)
+    return levels
 
 
 @dataclass
@@ -370,23 +367,22 @@ class CohprojHom:
         }
 
 
-def cohproj_hom(m1, m2, run_length=STABLE_RUN):
+def cohproj_hom(m1, m2):
     """Hom in cohproj as the stabilized value of Hom(m1_{<=n}, m2).
 
-    Walks n from the window top down to lo + min(weight): the raw floor
-    level sees no in-window action at all, so its Hom is vacuous and is
-    never tabulated.  Stabilization needs run_length consecutive equal
-    values reaching the last computed level.  Raises WindowTooShallow when
-    fewer than MIN_LEVELS levels exist.
+    Walks n from the window top down to lo + max(weight): below that floor
+    the action of the heaviest generators leaves the window, so the Hom of
+    those levels is inflated and is never tabulated.  Stabilization needs
+    STABLE_RUN consecutive equal values reaching the last computed level.
+    Raises WindowTooShallow when fewer than MIN_LEVELS levels exist.
     """
     lo, hi = m1.lo, m1.hi
-    floor = lo + min(m1.tgb.gt.weights)
+    floor = lo + max(m1.tgb.gt.weights)
     levels = hi - floor + 1
     if levels < MIN_LEVELS:
         raise WindowTooShallow(f"{levels} truncation levels < {MIN_LEVELS}")
-    table = []
-    for n in range(hi, floor - 1, -1):
-        table.append((n, hom_dim_window(truncate_below(m1, n), m2)))
+    homs = hom_dim_window(m1, m2)
+    table = [(n, homs[n - lo]) for n in range(hi, floor - 1, -1)]
     tail = table[-1][1]
     run = 0
     level = None
@@ -396,7 +392,7 @@ def cohproj_hom(m1, m2, run_length=STABLE_RUN):
             level = n
         else:
             break
-    if run >= run_length:
+    if run >= STABLE_RUN:
         return CohprojHom(True, tail, level, table)
     return CohprojHom(False, None, None, table)
 
@@ -574,8 +570,4 @@ def coker_window(pp, tgb, lo, hi):
             raise AssertionError("cokernel action did not reduce")
         return expr
 
-    labels = {}
-    for i in range(lo, hi + 1):
-        tbasis, chosen, _ = bases[i]
-        labels[i] = [f"E{tbasis[n][0]}*{word_str(tgb.gt, tbasis[n][1])}" for n in chosen]
-    return _window_from_components(tgb, lo, hi, dims, act_fn, labels=labels, pp=pp)
+    return _window_from_components(tgb, lo, hi, dims, act_fn, pp=pp)

@@ -55,6 +55,39 @@ def kernel_dim(field, columns, nrows):
     return len(columns) - span_rank(field, columns)
 
 
+def hom_dim_oracle(m1, m2):
+    """dim of degree-0 homomorphisms m1 -> m2 between window modules.
+
+    Full-span definition: phi must commute with the stored action of every
+    basis word on every window pair i < j, not only with the generators.
+    """
+    fld = m1.tgb.field
+    lo, hi = m1.lo, m1.hi
+    unknowns = {}
+    for i in range(lo, hi + 1):
+        for r in range(m2.dim(i)):
+            for c in range(m1.dim(i)):
+                unknowns[(i, r, c)] = len(unknowns)
+    rows = []
+    for j in range(lo, hi + 1):
+        for i in range(lo, j):
+            act1, act2 = m1.action(i, j), m2.action(i, j)
+            for b in range(m1.dim(j)):
+                for a in range(m1.tgb.dim(j - i)):
+                    # phi_i(b * a) - phi_j(b) * a, one row per basis row r of (m2)_i
+                    for r in range(m2.dim(i)):
+                        row = {}
+                        for c, v in (act1[b][a] if act1 else {}).items():
+                            row[unknowns[(i, r, c)]] = v
+                        for rp in range(m2.dim(j)):
+                            v = act2[rp][a].get(r) if act2 else None
+                            if v is not None:
+                                key = unknowns[(j, rp, b)]
+                                row[key] = fld.sub(row.get(key, fld.zero()), v)
+                        rows.append({k: v for k, v in row.items() if not fld.is_zero(v)})
+    return len(unknowns) - span_rank(fld, rows)
+
+
 def ideal_syzygy_profile_oracle(tgb, gens, D):
     """New minimal kernel generators of (+) A(-deg g) -> A, per module degree.
 

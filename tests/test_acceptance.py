@@ -29,7 +29,6 @@ from cohprobe.grmod import (
     ModulePresentation,
     audit_resolution,
     minimal_resolution,
-    tor_dims,
 )
 from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
@@ -127,8 +126,8 @@ def test_criterion_02_tensor_algebra_coherence():
     presentations = _free2_test_presentations(tgb)
     assert len(presentations) >= 20
     for i, mp in enumerate(presentations):
-        prof = tor_dims(mp, tgb, 10)
-        assert prof.rows[2] == [0] * 11, f"presentation {i}"
+        tor = minimal_resolution(mp, tgb, 10).tor
+        assert tor[2] == [0] * 11, f"presentation {i}"
     agg = probe_algebra(_pres("free2"), 10)
     assert agg.aggregate.kind == "STABLE"
     report(2, f"{len(presentations)} presentations with Tor_2 == 0; probe STABLE")
@@ -313,7 +312,7 @@ def test_criterion_10_structural_audits():
             (0,),
             {(0, i): g for i, g in enumerate(ideal.gens)},
         )
-        assert tor_dims(quotient, tgb, 8).rows[2] == rep.profile, label
+        assert minimal_resolution(quotient, tgb, 8).tor[2] == rep.profile, label
     # determinism: byte-identical JSON across runs
     argv = ["probe", str(ALGEBRAS / "example1.alg"), "--ideal", "x",
             "--field", "F32003", "--json", "-D", "8"]

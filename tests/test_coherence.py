@@ -13,7 +13,7 @@ from cohprobe.coherence import (
     worst_verdict,
 )
 from cohprobe.gbasis import complete_to_degree, opposite
-from cohprobe.grmod import tor_dims, ModulePresentation
+from cohprobe.grmod import ModulePresentation, minimal_resolution
 from cohprobe.linalg import QQ
 
 from oracles import ideal_syzygy_profile_oracle
@@ -98,8 +98,8 @@ def test_probe_tor_consistency_corpus(tgb_fast, corpus_fast):
             (0,),
             {(0, i): g for i, g in enumerate(ideal.gens)},
         )
-        prof = tor_dims(quotient, tgb, 8)
-        assert prof.rows[2] == rep.profile, label
+        tor = minimal_resolution(quotient, tgb, 8).tor
+        assert tor[2] == rep.profile, label
 
 
 def test_probe_algebra_aggregates(corpus_fast):

@@ -4,15 +4,14 @@ from cohprobe.freealg import GeneratorTable, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import (
     FreeModule,
+    ModuleComponents,
     ModuleMap,
     ModulePresentation,
     audit_resolution,
-    component_basis,
     euler_characteristic_check,
     free_dim,
     kernel_min_generators,
     minimal_resolution,
-    tor_dims,
 )
 from cohprobe.linalg import QQ, PrimeField
 
@@ -45,7 +44,7 @@ def xy_zero():
 def test_component_basis_full_algebra(free2):
     pres = ModulePresentation.free(free2, (0,))
     for d in range(5):
-        basis = component_basis(pres, free2, d)
+        basis = ModuleComponents(pres, free2).basis(d)
         assert [w for _, w in basis] == free2.normal_words(d)
 
 
@@ -53,7 +52,7 @@ def test_component_basis_coker_x(free2):
     pres = ModulePresentation.of_map(
         free2, (1,), (0,), {(0, 0): parse_poly(free2.gt, QQ, "x")}
     )
-    dims = [len(component_basis(pres, free2, d)) for d in range(1, 6)]
+    dims = [len(ModuleComponents(pres, free2).basis(d)) for d in range(1, 6)]
     assert dims == [2 ** (d - 1) for d in range(1, 6)]
 
 
@@ -62,7 +61,7 @@ def test_component_basis_zero_presentation(free2):
     pres = ModulePresentation.of_map(
         free2, (0,), (0,), {(0, 0): parse_poly(free2.gt, QQ, "1")}
     )
-    assert all(not component_basis(pres, free2, d) for d in range(5))
+    assert all(not ModuleComponents(pres, free2).basis(d) for d in range(5))
 
 
 def test_kernel_identity_map_empty(free2):
@@ -133,20 +132,20 @@ def test_resolution_non_minimal_presentation(field, shifts0, shifts1, cells, tor
 
 
 def test_tor_simple_module_xy_zero_matches_bar_oracle(xy_zero):
-    prof = tor_dims(simple_module(xy_zero), xy_zero, 6)
+    tor = minimal_resolution(simple_module(xy_zero), xy_zero, 6).tor
     bar = bar_tor_trivial_module(xy_zero, 6)
-    assert prof.rows[0][0] == 1
-    assert prof.rows[1] == bar[1]
-    assert prof.rows[2] == bar[2]
+    assert tor[0][0] == 1
+    assert tor[1] == bar[1]
+    assert tor[2] == bar[2]
 
 
 def test_tor_simple_module_bar_oracle_more_algebras():
     for names, rels in [("xy", ["x*y - y*x"]), ("xyz", ["x*y", "y*z", "x*z - z*x"])]:
         tgb = make_tgb(names, rels, D=5)
-        prof = tor_dims(simple_module(tgb), tgb, 5)
+        tor = minimal_resolution(simple_module(tgb), tgb, 5).tor
         bar = bar_tor_trivial_module(tgb, 5)
-        assert prof.rows[1] == bar[1], names
-        assert prof.rows[2] == bar[2], names
+        assert tor[1] == bar[1], names
+        assert tor[2] == bar[2], names
 
 
 def test_euler_characteristic(free2, xy_zero):
@@ -161,6 +160,72 @@ def test_exactness_audit_catches_tampering(xy_zero):
     res.diffs[1] = ModuleMap(xy_zero, FreeModule(()), res.modules[1], {})
     audit = audit_resolution(res)
     assert not audit["exact"]
+
+
+def drop_last_generator(res, i):
+    """Corrupt res: remove the last generator of P^i from the chain."""
+    tgb = res.tgb
+    kept = FreeModule(res.modules[i].shifts[:-1])
+    last = len(kept)
+    into = res.diffs[i - 1]
+    res.diffs[i - 1] = ModuleMap(tgb, kept, into.target,
+                                 {kl: p for kl, p in into.entries.items() if kl[1] != last})
+    if i < len(res.diffs):
+        out = res.diffs[i]
+        res.diffs[i] = ModuleMap(tgb, out.source, kept,
+                                 {kl: p for kl, p in out.entries.items() if kl[0] != last})
+    res.modules[i] = kept
+
+
+def not_exact_at_p0(ranks):
+    """Details of an exactness failure at P^0: (degree, rank d1, kernel dim)."""
+    return [f"image(d1) != ker(P0->M) at degree {d}: {r} vs {k}" for d, r, k in ranks]
+
+
+def not_exact_at_p1(ranks):
+    """Details of an exactness failure at P^1: (degree, rank d2, kernel dim)."""
+    return [f"image(d2) != ker(d1) at degree {d}: {r} vs {k}" for d, r, k in ranks]
+
+
+ZERO_P0 = {"minimal": True, "exact": False, "surjective": False,
+           "detail": ["P0 -> M not onto at degree 0"] + not_exact_at_p0([(0, 0, 1)])}
+
+# findings on corrupted resolutions of k at D = 7, pinned from an audit that
+# computed ker(P0 -> M) and ker(di) as kernel bases instead of rank identities
+AUDIT_CONTROLS = {
+    ("xy", ("x*y - y*x",)): {
+        "drop P1": not_exact_at_p0([(d, d, d + 1) for d in range(1, 8)]),
+        "drop P2": not_exact_at_p1([(d, 0, d - 1) for d in range(2, 8)]),
+    },
+    ("xyz", ("x*y", "y*z", "x*z - z*x")): {
+        "drop P1": not_exact_at_p0([(1, 2, 3), (2, 5, 6), (3, 9, 10), (4, 14, 15),
+                             (5, 20, 21), (6, 27, 28), (7, 35, 36)]),
+        "drop P2": not_exact_at_p1([(2, 2, 3), (3, 6, 8), (4, 12, 15), (5, 20, 24),
+                             (6, 30, 35), (7, 42, 48)]),
+    },
+    ("xy", ("x*y",)): {
+        "drop P1": not_exact_at_p0([(d, d, d + 1) for d in range(1, 8)]),
+        "drop P2": not_exact_at_p1([(d, 0, d - 1) for d in range(2, 8)]),
+    },
+}
+
+
+@pytest.mark.parametrize("algebra", list(AUDIT_CONTROLS),
+                         ids=["commutative", "example1", "xy_zero"])
+@pytest.mark.parametrize("control", ["drop P1", "zero p0", "drop P2"])
+def test_audit_negative_controls(algebra, control):
+    names, rels = algebra
+    tgb = make_tgb(names, rels, D=7)
+    length = {"drop P1": 1, "zero p0": 2, "drop P2": 3}[control]
+    res = minimal_resolution(simple_module(tgb), tgb, 7, length=length)
+    if control == "zero p0":
+        res.p0_map = ModuleMap(tgb, res.p0, res.pres.f0, {})
+        want = ZERO_P0
+    else:
+        drop_last_generator(res, int(control[-1]))
+        want = {"minimal": True, "exact": False, "surjective": True,
+                "detail": AUDIT_CONTROLS[algebra][control]}
+    assert audit_resolution(res) == want
 
 
 def test_minimality_no_scalar_entries(free2, xy_zero):

@@ -5,7 +5,6 @@ from cohprobe.freealg import GeneratorTable, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.linalg import QQ
 from cohprobe.veronese import (
-    decomposition_audit,
     degree_one_generated,
     pm_module_presentations,
     veronese_cross_check,
@@ -58,11 +57,6 @@ def test_pm_modules_commutative(corpus_fast, tgb_fast):
     assert p1.syzygy_profile[1] > 0  # finitely many syzygies...
     assert all(c == 0 for c in p1.syzygy_profile[2:])  # ...then silence
     assert p1.trailing_silence() >= 3
-
-
-def test_decomposition_audit(tgb_fast):
-    assert decomposition_audit(tgb_fast("commutative_model"), 2, 10)
-    assert decomposition_audit(tgb_fast("example2"), 3, 9)
 
 
 def test_degree_one_generation_detector():

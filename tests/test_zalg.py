@@ -21,10 +21,20 @@ from cohprobe.zalg import (
     window_min_generator_profile,
 )
 
+from oracles import hom_dim_oracle
+
 
 @pytest.fixture(scope="module")
 def model_tgb(corpus_fast):
     return complete_to_degree(corpus_fast["commutative_model"].presentation, 14)
+
+
+@pytest.fixture(scope="module")
+def weighted_tgb():
+    # k[x, z] with x of weight 1 and z of weight 2: dim A_d = d // 2 + 1
+    gt = GeneratorTable(["x", "z"], weights=[1, 2])
+    pres = AlgebraPresentation(QQ, gt, [parse_poly(gt, QQ, "x*z - z*x")], label="weighted")
+    return complete_to_degree(pres, 10)
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +119,37 @@ def test_truncation_exact_triple(model_tgb):
 def test_hom_full_projectives(model_tgb):
     P0 = projective_window(model_tgb, 0, -2, 8)
     P2 = projective_window(model_tgb, 2, -2, 8)
-    assert hom_dim_window(P0, P2) == 3  # A_2 of the model
-    assert hom_dim_window(P2, P0) == 0
+    assert hom_dim_window(P0, P2)[-1] == 3  # A_2 of the model
+    assert hom_dim_window(P2, P0)[-1] == 0
+
+
+def _hom_cases(model_tgb, free2, weighted_tgb):
+    pp = ProjectivePresentation([0], [1], {(0, 0): parse_poly(free2.gt, free2.field, "x")})
+    return {
+        "model P1->P3": (projective_window(model_tgb, 1, -2, 8),
+                         projective_window(model_tgb, 3, -2, 8)),
+        "model P3->P1": (projective_window(model_tgb, 3, -2, 8),
+                         projective_window(model_tgb, 1, -2, 8)),
+        "free2 P0->P0": (projective_window(free2, 0, -6, 1),
+                         projective_window(free2, 0, -6, 1)),
+        "free2 P1->coker": (projective_window(free2, 1, -5, 1), coker_window(pp, free2, -5, 1)),
+        "model P0->S0": (projective_window(model_tgb, 0, -6, 8),
+                         simple_window(model_tgb, 0, -6, 8)),
+        "weighted P1->P3": (projective_window(weighted_tgb, 1, -2, 8),
+                            projective_window(weighted_tgb, 3, -2, 8)),
+    }
+
+
+def test_hom_levels_match_truncation(model_tgb, tgb_fast, weighted_tgb):
+    # level n of the one elimination equals a fresh pass over (m1)_{<=n},
+    # both through hom_dim_window and through the full-span oracle
+    for name, (m1, m2) in _hom_cases(model_tgb, tgb_fast("free2"), weighted_tgb).items():
+        levels = hom_dim_window(m1, m2)
+        assert len(levels) == m1.hi - m1.lo + 1, name
+        for n in range(m1.lo, m1.hi + 1):
+            truncated = truncate_below(m1, n)
+            assert levels[n - m1.lo] == hom_dim_window(truncated, m2)[-1], (name, n)
+            assert levels[n - m1.lo] == hom_dim_oracle(truncated, m2), (name, n)
 
 
 def test_cohproj_hom_model_values(model_tgb):
@@ -151,6 +190,17 @@ def test_cohproj_hom_tensor_coker_growth(tgb_fast):
     r = cohproj_hom(P1, M)
     assert not r.stabilized
     assert r.table == [(1, 1), (0, 2), (-1, 8), (-2, 32), (-3, 128), (-4, 512)]
+
+
+def test_cohproj_hom_weighted_generators(weighted_tgb):
+    # levels below lo + max(weight) miss the action of z and read an inflated
+    # Hom; from that floor on, Hom(P_a, P_b) stabilizes at dim A_{b-a}
+    P = [projective_window(weighted_tgb, a, -2, 8) for a in range(4)]
+    for a in range(4):
+        for b in range(a, 4):
+            r = cohproj_hom(P[a], P[b])
+            assert r.stabilized and r.value == weighted_tgb.dim(b - a), (a, b, r.table)
+            assert [n for n, _ in r.table] == list(range(8, -1, -1))
 
 
 def test_window_too_shallow(model_tgb):
