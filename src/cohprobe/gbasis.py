@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 from .errors import DegreeBoundExceeded, InputError, NonHomogeneousRelation, ZeroDegreeGenerator
 from .freealg import (
@@ -151,13 +152,9 @@ class TruncatedGroebnerBasis:
         self.D = D
         self.elements = elements
         self.log = log
-        self._leads_by_len = {}
-        self._lead_to_poly = {}
+        self._index = _LeadIndex(self.gt, self.field)
         for g in elements:
-            lw = leading_word(self.gt, g)
-            self._leads_by_len.setdefault(len(lw), set()).add(lw)
-            self._lead_to_poly[lw] = g
-        self._lead_lens = sorted(self._leads_by_len)
+            self._index.insert(leading_word(self.gt, g), g)
         self._nf_cache = {}
         self._normal_words = {}
         self._normal_index = {}
@@ -165,22 +162,14 @@ class TruncatedGroebnerBasis:
     # --- rewriting ---------------------------------------------------
 
     def is_normal_word(self, word):
-        return _find_factor(word, self._leads_by_len, self._lead_lens) is None
+        return self._index.find(word) is None
 
     def normal_form_word(self, word):
         """Normal form of a single word, as a terms dict; memoized."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        result = _reduce_terms(
-            {word: self.field.one()},
-            self.gt,
-            self.field,
-            self._leads_by_len,
-            self._lead_lens,
-            self._lead_to_poly,
-            memo=self._nf_cache,
-        )
+        result = _reduce_terms({word: self.field.one()}, self._index, memo=self._nf_cache)
         self._nf_cache[word] = result
         return result
 
@@ -207,10 +196,10 @@ class TruncatedGroebnerBasis:
         if cached is not None:
             return cached
         gt = self.gt
+        step = self._index.step
         out = []
-        max_len = self._lead_lens[-1] if self._lead_lens else 0
 
-        def extend(prefix, rem):
+        def extend(prefix, rem, live):
             if rem == 0:
                 out.append(tuple(prefix))
                 return
@@ -218,19 +207,13 @@ class TruncatedGroebnerBasis:
                 w = gt.weights[i]
                 if w > rem:
                     continue
-                prefix.append(i)
-                ok = True
-                for L in self._lead_lens:
-                    if L > len(prefix) or L > max_len:
-                        break
-                    if tuple(prefix[-L:]) in self._leads_by_len[L]:
-                        ok = False
-                        break
-                if ok:
-                    extend(prefix, rem - w)
-                prefix.pop()
+                nxt = step(live, i)
+                if nxt is not None:
+                    prefix.append(i)
+                    extend(prefix, rem - w, nxt)
+                    prefix.pop()
 
-        extend([], d)
+        extend([], d, [self._index.root])
         out.sort(key=lambda w: word_key(gt, w))
         self._normal_words[d] = out
         return out
@@ -256,84 +239,145 @@ class TruncatedGroebnerBasis:
         )
 
 
-def _find_factor(word, leads_by_len, lead_lens):
-    """(start, length) of the leftmost leading word occurring in word, or None."""
-    for i in range(len(word)):
-        for L in lead_lens:
-            if i + L > len(word):
-                break
-            if word[i : i + L] in leads_by_len[L]:
-                return i, L
-    return None
+class _LeadIndex:
+    """The rewriting system of a basis: a trie over its lead words.
 
-
-def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=None):
-    """Fully reduce a terms dict; deterministic descending-word sweep.
-
-    Rewrites the largest unreduced word first; every rewrite replaces a word
-    by strictly smaller ones of the same degree, so the heap drains.
+    A node maps a letter to the next node; the node where a lead word ends
+    also maps None to the reducer (a, tail) of its element g.  G is g's
+    integer form from field.integral (over Q the least integer multiple,
+    which is primitive as g is monic; over F_p g itself), a is G's lead
+    coefficient and tail lists the other terms of -G.  Leads are never
+    factors of one another.
     """
+
+    def __init__(self, gt, field):
+        self.field = field
+        self.root = {}
+        # heap key of a word: rewriting pops the largest word first
+        self.neg_prec = [-v for v in gt.prec_value]
+
+    def insert(self, lead, g):
+        """Index the monic g under its lead word, replacing an older reducer."""
+        node = self.root
+        for x in lead:
+            node = node.setdefault(x, {})
+        _, G = self.field.integral(g.terms)
+        neg = self.field.neg
+        node[None] = (G[lead], [(t, neg(c)) for t, c in G.items() if t != lead])
+
+    def find(self, word):
+        """(start, end, reducer) of the leftmost lead word in word, the
+        shortest one at that start; None when word is normal."""
+        n = len(word)
+        for i in range(n):
+            node = self.root
+            for j in range(i, n):
+                node = node.get(word[j])
+                if node is None:
+                    break
+                if None in node:
+                    return i, j + 1, node[None]
+        return None
+
+    def step(self, live, letter):
+        """The live nodes of a normal word extended by letter, or None when
+        the extension ends in a lead word.
+
+        live lists the nodes of the word's suffixes that are prefixes of
+        lead words, longest first, ending with the root (empty suffix)."""
+        out = []
+        for node in live:
+            child = node.get(letter)
+            if child is not None:
+                if None in child:
+                    return None
+                out.append(child)
+        out.append(self.root)
+        return out
+
+
+def _reduce_terms(terms, index, memo=None):
+    """Normal form of a terms dict modulo the indexed basis; deterministic.
+
+    Rewrites the largest unreduced word first, at its leftmost lead word;
+    every rewrite replaces a word by strictly smaller ones of the same
+    degree, so the heap drains.  Coefficients stay integers over Q: to
+    rewrite c * w with reducer (a, tail), everything is first scaled by
+    a / gcd(a, c), and lam carries the product of the scales, so result /
+    lam is the exact normal form.  Over F_p a = 1 and nothing is scaled.
+    A memo hit, an exact normal form, is used the same way, with a the lcm
+    of its denominators.
+    """
+    if not terms:
+        return {}
+    fld = index.field
+    mul, add, is_zero = fld.mul, fld.add, fld.is_zero
+    neg_prec = index.neg_prec
+    lam, pending = fld.integral(terms)
+    pending = dict(pending)
+    heap = [(tuple([neg_prec[x] for x in w]), w) for w in pending]
+    heapq.heapify(heap)
     result = {}
-    heap = []
-    pending = {}
-    for w, c in terms.items():
-        key = word_key(gt, w)
-        heapq.heappush(heap, (tuple(-x for x in key[1]), w))
-        pending[w] = c
-    in_heap = set(pending)
 
     while heap:
-        _, w = heapq.heappop(heap)
-        if w not in in_heap:
-            continue
-        in_heap.discard(w)
+        w = heapq.heappop(heap)[1]
         c = pending.pop(w, None)
-        if c is None or fld.is_zero(c):
+        if c is None:  # cancelled, or a second heap entry
             continue
         hit = memo.get(w) if memo is not None else None
         if hit is not None:
+            a, hit = fld.integral(hit)
+        else:
+            pos = index.find(w)
+            if pos is None:
+                cur = result.get(w)
+                nv = c if cur is None else add(cur, c)
+                if is_zero(nv):
+                    result.pop(w, None)
+                else:
+                    result[w] = nv
+                continue
+            i, j, (a, tail) = pos
+        if a != 1:
+            g = gcd(a, c)
+            c //= g
+            s = a // g
+            if s != 1:
+                for k in pending:
+                    pending[k] *= s
+                for k in result:
+                    result[k] *= s
+                lam *= s
+        if hit is not None:
             axpy(fld, result, c, hit)
             continue
-        pos = _find_factor(w, leads_by_len, lead_lens)
-        if pos is None:
-            cur = result.get(w)
-            nv = c if cur is None else fld.add(cur, c)
-            if fld.is_zero(nv):
-                result.pop(w, None)
-            else:
-                result[w] = nv
-            continue
-        i, L = pos
-        g = lead_to_poly[w[i : i + L]]
-        lead = w[i : i + L]
-        prefix, suffix = w[:i], w[i + L :]
-        for t, tc in g.terms.items():
-            if t == lead:
-                continue
+        prefix, suffix = w[:i], w[j:]
+        for t, tc in tail:
             nw = prefix + t + suffix
-            add = fld.neg(fld.mul(c, tc))
+            nv = mul(c, tc)
             cur = pending.get(nw)
-            nv = add if cur is None else fld.add(cur, add)
-            if fld.is_zero(nv):
-                pending.pop(nw, None)
-                in_heap.discard(nw)
+            if cur is None:
+                pending[nw] = nv
+                heapq.heappush(heap, (tuple([neg_prec[x] for x in nw]), nw))
+                continue
+            nv = add(cur, nv)
+            if is_zero(nv):
+                del pending[nw]
             else:
                 pending[nw] = nv
-                if nw not in in_heap:
-                    key = word_key(gt, nw)
-                    heapq.heappush(heap, (tuple(-x for x in key[1]), nw))
-                    in_heap.add(nw)
-    return result
+    return {w: fld.of_fraction(v, lam) for w, v in result.items()}
 
 
 def complete_to_degree(p, D):
     """Overlap completion truncated at degree D; deterministic.
 
     Pending polynomials are processed in ascending (degree, leading word)
-    order.  When a new element lands, basis elements whose lead it divides
-    are re-queued, and every overlap ambiguity of degree <= D between the
-    new lead and all current leads is turned into an S-polynomial and
-    queued.  Homogeneity keeps every intermediate inside degree <= D.
+    order.  When a new element lands, every overlap ambiguity of degree
+    <= D between the new lead and all current leads is turned into an
+    S-polynomial and queued.  Homogeneity keeps every intermediate inside
+    degree <= D.  Elements land in nondecreasing degree (an S-polynomial is
+    at least as heavy as its parents), so a new lead never divides an older
+    one: a word with a proper factor of degree d is heavier than d.
     """
     validate_presentation(p)
     gt, fld = p.gens, p.field
@@ -346,56 +390,33 @@ def complete_to_degree(p, D):
         inputs.extend(members)
 
     basis = {}  # leading word -> poly
-    by_len = {}
-
-    def leads_state():
-        return by_len, sorted(by_len)
-
+    index = _LeadIndex(gt, fld)
     counter = 0
     heap = []
 
-    def push(poly, note):
+    def push(poly):
         nonlocal counter
         if poly.is_zero():
             return
         lw = leading_word(gt, poly)
         counter += 1
-        heapq.heappush(heap, (word_key(gt, lw), counter, poly, note))
+        heapq.heappush(heap, (word_key(gt, lw), counter, poly))
 
     for r in inputs:
         if r.degree is not None and r.degree > D:
             log.events.append(f"input of degree {r.degree} beyond bound skipped")
             continue
-        push(r, "input")
-
-    def reduce_poly(q):
-        bl, ll = leads_state()
-        terms = _reduce_terms(q.terms, gt, fld, bl, ll, basis)
-        return NcPoly(terms, q.degree if terms else None)
+        push(r)
 
     while heap:
-        _, _, q, note = heapq.heappop(heap)
-        q = reduce_poly(q)
-        if q.is_zero():
+        q = heapq.heappop(heap)[2]
+        terms = _reduce_terms(q.terms, index)
+        if not terms:
             continue
-        q = make_monic(gt, fld, q)
+        q = make_monic(gt, fld, NcPoly(terms, q.degree))
         lw = leading_word(gt, q)
-        # retire basis elements whose lead the new lead divides
-        stale = []
-        for L in sorted(by_len):
-            if L <= len(lw):
-                continue
-            for other in list(by_len[L]):
-                if any(other[i : i + len(lw)] == lw for i in range(L - len(lw) + 1)):
-                    stale.append(other)
-        for other in stale:
-            g = basis.pop(other)
-            by_len[len(other)].discard(other)
-            if not by_len[len(other)]:
-                del by_len[len(other)]
-            push(g, "requeued")
         basis[lw] = q
-        by_len.setdefault(len(lw), set()).add(lw)
+        index.insert(lw, q)
         log.added.append((q.degree, word_str(gt, lw)))
         # queue overlap ambiguities with every current element (both sides)
         for other_lw, other in list(basis.items()):
@@ -421,27 +442,23 @@ def complete_to_degree(p, D):
                             poly_mul(fld, NcPoly.monomial(gt, fld, head), second_g),
                         ),
                     )
-                    push(s, "overlap")
+                    push(s)
                 if first_lw is second_lw:
                     break
 
     # final inter-reduction: tails rewritten to normal form, leads untouched
+    # (a tail word of the lead's degree cannot contain the lead)
     changed = True
     while changed:
         changed = False
         for lw in sorted(basis, key=lambda w: word_key(gt, w)):
             g = basis[lw]
-            by_len[len(lw)].discard(lw)
-            bl, ll = leads_state()
-            reduced = NcPoly(
-                _reduce_terms(g.terms, gt, fld, bl, ll, basis), g.degree
-            )
-            by_len[len(lw)].add(lw)
-            reduced = make_monic(gt, fld, reduced)
+            terms = {lw: g.terms[lw]}
+            terms.update(_reduce_terms({w: c for w, c in g.terms.items() if w != lw}, index))
+            reduced = NcPoly(terms, g.degree)
             if reduced != g:
-                if leading_word(gt, reduced) != lw:
-                    raise AssertionError("inter-reduction moved a leading word")
                 basis[lw] = reduced
+                index.insert(lw, reduced)
                 changed = True
 
     elements = [basis[lw] for lw in sorted(basis, key=lambda w: word_key(gt, w))]
@@ -460,59 +477,34 @@ def hilbert_dims(tgb, D=None):
 def normal_word_counts(tgb, D):
     """Count normal words per degree without enumerating them.
 
-    Transfer-matrix walk on the factor automaton of the leading words:
-    states are proper prefixes of leads, a step appends one letter, and a
-    word dies exactly when some lead becomes a suffix.  Counts agree with
-    len(normal_words(d)) but cost O(states * letters * D).  Only valid for
-    d <= tgb.D, like everything derived from a truncated basis.
+    Transfer-matrix walk on the lead-word trie: the state of a normal word
+    is its longest suffix that is a prefix of a lead (its first live node),
+    a step appends one letter, and a word dies exactly when some lead
+    becomes a suffix.  Counts agree with len(normal_words(d)) but cost
+    O(states * letters * D).  Only valid for d <= tgb.D, like everything
+    derived from a truncated basis.
     """
     if D > tgb.D:
         raise DegreeBoundExceeded(f"degree {D} > bound {tgb.D}")
-    gt = tgb.gt
-    leads = set()
-    for s in tgb._leads_by_len.values():
-        leads.update(s)
-    states = {()}
-    for w in leads:
-        for i in range(1, len(w)):
-            states.add(w[:i])
-    states = sorted(states, key=len)
-    state_id = {s: i for i, s in enumerate(states)}
-    lead_lens = sorted({len(w) for w in leads})
-
-    def step(state, letter):
-        t = state + (letter,)
-        for L in lead_lens:
-            if L <= len(t) and t[-L:] in leads:
-                return None
-        for i in range(len(t)):
-            if t[i:] in state_id:
-                return state_id[t[i:]]
-        return state_id[()]
-
-    trans = [
-        [step(s, a) for a in range(len(gt))]
-        for s in states
-    ]
+    weights = tgb.gt.weights
+    index = tgb._index
     counts = [0] * (D + 1)
-    dp = {0: {state_id[()]: 1}}
-    counts[0] = 1
-    for d in range(0, D + 1):
-        layer = dp.get(d)
-        if not layer:
-            continue
-        if d > 0:
-            counts[d] = sum(layer.values())
-        for a in range(len(gt)):
-            nd = d + gt.weights[a]
-            if nd > D:
-                continue
-            for sid, c in layer.items():
-                t = trans[sid][a]
-                if t is None:
+    # per degree: id of a state's node -> (live nodes, number of words)
+    layers = [{} for _ in range(D + 1)]
+    layers[0][id(index.root)] = ([index.root], 1)
+    for d in range(D + 1):
+        for live, c in layers[d].values():
+            counts[d] += c
+            for a, w in enumerate(weights):
+                if d + w > D:
                     continue
-                tgt = dp.setdefault(nd, {})
-                tgt[t] = tgt.get(t, 0) + c
+                nxt = index.step(live, a)
+                if nxt is None:
+                    continue
+                layer = layers[d + w]
+                key = id(nxt[0])
+                _, before = layer.get(key, (None, 0))
+                layer[key] = (nxt, before + c)
     return counts
 
 

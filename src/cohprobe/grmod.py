@@ -391,7 +391,10 @@ def audit_resolution(res):
     - surjectivity: rank [p0_map | relations]_d == dim F0_d;
     - exact at P^0: rank d1_d == dim ker(P^0 -> M)_d, which is
       dim P^0_d - (rank [p0_map | relations]_d - rank relations_d);
-    - exact at P^i: rank d(i+1)_d == dim ker(di)_d == dim P^i_d - rank di_d.
+    - exact at P^i: rank d(i+1)_d == dim ker(di)_d == dim P^i_d - rank di_d;
+    - a complex: p0_map d1 lands in the relations and di d(i+1) == 0 on the
+      generators, without which equal dimensions do not make the images
+      the kernels.
     """
     tgb = res.tgb
     fld = tgb.field
@@ -403,10 +406,30 @@ def audit_resolution(res):
                 findings["detail"].append(f"d{i+1} has scalar entry at ({k},{l})")
     for d in range(0, res.D + 1):
         pcols = res.p0_map.component_columns(d)
+        dcols = [dmap.component_columns(d) for dmap in res.diffs]
         both = SpanSolver(fld)
         for col in res.pres.relations.component_columns(d):
             both.add(col)
         rank_rel = both.rank
+        # a complex: P0 -> M kills image(d1) and di kills image(d(i+1)).  The
+        # maps are right A-linear, so the columns of the generators of degree
+        # d suffice; a generator's block starts with its empty-word column.
+        for i, (outer, dmap, cols) in enumerate(zip([pcols] + dcols, res.diffs, dcols)):
+            offsets = _block_offsets(tgb, dmap.source, d)
+            for l, s in enumerate(dmap.source.shifts):
+                if s != d:
+                    continue
+                image = {}
+                for j, c in cols[offsets[l]].items():
+                    axpy(fld, image, c, outer[j])
+                in_kernel = both.contains(image) if i == 0 else not image
+                if not in_kernel:
+                    findings["exact"] = False
+                    findings["detail"].append(
+                        f"P0 -> M is nonzero on image(d1) at degree {d}" if i == 0
+                        else f"d{i}*d{i+1} != 0 at degree {d}"
+                    )
+                    break
         for col in pcols:
             both.add(col)
         if both.rank != free_dim(tgb, res.pres.f0, d):
@@ -414,8 +437,7 @@ def audit_resolution(res):
             findings["detail"].append(f"P0 -> M not onto at degree {d}")
         # kernel of P0 -> M dimensionwise
         kern = len(pcols) - (both.rank - rank_rel)
-        for i, dmap in enumerate(res.diffs):
-            cols = dmap.component_columns(d)
+        for i, cols in enumerate(dcols):
             image = SpanSolver(fld)
             for col in cols:
                 image.add(col)

@@ -10,6 +10,7 @@ report is reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -30,6 +31,11 @@ class Rationals:
 
     def of_fraction(self, num, den):
         return Fraction(num, den)
+
+    def integral(self, terms):
+        """(m, {k: m * v}) for the least integer m > 0 making every value integral."""
+        m = lcm(*(v.denominator for v in terms.values()))
+        return m, {k: v.numerator * (m // v.denominator) for k, v in terms.items()}
 
     def add(self, a, b):
         return a + b
@@ -90,6 +96,10 @@ class PrimeField:
 
     def of_fraction(self, num, den):
         return num * pow(den, -1, self.p) % self.p
+
+    def integral(self, terms):
+        """(1, terms): residues already are integers; the dict is not copied."""
+        return 1, terms
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -6,6 +6,12 @@ recursions) so the production path is checked against genuinely different
 code.
 """
 
+import heapq
+
+from cohprobe.freealg import leading_word, word_key
+from cohprobe.linalg import axpy
+
+
 def _reduce_row(field, row, pivots):
     row = dict(row)
     while True:
@@ -274,3 +280,87 @@ def bar_tor_trivial_module(tgb, D, i_max=2):
             d3_cols, _ = differential(d, 3)
             rows[2][d] = ker_d2 - span_rank(fld, d3_cols)
     return rows
+
+
+def _find_factor(word, leads_by_len, lead_lens):
+    """(start, length) of the leftmost leading word occurring in word, or None."""
+    for i in range(len(word)):
+        for L in lead_lens:
+            if i + L > len(word):
+                break
+            if word[i : i + L] in leads_by_len[L]:
+                return i, L
+    return None
+
+
+def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=None):
+    """Fully reduce a terms dict; deterministic descending-word sweep.
+
+    Rewrites the largest unreduced word first; every rewrite replaces a word
+    by strictly smaller ones of the same degree, so the heap drains.
+    """
+    result = {}
+    heap = []
+    pending = {}
+    for w, c in terms.items():
+        key = word_key(gt, w)
+        heapq.heappush(heap, (tuple(-x for x in key[1]), w))
+        pending[w] = c
+    in_heap = set(pending)
+
+    while heap:
+        _, w = heapq.heappop(heap)
+        if w not in in_heap:
+            continue
+        in_heap.discard(w)
+        c = pending.pop(w, None)
+        if c is None or fld.is_zero(c):
+            continue
+        hit = memo.get(w) if memo is not None else None
+        if hit is not None:
+            axpy(fld, result, c, hit)
+            continue
+        pos = _find_factor(w, leads_by_len, lead_lens)
+        if pos is None:
+            cur = result.get(w)
+            nv = c if cur is None else fld.add(cur, c)
+            if fld.is_zero(nv):
+                result.pop(w, None)
+            else:
+                result[w] = nv
+            continue
+        i, L = pos
+        g = lead_to_poly[w[i : i + L]]
+        lead = w[i : i + L]
+        prefix, suffix = w[:i], w[i + L :]
+        for t, tc in g.terms.items():
+            if t == lead:
+                continue
+            nw = prefix + t + suffix
+            add = fld.neg(fld.mul(c, tc))
+            cur = pending.get(nw)
+            nv = add if cur is None else fld.add(cur, add)
+            if fld.is_zero(nv):
+                pending.pop(nw, None)
+                in_heap.discard(nw)
+            else:
+                pending[nw] = nv
+                if nw not in in_heap:
+                    key = word_key(gt, nw)
+                    heapq.heappush(heap, (tuple(-x for x in key[1]), nw))
+                    in_heap.add(nw)
+    return result
+
+
+def reference_normal_form(tgb, terms):
+    """Normal form of a terms dict by plain field-arithmetic rewriting over
+    tgb.elements (monic, with distinct leads), scanning each word for the
+    leftmost, then shortest, leading word."""
+    leads_by_len, lead_to_poly = {}, {}
+    for g in tgb.elements:
+        lw = leading_word(tgb.gt, g)
+        leads_by_len.setdefault(len(lw), set()).add(lw)
+        lead_to_poly[lw] = g
+    return _reduce_terms(
+        terms, tgb.gt, tgb.field, leads_by_len, sorted(leads_by_len), lead_to_poly
+    )

@@ -1,7 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cohprobe.algfile import parse_algebra_file
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
 from cohprobe.gbasis import (
@@ -14,7 +17,10 @@ from cohprobe.gbasis import (
     poly_in_ideal_bruteforce,
     validate_presentation,
 )
-from cohprobe.linalg import QQ
+from cohprobe.linalg import QQ, PrimeField
+from oracles import reference_normal_form
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def make(names, rels, label="a", field=QQ, weights=None):
@@ -244,3 +250,45 @@ def test_order_changes_leads_not_dims():
     t2 = complete_to_degree(p2, 6)
     assert hilbert_dims(t1, 6) == hilbert_dims(t2, 6)
     assert t1.normal_words(2) != t2.normal_words(2)  # different normal bases
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in ALGEBRAS.glob("*.alg")) + ["weighted"])
+def test_added_degrees_nondecreasing(name):
+    # the completion heap is keyed by degree first and every S-polynomial is
+    # at least as heavy as its parents, so elements land in degree order
+    if name == "weighted":
+        p = make("xz", ["x*z - z*x", "x^2*z - z^2"], weights=[1, 2])
+    else:
+        p = parse_algebra_file((ALGEBRAS / name).read_text(encoding="utf-8"))
+    tgb = complete_to_degree(p, 8)
+    degrees = [deg for deg, _ in tgb.log.added]
+    assert degrees == sorted(degrees)
+    assert len(degrees) == len(tgb.elements)
+
+
+@st.composite
+def presentations_and_polys(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    gt = GeneratorTable(["x", "y", "z"][: draw(st.integers(2, 3))])
+
+    def poly(degrees, max_terms):
+        words = enumerate_words(gt, draw(degrees))
+        items = draw(st.lists(
+            st.tuples(st.sampled_from(words), st.integers(-3, 3)), min_size=1, max_size=max_terms,
+        ))
+        return NcPoly.build(gt, field, [(w, field.of_int(c)) for w, c in items])
+
+    relations = [poly(st.integers(2, 3), 4) for _ in range(draw(st.integers(1, 3)))]
+    assume(all(not r.is_zero() for r in relations))
+    polys = [poly(st.integers(1, 5), 6) for _ in range(4)]
+    return AlgebraPresentation(field, gt, relations), polys
+
+
+@settings(deadline=None)
+@given(presentations_and_polys())
+def test_random_presentations_against_references(case):
+    p, polys = case
+    tgb = complete_to_degree(p, 5)
+    for q in polys:
+        assert tgb.normal_form(q).terms == reference_normal_form(tgb, q.terms)
+    assert hilbert_dims(tgb, 5) == [component_dim_bruteforce(p, d) for d in range(6)]

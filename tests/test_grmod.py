@@ -1,6 +1,6 @@
 import pytest
 
-from cohprobe.freealg import GeneratorTable, parse_poly
+from cohprobe.freealg import GeneratorTable, parse_poly, poly_scale
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import (
     FreeModule,
@@ -226,6 +226,33 @@ def test_audit_negative_controls(algebra, control):
         want = {"minimal": True, "exact": False, "surjective": True,
                 "detail": AUDIT_CONTROLS[algebra][control]}
     assert audit_resolution(res) == want
+
+
+def set_entry(res, i, kl, poly):
+    """Corrupt res: replace entry kl of d(i) by poly."""
+    dmap = res.diffs[i - 1]
+    res.diffs[i - 1] = ModuleMap(res.tgb, dmap.source, dmap.target, {**dmap.entries, kl: poly})
+
+
+def test_audit_flags_chains_that_are_not_complexes():
+    # corruptions that keep every rank identity: only the composites show them
+    tgb = make_tgb("xy", ["x*y - y*x"], D=7)
+    res = minimal_resolution(simple_module(tgb), tgb, 7, length=3)
+    assert audit_resolution(res)["detail"] == []
+    set_entry(res, 2, (0, 0), poly_scale(QQ, QQ.of_int(-1), res.diffs[1].entries[(0, 0)]))
+    assert audit_resolution(res) == {
+        "minimal": True, "exact": False, "surjective": True,
+        "detail": ["d1*d2 != 0 at degree 2"],
+    }
+    # M = A/(x): d1 = x, replaced by y, which P0 -> M does not kill
+    pres = ModulePresentation.of_map(tgb, (1,), (0,), {(0, 0): parse_poly(tgb.gt, QQ, "x")})
+    res = minimal_resolution(pres, tgb, 7, length=2)
+    assert audit_resolution(res)["detail"] == []
+    set_entry(res, 1, (0, 0), parse_poly(tgb.gt, QQ, "y"))
+    assert audit_resolution(res) == {
+        "minimal": True, "exact": False, "surjective": True,
+        "detail": ["P0 -> M is nonzero on image(d1) at degree 1"],
+    }
 
 
 def test_minimality_no_scalar_entries(free2, xy_zero):

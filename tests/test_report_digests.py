@@ -3,7 +3,8 @@ requests, pinned so that refactors of the linear-algebra core cannot change
 any report.  Together the requests cover every subcommand and every
 kernel / minimal-generator routine (probe kernels, resolution levels,
 Veronese relations and P^m syzygies, cohproj Hom tables, the span oracles),
-and P^0 of a module presentation that is not minimal.
+P^0 of a module presentation that is not minimal, and Groebner completions
+with dense coefficients over Q and over F_p.
 """
 
 import hashlib
@@ -47,6 +48,25 @@ MODULE = {"shifts0": [0, 1, 1], "shifts1": [1, 2, 2],
 MODULE_DIGEST = "8240f48a444c8d9cb9d8bf0febc1bc642240f2b243be9da1b3a1422e522a865f"
 
 
+# (a, b, c) of the Sklyanin algebra a*yz + b*zy + c*x^2 (and cyclic), the
+# extra arguments of `gb ... -D 8`, and the digest
+GB_REQUESTS = [
+    ((-2, 2, -1), [], "226744af14b3e6c2ba2b039d0544a8485ae49c0ddb6cd870289d1e37c8da9955"),
+    ((1, -2, 2), ["--field", "F32003"],
+     "63b223c0f7b03d3df65a2775ebe1cd7aab6611bbfb83bc96f43b98445f3eb7c1"),
+]
+
+
+def _sklyanin_alg(a, b, c):
+    return (
+        f"label sklyanin({a},{b},{c})\nfield Q\norder deglex x > y > z\n"
+        "gen x 1\ngen y 1\ngen z 1\n"
+        f"rel {a}*y*z + {b}*z*y + {c}*x^2\n"
+        f"rel {a}*z*x + {b}*x*z + {c}*y^2\n"
+        f"rel {a}*x*y + {b}*y*x + {c}*z^2\n"
+    )
+
+
 def _argv(args):
     return [str(ALGEBRAS / a) if a.endswith(".alg") else a for a in args] + ["--json"]
 
@@ -70,3 +90,10 @@ def test_module_tor_report_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["tor", "example2.alg", "--module", "mod.json", "-D", "7", "--length", "3"]
     assert _digest(_argv(argv)) == MODULE_DIGEST
+
+
+@pytest.mark.parametrize("abc,extra,digest", GB_REQUESTS, ids=["Q", "F32003"])
+def test_gb_report_digest(tmp_path, abc, extra, digest):
+    path = tmp_path / "sklyanin.alg"
+    path.write_text(_sklyanin_alg(*abc), encoding="utf-8")
+    assert _digest(["gb", str(path), "-D", "8", *extra, "--json"]) == digest
