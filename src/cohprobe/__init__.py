@@ -34,16 +34,7 @@ from .coherence import (
     probe_ideal,
 )
 from .veronese import pm_module_presentations, veronese_cross_check, veronese_presentation
-from .zalg import (
-    ProjectivePresentation,
-    cohproj_hom,
-    from_graded,
-    gamma_star_presentation,
-    projective_window,
-    tensor_projective_iso_check,
-    transport_module,
-    truncate_below,
-)
+from .zalg import cohproj_hom, projective_window, transport_module
 from .algfile import parse_algebra_file
 
 __all__ = [
@@ -75,13 +66,8 @@ __all__ = [
     "pm_module_presentations",
     "veronese_cross_check",
     "veronese_presentation",
-    "ProjectivePresentation",
     "cohproj_hom",
-    "from_graded",
-    "gamma_star_presentation",
     "projective_window",
-    "tensor_projective_iso_check",
     "transport_module",
-    "truncate_below",
     "parse_algebra_file",
 ]

@@ -36,7 +36,7 @@ from .gbasis import complete_to_degree, component_dim_bruteforce, hilbert_dims, 
 from .grmod import ModulePresentation, audit_resolution, minimal_resolution
 from .linalg import parse_field
 from .veronese import pm_module_presentations, veronese_cross_check, veronese_presentation
-from .zalg import cohproj_hom, from_graded, projective_window
+from .zalg import ZAlgebraWindow, cohproj_hom, projective_window
 
 
 def _presentation_hash(pres):
@@ -279,8 +279,10 @@ def cmd_zalg(args):
     pres = _load_presentation(args)
     D = args.max_degree
     lo, hi = _parse_window(args.window)
+    if args.hom_range < 0:
+        raise InputError(f"hom range {args.hom_range} < 0")
     tgb = complete_to_degree(pres, max(D, hi - lo))
-    zw = from_graded(tgb, lo, hi)
+    zw = ZAlgebraWindow(tgb, lo, hi)
     audit = zw.audit()
     report = _base_report(pres, args)
     hom_top = min(hi, args.hom_range)

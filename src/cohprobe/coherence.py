@@ -190,10 +190,13 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
 
     The left variant probes the opposite presentation; its ideals live in
     opposite coordinates.  Raises InputError when no ideal is enumerated, so
-    that no verdict is ever aggregated over zero ideals.
+    that no verdict is ever aggregated over zero ideals, and when max_ideals
+    < 1, which would slice the enumeration from its end.
     """
     if side not in ("right", "left"):
         raise InputError("side must be 'right' or 'left'")
+    if max_ideals < 1:
+        raise InputError(f"max ideals {max_ideals} < 1")
     probed = p if side == "right" else opposite(p)
     tgb = complete_to_degree(probed, D)
     ideals = enumerate_ideals(tgb, gen_degree_bound, max_ideals)

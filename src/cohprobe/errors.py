@@ -34,11 +34,8 @@ class HilbertMismatch(CohprobeError):
 
 
 class WindowTooShallow(CohprobeError):
-    """A cohproj Hom stabilization needs more truncation levels than the window has."""
-
-
-class NotPresentedByProjectives(CohprobeError):
-    """gamma_star needs a module given as a cokernel of projectives."""
+    """A cohproj Hom stabilization needs more truncation levels than the window
+    has, or a window on which the source module is not zero."""
 
 
 class ParseError(CohprobeError):

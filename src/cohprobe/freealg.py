@@ -125,10 +125,6 @@ class NcPoly:
         self.degree = degree if terms else None
 
     @classmethod
-    def zero(cls):
-        return cls({}, None)
-
-    @classmethod
     def build(cls, gt, field, items):
         """Collect (word, scalar) items, checking homogeneity and dropping zeros."""
         terms = {}
@@ -149,12 +145,9 @@ class NcPoly:
         return cls(terms, degree if terms else None)
 
     @classmethod
-    def monomial(cls, gt, field, word, coeff=None):
-        coeff = field.one() if coeff is None else coeff
-        if field.is_zero(coeff):
-            return cls.zero()
+    def monomial(cls, gt, field, word):
         word = tuple(word)
-        return cls({word: coeff}, gt.word_degree(word))
+        return cls({word: field.one()}, gt.word_degree(word))
 
     def is_zero(self):
         return not self.terms
@@ -183,13 +176,13 @@ def poly_add(field, p, q):
 
 def poly_scale(field, coeff, p):
     if field.is_zero(coeff) or p.is_zero():
-        return NcPoly.zero()
+        return NcPoly({}, None)
     return NcPoly({w: field.mul(coeff, c) for w, c in p.terms.items()}, p.degree)
 
 
 def poly_mul(field, p, q):
     if p.is_zero() or q.is_zero():
-        return NcPoly.zero()
+        return NcPoly({}, None)
     terms = {}
     for w1, c1 in p.terms.items():
         axpy(field, terms, c1, {w1 + w2: c2 for w2, c2 in q.terms.items()})

@@ -161,9 +161,6 @@ class TruncatedGroebnerBasis:
 
     # --- rewriting ---------------------------------------------------
 
-    def is_normal_word(self, word):
-        return self._index.find(word) is None
-
     def normal_form_word(self, word):
         """Normal form of a single word, as a terms dict; memoized."""
         cached = self._nf_cache.get(word)
@@ -541,11 +538,3 @@ def component_dim_bruteforce(p, d):
     validate_presentation(p)
     index, solver = _ideal_slice(p, d)
     return len(index) - solver.rank
-
-
-def poly_in_ideal_bruteforce(p, q):
-    """Oracle membership test: is q in the two-sided relation ideal (degree slice)."""
-    if q.is_zero():
-        return True
-    index, solver = _ideal_slice(p, q.degree)
-    return solver.contains({index[w]: c for w, c in q.terms.items()})

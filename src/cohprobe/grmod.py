@@ -114,10 +114,6 @@ class ModulePresentation:
     def f0(self):
         return self.relations.target
 
-    @property
-    def f1(self):
-        return self.relations.source
-
     @classmethod
     def free(cls, tgb, shifts):
         fm = FreeModule(tuple(shifts))
@@ -211,9 +207,6 @@ class ModuleComponents:
         """Basis of M_d as pairs (generator k, normal word)."""
         _, basis, _ = self._degree_data(d)
         return [pair for _, pair in basis]
-
-    def dim(self, d):
-        return len(self._degree_data(d)[1])
 
     def coords(self, d, fvec):
         """Coordinates of a free-component vector in the chosen basis of M_d."""
@@ -320,6 +313,8 @@ def minimal_resolution(pres, tgb, D, length=2):
     (every module in the package is presented that way).
     """
     fld = tgb.field
+    if length < 0:
+        raise InputError(f"resolution length {length} < 0")
     if pres.f0.shifts and min(pres.f0.shifts) < 0:
         raise InputError("minimal_resolution expects nonnegative shifts")
     f0 = pres.f0
@@ -450,19 +445,3 @@ def audit_resolution(res):
                 )
             kern = len(cols) - rank
     return findings
-
-
-def euler_characteristic_check(res):
-    """sum_i (-1)^i dim P^i_d == dim M_d for d <= D; meaningful when the
-    window loses no Tor (all syzygies of the last level vanish)."""
-    tgb = res.tgb
-    comps = ModuleComponents(res.pres, tgb)
-    out = []
-    for d in range(res.D + 1):
-        total = 0
-        sign = 1
-        for pmod in res.modules:
-            total += sign * free_dim(tgb, pmod, d)
-            sign = -sign
-        out.append(total == comps.dim(d))
-    return out

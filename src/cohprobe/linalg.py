@@ -20,14 +20,8 @@ class Rationals:
 
     name = "Q"
 
-    def zero(self):
-        return Fraction(0)
-
     def one(self):
         return Fraction(1)
-
-    def of_int(self, n):
-        return Fraction(n)
 
     def of_fraction(self, num, den):
         return Fraction(num, den)
@@ -39,9 +33,6 @@ class Rationals:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -85,14 +76,8 @@ class PrimeField:
         self.p = p
         self.name = f"F{p}"
 
-    def zero(self):
-        return 0
-
     def one(self):
         return 1
-
-    def of_int(self, n):
-        return n % self.p
 
     def of_fraction(self, num, den):
         return num * pow(den, -1, self.p) % self.p
@@ -103,9 +88,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -8,7 +8,9 @@ code.
 
 import heapq
 
-from cohprobe.freealg import leading_word, word_key
+from cohprobe.freealg import leading_word, word_key, word_str
+from cohprobe.gbasis import _ideal_slice
+from cohprobe.grmod import ModuleComponents, free_dim
 from cohprobe.linalg import axpy
 
 
@@ -24,8 +26,8 @@ def _reduce_row(field, row, pivots):
             return row
         coeff = row[hit]
         for c, v in pivots[hit].items():
-            cur = row.get(c, field.zero())
-            nv = field.sub(cur, field.mul(coeff, v))
+            cur = row.get(c, field.of_fraction(0, 1))
+            nv = field.add(cur, field.neg(field.mul(coeff, v)))
             if field.is_zero(nv):
                 row.pop(c, None)
             else:
@@ -89,7 +91,7 @@ def hom_dim_oracle(m1, m2):
                             v = act2[rp][a].get(r) if act2 else None
                             if v is not None:
                                 key = unknowns[(j, rp, b)]
-                                row[key] = fld.sub(row.get(key, fld.zero()), v)
+                                row[key] = fld.add(row.get(key, fld.of_fraction(0, 1)), fld.neg(v))
                         rows.append({k: v for k, v in row.items() if not fld.is_zero(v)})
     return len(unknowns) - span_rank(fld, rows)
 
@@ -120,7 +122,7 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
             for gw, gc in gens[i].terms.items():
                 for t, tc in tgb.normal_form_word(gw + w).items():
                     col = tgt_index[t]
-                    cur = vec.get(col, fld.zero())
+                    cur = vec.get(col, fld.of_fraction(0, 1))
                     nv = fld.add(cur, fld.mul(gc, tc))
                     if fld.is_zero(nv):
                         vec.pop(col, None)
@@ -148,15 +150,15 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
                 coeff = row[hit]
                 prow, pcert = pivots[hit]
                 for c, v in prow.items():
-                    cur = row.get(c, fld.zero())
-                    nv = fld.sub(cur, fld.mul(coeff, v))
+                    cur = row.get(c, fld.of_fraction(0, 1))
+                    nv = fld.add(cur, fld.neg(fld.mul(coeff, v)))
                     if fld.is_zero(nv):
                         row.pop(c, None)
                     else:
                         row[c] = nv
                 for c, v in pcert.items():
-                    cur = cert.get(c, fld.zero())
-                    nv = fld.sub(cur, fld.mul(coeff, v))
+                    cur = cert.get(c, fld.of_fraction(0, 1))
+                    nv = fld.add(cur, fld.neg(fld.mul(coeff, v)))
                     if fld.is_zero(nv):
                         cert.pop(c, None)
                     else:
@@ -184,7 +186,7 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
             i, u = basis_from[idx]
             for t, tc in tgb.normal_form_word(u + word).items():
                 n = pos[(i, t)]
-                cur = out.get(n, fld.zero())
+                cur = out.get(n, fld.of_fraction(0, 1))
                 nv = fld.add(cur, fld.mul(c, tc))
                 if fld.is_zero(nv):
                     out.pop(n, None)
@@ -261,7 +263,7 @@ def bar_tor_trivial_module(tgb, D, i_max=2):
                     key = chain[:cut] + (w,) + chain[cut + 2:]
                     n = tpos[key]
                     coeff = fld.mul(sign, c) if cut % 2 == 0 else c
-                    cur = vec.get(n, fld.zero())
+                    cur = vec.get(n, fld.of_fraction(0, 1))
                     nv = fld.add(cur, coeff)
                     if fld.is_zero(nv):
                         vec.pop(n, None)
@@ -364,3 +366,78 @@ def reference_normal_form(tgb, terms):
     return _reduce_terms(
         terms, tgb.gt, tgb.field, leads_by_len, sorted(leads_by_len), lead_to_poly
     )
+
+
+def poly_in_ideal_bruteforce(p, q):
+    """Membership test: is q in the two-sided relation ideal (degree slice)."""
+    if q.is_zero():
+        return True
+    index, solver = _ideal_slice(p, q.degree)
+    return solver.contains({index[w]: c for w, c in q.terms.items()})
+
+
+def euler_characteristic_check(res):
+    """sum_i (-1)^i dim P^i_d == dim M_d for d <= D; meaningful when the
+    window loses no Tor (all syzygies of the last level vanish)."""
+    tgb = res.tgb
+    comps = ModuleComponents(res.pres, tgb)
+    out = []
+    for d in range(res.D + 1):
+        total = 0
+        sign = 1
+        for pmod in res.modules:
+            total += sign * free_dim(tgb, pmod, d)
+            sign = -sign
+        out.append(total == len(comps.basis(d)))
+    return out
+
+
+def _fold(m, b, j, word):
+    """Act on basis vector b of M_j by a word one letter at a time, left to right."""
+    tgb = m.tgb
+    fld = tgb.field
+    vec = {b: fld.one()}
+    cur = j
+    for letter in word:
+        w = tgb.gt.weights[letter]
+        nxt = cur - w
+        tensor = m.act.get((nxt, cur))
+        if tensor is None:
+            return {}
+        ai = tgb.normal_index(w).get((letter,))
+        out = {}
+        if ai is not None:
+            for bb, c in vec.items():
+                axpy(fld, out, c, tensor[bb][ai])
+        else:
+            # the letter itself is not a normal word; expand it
+            idx = tgb.normal_index(w)
+            for t, tc in tgb.normal_form_word((letter,)).items():
+                aj = idx[t]
+                for bb, c in vec.items():
+                    axpy(fld, out, fld.mul(c, tc), tensor[bb][aj])
+        vec = out
+        cur = nxt
+        if not vec:
+            return {}
+    return vec
+
+
+def fold_audit(m):
+    """Action consistency of a window module: every stored tensor equals the
+    letter-by-letter fold."""
+    tgb = m.tgb
+    problems = []
+    for (i, j), tensor in sorted(m.act.items()):
+        span = j - i
+        if span < 2:
+            continue
+        words = tgb.normal_words(span)
+        for b in range(m.dim(j)):
+            for ai, a in enumerate(words):
+                if _fold(m, b, j, a) != tensor[b][ai]:
+                    problems.append(
+                        f"action tensor ({i},{j}) differs from fold at b={b}, a={word_str(tgb.gt, a)}"
+                    )
+                    break
+    return {"ok": not problems, "problems": problems}

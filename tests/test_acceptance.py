@@ -32,19 +32,16 @@ from cohprobe.grmod import (
 )
 from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
-from cohprobe.zalg import (
+from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window, transport_module
+
+from oracles import fold_audit, ideal_syzygy_profile_oracle
+from windows import (
     ProjectivePresentation,
-    cohproj_hom,
     coker_window,
-    from_graded,
     gamma_star_presentation,
-    projective_window,
     tensor_projective_iso_check,
-    transport_module,
     truncate_below,
 )
-
-from oracles import ideal_syzygy_profile_oracle
 
 FAST = PrimeField(32003)
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
@@ -287,12 +284,12 @@ def test_criterion_10_structural_audits():
     byte-identical JSON across repeated runs."""
     # Z-window laws
     model = complete_to_degree(_pres("commutative_model"), 10)
-    assert from_graded(model, 0, 5).audit()["ok"]
+    assert ZAlgebraWindow(model, 0, 5).audit()["ok"]
     free2 = complete_to_degree(_pres("free2"), 10)
-    assert from_graded(free2, 0, 4).audit()["ok"]
+    assert ZAlgebraWindow(free2, 0, 4).audit()["ok"]
     ex2 = complete_to_degree(_pres("example2"), 10)
-    assert from_graded(ex2, 0, 4).audit()["ok"]
-    assert projective_window(model, 2, -2, 6).audit()["ok"]
+    assert ZAlgebraWindow(ex2, 0, 4).audit()["ok"]
+    assert fold_audit(projective_window(model, 2, -2, 6))["ok"]
     # resolution audits
     for label in ("free2", "xy_zero", "example2"):
         tgb = complete_to_degree(_pres(label), 8)

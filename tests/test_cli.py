@@ -107,6 +107,20 @@ def test_zalg_subcommand():
     assert rep["homtables"]["P0->P2"]["value"] == 3
 
 
+def test_zalg_source_zero_on_window_is_an_error():
+    # P_0 is zero at every index of 1..12 (dim (P_0)_i = dim A_{-i}), so its
+    # Hom tables would read 0 whatever the true Hom is
+    code, out = run_cli(
+        ["zalg", str(ALGEBRAS / "commutative.alg"), "--window=1..12",
+         "--hom-range", "2", "--json"]
+    )
+    assert code == 0
+    tables = json.loads(out)["homtables"]
+    assert tables["P1->P2"]["stabilized"] and tables["P1->P2"]["value"] == 2
+    for key in ("P0->P0", "P0->P1", "P0->P2"):
+        assert "error" in tables[key], key
+
+
 def test_missing_file_exit_code():
     code, _ = run_cli(["hilbert", "no/such/file.alg"])
     assert code == 1
@@ -180,6 +194,15 @@ BAD_INPUTS = {
         "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--max-ideals", "0"],
     "probe over zero ideals (gen degree bound)": lambda tmp: [
         "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--gen-degree-bound", "0"],
+    "negative max ideals": lambda tmp: [
+        "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--max-ideals", "-1"],
+    "negative max ideals (corpus)": lambda tmp: ["corpus", "-D", "4", "--max-ideals", "-1"],
+    "negative max ideals (veronese cross-check)": lambda tmp: [
+        "veronese", str(ALGEBRAS / "commutative.alg"), "--n", "2", "-D", "4",
+        "--cross-check", "--max-ideals", "-1"],
+    "negative tor length": lambda tmp: ["tor", str(ALGEBRAS / "xy_zero.alg"), "--length", "-2"],
+    "negative hom range": lambda tmp: [
+        "zalg", str(ALGEBRAS / "commutative.alg"), "--window=-2..8", "--hom-range", "-1"],
 }
 
 

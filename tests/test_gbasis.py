@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cohprobe.algfile import parse_algebra_file
+from cohprobe.coherence import RightIdealSpec, probe_ideal
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
 from cohprobe.gbasis import (
@@ -14,11 +15,16 @@ from cohprobe.gbasis import (
     hilbert_dims,
     normal_word_counts,
     opposite,
-    poly_in_ideal_bruteforce,
     validate_presentation,
 )
+from cohprobe.grmod import ModulePresentation, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
-from oracles import reference_normal_form
+from oracles import (
+    bar_tor_trivial_module,
+    ideal_syzygy_profile_oracle,
+    poly_in_ideal_bruteforce,
+    reference_normal_form,
+)
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -96,7 +102,7 @@ def test_normal_form_idempotent_linear_random():
     rng = random.Random(23)
     pool = enumerate_words(tgb.gt, 4)
     for _ in range(30):
-        items = [(w, QQ.of_int(rng.randrange(-2, 3))) for w in rng.sample(pool, 4)]
+        items = [(w, QQ.of_fraction(rng.randrange(-2, 3), 1)) for w in rng.sample(pool, 4)]
         q = NcPoly.build(tgb.gt, QQ, items)
         nf = tgb.normal_form(q)
         assert tgb.normal_form(nf) == nf
@@ -227,10 +233,10 @@ def test_normal_form_membership_dual_route():
     for d in (3, 4, 5):
         pool = enumerate_words(p.gens, d)
         for _ in range(6):
-            items = [(w, QQ.of_int(rng.randrange(-2, 3))) for w in rng.sample(pool, 3)]
+            items = [(w, QQ.of_fraction(rng.randrange(-2, 3), 1)) for w in rng.sample(pool, 3)]
             q = NcPoly.build(p.gens, QQ, items)
             nf = tgb.normal_form(q)
-            assert all(tgb.is_normal_word(w) for w in nf.terms)
+            assert all(w in tgb.normal_index(p.gens.word_degree(w)) for w in nf.terms)
             diff = NcPoly.build(
                 p.gens,
                 QQ,
@@ -276,7 +282,7 @@ def presentations_and_polys(draw):
         items = draw(st.lists(
             st.tuples(st.sampled_from(words), st.integers(-3, 3)), min_size=1, max_size=max_terms,
         ))
-        return NcPoly.build(gt, field, [(w, field.of_int(c)) for w, c in items])
+        return NcPoly.build(gt, field, [(w, field.of_fraction(c, 1)) for w, c in items])
 
     relations = [poly(st.integers(2, 3), 4) for _ in range(draw(st.integers(1, 3)))]
     assume(all(not r.is_zero() for r in relations))
@@ -292,3 +298,11 @@ def test_random_presentations_against_references(case):
     for q in polys:
         assert tgb.normal_form(q).terms == reference_normal_form(tgb, q.terms)
     assert hilbert_dims(tgb, 5) == [component_dim_bruteforce(p, d) for d in range(6)]
+    # relations have degree >= 2, so the letter x is never zero in A
+    ideal = RightIdealSpec.from_strings(tgb, ["x"])
+    assert probe_ideal(tgb, ideal, 5).profile == ideal_syzygy_profile_oracle(tgb, ideal.gens, 5)
+    k = ModulePresentation.of_map(
+        tgb, tuple(p.gens.weights), (0,),
+        {(0, i): NcPoly.monomial(p.gens, p.field, (i,)) for i in range(len(p.gens))},
+    )
+    assert minimal_resolution(k, tgb, 5, length=2).tor == bar_tor_trivial_module(tgb, 5)

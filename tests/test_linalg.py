@@ -23,7 +23,7 @@ def columns_of(field, rows):
     for j in range(ncols):
         col = {}
         for i, row in enumerate(rows):
-            v = field.of_int(row[j])
+            v = field.of_fraction(row[j], 1)
             if not field.is_zero(v):
                 col[i] = v
         cols.append(col)
@@ -129,11 +129,11 @@ def test_solver_certificate_identity_random(field):
         solver = SpanSolver(field, track=True)
         originals = {}
         for t in range(6):
-            vec = {i: field.of_int(rng.randrange(-3, 4)) for i in range(5)}
+            vec = {i: field.of_fraction(rng.randrange(-3, 4), 1) for i in range(5)}
             vec = {i: v for i, v in vec.items() if not field.is_zero(v)}
             originals[t] = vec
             solver.add(dict(vec), tag=t)
-        probe = {i: field.of_int(rng.randrange(-4, 5)) for i in range(5)}
+        probe = {i: field.of_fraction(rng.randrange(-4, 5), 1) for i in range(5)}
         probe = {i: v for i, v in probe.items() if not field.is_zero(v)}
         residue, expr = solver.reduce(dict(probe))
         rebuilt = dict(residue)

@@ -1,0 +1,191 @@
+"""Window-module constructions and paper-level checks used only by the tests.
+
+The CLI reaches window modules through ``projective_window`` alone; the
+cokernel, simple and truncated windows here, the Gamma_* round trip and
+the tensor-algebra projective isomorphism are what the tests compare it
+against.
+"""
+
+from dataclasses import dataclass
+
+from cohprobe.errors import InputError
+from cohprobe.freealg import GeneratorTable
+from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
+from cohprobe.grmod import FreeModule, ModuleMap, ModulePresentation
+from cohprobe.linalg import QQ, SpanSolver, axpy
+from cohprobe.zalg import ZModuleWindow, _window_from_components
+
+
+def simple_window(tgb, j, lo, hi):
+    """S_j: one-dimensional at index j, zero action."""
+    dims = {}
+    act = {}
+    if lo <= j <= hi:
+        dims[j] = 1
+        for i in range(lo, j):
+            act[(i, j)] = [[{} for _ in tgb.normal_words(j - i)]]
+    return ZModuleWindow(tgb, lo, hi, dims, act)
+
+
+def truncate_below(m, n):
+    """M_{<=n}: zero out components with index above n; action restricted."""
+    dims = {i: (d if i <= n else 0) for i, d in m.dims.items()}
+    act = {(i, j): tensor for (i, j), tensor in m.act.items() if j <= n}
+    return ZModuleWindow(m.tgb, m.lo, m.hi, dims, act)
+
+
+def window_min_generator_profile(m):
+    """Minimal generator counts per index: dim M_n minus the span of the
+    action images from all higher window indices."""
+    fld = m.tgb.field
+    out = {}
+    for n in range(m.lo, m.hi + 1):
+        if m.dim(n) == 0:
+            out[n] = 0
+            continue
+        span = SpanSolver(fld)
+        for j in range(n + 1, m.hi + 1):
+            tensor = m.action(n, j)
+            if tensor is None:
+                continue
+            for brow in tensor:
+                for vec in brow:
+                    if vec:
+                        span.add(dict(vec))
+        out[n] = m.dim(n) - span.rank
+    return out
+
+
+# --- tensor algebra projectives -------------------------------------------
+
+
+@dataclass
+class IsoCheckReport:
+    ok: bool
+    dims: list            # [(index, source dim, target dim, rank)]
+    description: str
+
+
+def tensor_projective_iso_check(dimV, i, depth, field=None, negative=False):
+    """Check P_i ~ P_{i-1}^{dimV} in cohproj T(V) at window scale.
+
+    The candidate map sends the t-th copy of P_{i-1} into (P_i)_{<= i-1} by
+    left concatenation with the t-th basis letter; it must be a bijection
+    on every window component.  With negative=True only one copy is used,
+    the advertised failing control.
+    """
+    field = QQ if field is None else field
+    names = [f"x{t}" for t in range(dimV)]
+    gt = GeneratorTable(names)
+    pres = AlgebraPresentation(field, gt, [], label=f"T(k^{dimV})")
+    tgb = complete_to_degree(pres, depth + 1)
+    lo = i - depth
+    copies = 1 if negative else dimV
+    ok = True
+    dims = []
+    for l in range(lo, i):
+        src_dim = copies * tgb.dim(i - 1 - l)
+        tgt_dim = tgb.dim(i - l)
+        index = tgb.normal_index(i - l)
+        solver = SpanSolver(field)
+        rank = 0
+        for t in range(copies):
+            for u in tgb.normal_words(i - 1 - l):
+                image = {index[(t,) + u]: field.one()}
+                if solver.add(image):
+                    rank += 1
+        dims.append((l, src_dim, tgt_dim, rank))
+        if not (src_dim == tgt_dim == rank):
+            ok = False
+    desc = f"copy t of P_{i-1} embeds by left concatenation with x{{t}}, {copies} copies"
+    return IsoCheckReport(ok, dims, desc)
+
+
+# --- gamma_star and projective presentations --------------------------------
+
+
+@dataclass
+class ProjectivePresentation:
+    """M = coker( (+)_t P_{a_t} -> (+)_s P_{b_s} ), entries in A_{b_s - a_t}."""
+
+    source_indices: list
+    target_indices: list
+    entries: dict        # (s, t) -> NcPoly of degree b_s - a_t
+
+    def validate(self):
+        for (s, t), poly in self.entries.items():
+            if poly.is_zero():
+                continue
+            want = self.target_indices[s] - self.source_indices[t]
+            if poly.degree != want:
+                raise InputError(f"entry ({s},{t}) has degree {poly.degree}, want {want}")
+
+
+def gamma_star_presentation(pp, tgb):
+    """Transport a projective presentation back to a graded presentation:
+    P_j corresponds to the free module with shift -j."""
+    pp.validate()
+    src = FreeModule(tuple(-a for a in pp.source_indices))
+    tgt = FreeModule(tuple(-b for b in pp.target_indices))
+    return ModulePresentation(ModuleMap(tgb, src, tgt, dict(pp.entries)))
+
+
+def coker_window(pp, tgb, lo, hi):
+    """Direct windowed realization of coker(pp), built index by index.
+
+    This is an independent construction from transport_module(gamma_star):
+    each component is the cokernel of the index slice of the presenting
+    matrix, with its own deterministic quotient coordinates.
+    """
+    pp.validate()
+    fld = tgb.field
+    dims = {}
+    solvers = {}
+    bases = {}
+
+    def tgt_slice_basis(i):
+        out = []
+        for s, b in enumerate(pp.target_indices):
+            if b - i < 0:
+                continue
+            for w in tgb.normal_words(b - i):
+                out.append((s, w))
+        return out
+
+    for i in range(lo, hi + 1):
+        tbasis = tgt_slice_basis(i)
+        pos = {pair: n for n, pair in enumerate(tbasis)}
+        solver = SpanSolver(fld, track=True)
+        for t, a in enumerate(pp.source_indices):
+            if a - i < 0:
+                continue
+            for u in tgb.normal_words(a - i):
+                vec = {}
+                for s in range(len(pp.target_indices)):
+                    poly = pp.entries.get((s, t))
+                    if poly is None or poly.is_zero():
+                        continue
+                    for w, c in poly.terms.items():
+                        nf = tgb.normal_form_word(w + u)
+                        axpy(fld, vec, c, {pos[(s, tw)]: tc for tw, tc in nf.items()})
+                solver.add(vec, tag=None)
+        chosen = []
+        one = fld.one()
+        for n in range(len(tbasis)):
+            if solver.add({n: one}, tag=len(chosen)):
+                chosen.append(n)
+        dims[i] = len(chosen)
+        solvers[i] = solver
+        bases[i] = (tbasis, chosen, pos)
+
+    def act_fn(i, j, b, a):
+        tbasis_j, chosen_j, _ = bases[j]
+        tbasis_i, chosen_i, pos_i = bases[i]
+        s, u = tbasis_j[chosen_j[b]]
+        vec = {pos_i[(s, tw)]: tc for tw, tc in tgb.normal_form_word(u + a).items()}
+        residue, expr = solvers[i].reduce(vec)
+        if residue:
+            raise AssertionError("cokernel action did not reduce")
+        return expr
+
+    return _window_from_components(tgb, lo, hi, dims, act_fn)
