@@ -23,7 +23,6 @@ from .gbasis import (
 from .grmod import (
     FreeModule,
     ModuleMap,
-    ModulePresentation,
     kernel_min_generators,
     minimal_resolution,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "validate_presentation",
     "FreeModule",
     "ModuleMap",
-    "ModulePresentation",
     "kernel_min_generators",
     "minimal_resolution",
     "RightIdealSpec",

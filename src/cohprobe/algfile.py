@@ -92,10 +92,10 @@ def _parse_relfam(body, gt, line_no):
     return RelationFamily(factors, n_min, raw=body.strip())
 
 
-def parse_algebra_file(text, field=None, label=None, order=None):
+def parse_algebra_file(text, field=None, order=None):
     """Parse the algebra file format into a validated AlgebraPresentation.
 
-    field/order/label arguments override the corresponding file lines
+    field/order arguments override the corresponding file lines
     (command line wins over file content).
     """
     file_field = None
@@ -156,7 +156,7 @@ def parse_algebra_file(text, field=None, label=None, order=None):
     fams = [_parse_relfam(body, gt, line_no) for line_no, body in fam_lines]
 
     pres = AlgebraPresentation(
-        fld, gt, relations, fams, label=label or file_label or "algebra"
+        fld, gt, relations, fams, label=file_label or "algebra"
     )
     validate_presentation(pres)
     return pres

@@ -33,7 +33,7 @@ from .coherence import (
 from .errors import CohprobeError, InputError
 from .freealg import parse_poly
 from .gbasis import complete_to_degree, component_dim_bruteforce, hilbert_dims, opposite
-from .grmod import ModulePresentation, audit_resolution, minimal_resolution
+from .grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from .linalg import parse_field
 from .veronese import pm_module_presentations, veronese_cross_check, veronese_presentation
 from .zalg import ZAlgebraWindow, cohproj_hom, projective_window
@@ -55,9 +55,16 @@ def _base_report(pres, args):
     }
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _load_presentation(args):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.file)
     field = parse_field(args.field) if args.field else None
     order = args.order.replace(">", " ").split() if args.order else None
     return parse_algebra_file(text, field=field, order=order)
@@ -150,7 +157,7 @@ def _module_from_json(tgb, spec):
                 raise InputError(f"module JSON: matrix cell ({k},{l}) must be a string")
             if cell.strip() not in ("0", ""):
                 entries[(k, l)] = parse_poly(tgb.gt, tgb.field, cell)
-    return ModulePresentation.of_map(tgb, tuple(shifts1), tuple(shifts0), entries)
+    return ModuleMap(tgb, FreeModule(tuple(shifts1)), FreeModule(tuple(shifts0)), entries)
 
 
 def _simple_module(tgb):
@@ -158,7 +165,7 @@ def _simple_module(tgb):
         (0, i): parse_poly(tgb.gt, tgb.field, name)
         for i, name in enumerate(tgb.gt.names)
     }
-    return ModulePresentation.of_map(tgb, tuple(tgb.gt.weights), (0,), entries)
+    return ModuleMap(tgb, FreeModule(tuple(tgb.gt.weights)), FreeModule((0,)), entries)
 
 
 def cmd_tor(args):
@@ -166,17 +173,17 @@ def cmd_tor(args):
     D = args.max_degree
     tgb = complete_to_degree(pres, D)
     if args.module:
-        with open(args.module, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed module JSON in {args.module}: {exc}")
-        mpres = _module_from_json(tgb, spec)
+        text = _read_text(args.module)
+        try:
+            spec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed module JSON in {args.module}: {exc}")
+        relations = _module_from_json(tgb, spec)
         name = args.module
     else:
-        mpres = _simple_module(tgb)
+        relations = _simple_module(tgb)
         name = "k (trivial module)"
-    res = minimal_resolution(mpres, tgb, D, length=args.length)
+    res = minimal_resolution(relations, length=args.length)
     audit = audit_resolution(res)
     report = _base_report(pres, args)
     report["tor"] = {
@@ -209,7 +216,7 @@ def cmd_probe(args):
             probed = pres if side == "right" else opposite(pres)
             tgb = complete_to_degree(probed, D)
             ideal = RightIdealSpec.from_strings(tgb, texts)
-            blocks[side] = {"ideal": probe_ideal(tgb, ideal, D).to_dict()}
+            blocks[side] = {"ideal": probe_ideal(tgb, ideal).to_dict()}
     else:
         for side in sides:
             agg = probe_algebra(
@@ -238,18 +245,15 @@ def cmd_probe(args):
 
 def cmd_veronese(args):
     pres = _load_presentation(args)
-    D = args.max_degree
-    tgb = complete_to_degree(pres, D)
-    vp = veronese_presentation(pres, tgb, args.n, D)
+    tgb = complete_to_degree(pres, args.max_degree)
+    vp = veronese_presentation(tgb, args.n)
     report = _base_report(pres, args)
-    report["veronese"] = vp.to_dict(pres.gens)
+    report["veronese"] = vp.to_dict()
     if args.cross_check:
-        cc, _ = veronese_cross_check(
-            pres, args.n, D, args.gen_degree_bound, args.max_ideals
-        )
+        cc = veronese_cross_check(vp, args.gen_degree_bound, args.max_ideals)
         report["veronese"]["cross_check"] = cc.to_dict()
     if args.pm_modules:
-        reports = pm_module_presentations(pres, tgb, args.n, D)
+        reports = pm_module_presentations(tgb, args.n)
         report["veronese"]["pm_modules"] = [r.to_dict() for r in reports]
 
     def render(rep):
@@ -281,6 +285,8 @@ def cmd_zalg(args):
     lo, hi = _parse_window(args.window)
     if args.hom_range < 0:
         raise InputError(f"hom range {args.hom_range} < 0")
+    if hi < 0:
+        raise InputError(f"window top {hi} < 0 leaves no P_a with a >= 0 to tabulate")
     tgb = complete_to_degree(pres, max(D, hi - lo))
     zw = ZAlgebraWindow(tgb, lo, hi)
     audit = zw.audit()
@@ -350,7 +356,7 @@ def cmd_corpus(args):
         left = probe_algebra(pres, D, 2, args.max_ideals, side="left")
         check(entry.label, "left aggregate", left.aggregate.kind, entry.expected_left)
         if entry.label == "noetherian_base":
-            chain = noetherian_chain_profile(tgb, D)
+            chain = noetherian_chain_profile(tgb)
             check(entry.label, "chain grows each stage", all(chain) and len(chain) >= 3, True)
 
     report = {

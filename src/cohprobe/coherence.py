@@ -115,10 +115,10 @@ def ideal_map(tgb, ideal):
     return ModuleMap(tgb, FreeModule(shifts), FreeModule((0,)), entries)
 
 
-def probe_ideal(tgb, ideal, D=None):
-    """Per-degree Tor_1 new-generator profile of the ideal, with verdict."""
-    D = tgb.D if D is None else D
-    gens = kernel_min_generators(ideal_map(tgb, ideal), tgb, D)
+def probe_ideal(tgb, ideal):
+    """Per-degree Tor_1 new-generator profile of the ideal up to the bound of tgb."""
+    D = tgb.D
+    gens = kernel_min_generators(ideal_map(tgb, ideal))
     profile = [0] * (D + 1)
     for g in gens:
         profile[g.degree] += 1
@@ -205,7 +205,7 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
             f"no ideals to probe with gen degree bound {gen_degree_bound} "
             f"and max ideals {max_ideals}"
         )
-    reports = [probe_ideal(tgb, ideal, D) for ideal in ideals]
+    reports = [probe_ideal(tgb, ideal) for ideal in ideals]
     aggregate = worst_verdict([r.verdict for r in reports])
     witness = []
     for r in reports:
@@ -217,16 +217,16 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
     )
 
 
-def ideal_tor0_profile(tgb, gens, D):
-    """Minimal-generator degrees of the right ideal (g_1, ..., g_s) itself.
+def ideal_tor0_profile(tgb, gens):
+    """Minimal-generator degrees of the right ideal (g_1, ..., g_s) up to tgb.D.
 
     Tor_0(J, k)_d = dim (J / J * A_+)_d: the minimal generators of the image
     of ideal_map, whose degree-d component columns span J_d; used for the
     Noetherian staircase evidence.
     """
     f = ideal_map(tgb, RightIdealSpec(gens))
-    profile = [0] * (D + 1)
-    for g in min_generators(tgb, f.target, range(D + 1), f.component_columns, letters(tgb)):
+    profile = [0] * (tgb.D + 1)
+    for g in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns, letters(tgb)):
         profile[g.degree] += 1
     return profile
 
@@ -359,17 +359,17 @@ def builtin_corpus(field=QQ):
     return entries
 
 
-def noetherian_chain_profile(tgb, D):
+def noetherian_chain_profile(tgb):
     """New-generator flags for the staged ideal chain (tz, t^2 z^2, ...).
 
-    Stage m adds t^m z^m (degree 2m <= D); the flag says whether the stage
+    Stage m adds t^m z^m (degree 2m <= tgb.D); the flag says whether the stage
     generator is a new minimal generator on top of the earlier stages.  The
     profile in degree 2m depends only on the generators of degree <= 2m, so
     one profile of the whole chain answers every stage.
     """
     gt, fld = tgb.gt, tgb.field
     t, z = gt.index("t"), gt.index("z")
-    stages = range(1, D // 2 + 1)
+    stages = range(1, tgb.D // 2 + 1)
     gens = [NcPoly.monomial(gt, fld, (t,) * m + (z,) * m) for m in stages]
-    profile = ideal_tor0_profile(tgb, gens, D)
+    profile = ideal_tor0_profile(tgb, gens)
     return [bool(profile[2 * m]) for m in stages]

@@ -463,26 +463,23 @@ def complete_to_degree(p, D):
     return TruncatedGroebnerBasis(p, D, elements, log)
 
 
-def hilbert_dims(tgb, D=None):
+def hilbert_dims(tgb, D):
     """dim A_d for d = 0..D via normal word counts (Groebner path)."""
-    D = tgb.D if D is None else D
     if D > tgb.D:
         raise DegreeBoundExceeded(f"degree {D} > bound {tgb.D}")
     return [tgb.dim(d) for d in range(D + 1)]
 
 
-def normal_word_counts(tgb, D):
-    """Count normal words per degree without enumerating them.
+def normal_word_counts(tgb):
+    """Count normal words per degree 0..tgb.D without enumerating them.
 
     Transfer-matrix walk on the lead-word trie: the state of a normal word
     is its longest suffix that is a prefix of a lead (its first live node),
     a step appends one letter, and a word dies exactly when some lead
     becomes a suffix.  Counts agree with len(normal_words(d)) but cost
-    O(states * letters * D).  Only valid for d <= tgb.D, like everything
-    derived from a truncated basis.
+    O(states * letters * D).
     """
-    if D > tgb.D:
-        raise DegreeBoundExceeded(f"degree {D} > bound {tgb.D}")
+    D = tgb.D
     weights = tgb.gt.weights
     index = tgb._index
     counts = [0] * (D + 1)

@@ -1,7 +1,8 @@
 """Finitely presented graded right modules over a truncated algebra.
 
-Modules enter only as presentations coker(r: F1 -> F0) of maps between
-shifted free modules; every question is answered by degreewise linear
+Modules enter only as presentations M = coker(r: F1 -> F0) of maps between
+shifted free modules, and M is passed as its relation map r, whose basis
+fixes the degree bound D.  Every question is answered by degreewise linear
 algebra on component matrices.  Free module components are indexed by
 pairs (generator k, normal word u), ordered by k then by the word order,
 so all coordinates and witnesses are deterministic.
@@ -104,28 +105,6 @@ class ModuleMap:
         return cols
 
 
-@dataclass
-class ModulePresentation:
-    """M = coker(relations: F1 -> F0)."""
-
-    relations: ModuleMap
-
-    @property
-    def f0(self):
-        return self.relations.target
-
-    @classmethod
-    def free(cls, tgb, shifts):
-        fm = FreeModule(tuple(shifts))
-        return cls(ModuleMap(tgb, FreeModule(()), fm, {}))
-
-    @classmethod
-    def of_map(cls, tgb, src_shifts, tgt_shifts, entries):
-        return cls(
-            ModuleMap(tgb, FreeModule(tuple(src_shifts)), FreeModule(tuple(tgt_shifts)), entries)
-        )
-
-
 def push_up(tgb, fm, d_from, vectors, word):
     """Right-multiply coordinate vectors at degree d_from by a word.
 
@@ -171,16 +150,16 @@ def pushed_span(tgb, fm, d, lower, words):
 
 
 class ModuleComponents:
-    """Cached degreewise bases and canonical coordinates for a presented module.
+    """Cached degreewise bases and canonical coordinates for M = coker(relations).
 
     The degree-d basis is the deterministic unit-vector complement of the
     relation image inside the free component; coords() expresses any free
     component vector in that basis.
     """
 
-    def __init__(self, pres, tgb):
-        self.pres = pres
-        self.tgb = tgb
+    def __init__(self, relations):
+        self.relations = relations
+        self.tgb = relations.tgb
         self._data = {}
 
     def _degree_data(self, d):
@@ -191,10 +170,10 @@ class ModuleComponents:
             return cached
         fld = self.tgb.field
         solver = SpanSolver(fld, track=True)
-        for col in self.pres.relations.component_columns(d):
+        for col in self.relations.component_columns(d):
             solver.add(col, tag=None)
         basis = []
-        fb = free_basis(self.tgb, self.pres.f0, d)
+        fb = free_basis(self.tgb, self.relations.target, d)
         one = fld.one()
         for i in range(len(fb)):
             if solver.add({i: one}, tag=len(basis)):
@@ -220,7 +199,6 @@ class ModuleComponents:
 @dataclass
 class KernelGenerator:
     degree: int
-    vector: dict          # over free_basis(source, degree)
     element: tuple        # one NcPoly per source generator
 
     def strings(self, tgb):
@@ -261,13 +239,13 @@ def min_generators(tgb, src, degrees, span_at, words):
         new = [vec for vec in spans[d] if old_span.add(vec)]
         if new:
             basis = free_basis(tgb, src, d)
-            gens.extend(KernelGenerator(d, vec, _vector_to_element(src, d, basis, vec))
-                        for vec in new)
+            gens.extend(KernelGenerator(d, _vector_to_element(src, d, basis, vec)) for vec in new)
     return gens
 
 
-def kernel_min_generators(f, tgb, D):
-    """Minimal generators of ker(f) in degrees <= D, with witnesses."""
+def kernel_min_generators(f):
+    """Minimal generators of ker(f) up to the bound of its basis, with witnesses."""
+    tgb, D = f.tgb, f.tgb.D
     return min_generators(
         tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1),
         lambda d: kernel_basis(tgb.field, f.component_columns(d)), letters(tgb),
@@ -289,35 +267,33 @@ def _projected_kernel(fld, pcols, rcols):
 
 @dataclass
 class TruncatedResolution:
-    """Minimal chain P^L -> ... -> P^0 -> M, exact up to degree D.
+    """Minimal chain P^L -> ... -> P^0 -> M = coker(relations), exact up to
+    the bound D of the basis.
 
     p0_map carries the chosen generator representatives P^0 -> F0;
     diffs[i] is the differential P^(i+1) -> P^i.
     """
 
-    pres: ModulePresentation
-    tgb: object
-    D: int
-    p0: FreeModule
+    relations: ModuleMap
     p0_map: ModuleMap
     diffs: list
-    modules: list        # [P^0, P^1, ..., P^L]
     tor: list            # tor[i][d] = generators of P^i in degree d
 
 
-def minimal_resolution(pres, tgb, D, length=2):
-    """Minimal free resolution window of M = coker(pres) up to degree D.
+def minimal_resolution(relations, length=2):
+    """Minimal free resolution window of M = coker(relations) up to the bound D.
 
     length <= 2 is what the coherence criterion needs; raising it extends
     the same syzygy loop.  Requires the presentation shifts to be >= 0
     (every module in the package is presented that way).
     """
-    fld = tgb.field
+    tgb = relations.tgb
+    fld, D = tgb.field, tgb.D
     if length < 0:
         raise InputError(f"resolution length {length} < 0")
-    if pres.f0.shifts and min(pres.f0.shifts) < 0:
+    f0 = relations.target
+    if f0.shifts and min(f0.shifts) < 0:
         raise InputError("minimal_resolution expects nonnegative shifts")
-    f0 = pres.f0
 
     # P^0 from M (x) k = F0 / (F0 * A_+ + im r): in degree d, the generator e_k
     # with s_k == d survives iff it extends the relations at d restricted to
@@ -332,7 +308,7 @@ def minimal_resolution(pres, tgb, D, length=2):
         if not heads:
             continue
         span = SpanSolver(fld)
-        for col in pres.relations.component_columns(d):
+        for col in relations.component_columns(d):
             span.add({heads[i]: c for i, c in col.items() if i in heads})
         for k in heads.values():
             if span.add({k: fld.one()}):
@@ -342,7 +318,6 @@ def minimal_resolution(pres, tgb, D, length=2):
     p0 = FreeModule(tuple(p0_shifts))
     p0_map = ModuleMap(tgb, p0, f0, p0_entries)
 
-    modules = [p0]
     tor = [tor0]
     diffs = []
 
@@ -352,12 +327,12 @@ def minimal_resolution(pres, tgb, D, length=2):
             gens = min_generators(
                 tgb, p0, range(min(p0.shifts, default=D + 1), D + 1),
                 lambda d: _projected_kernel(
-                    fld, p0_map.component_columns(d), pres.relations.component_columns(d)
+                    fld, p0_map.component_columns(d), relations.component_columns(d)
                 ),
                 letters(tgb),
             )
         else:
-            gens = kernel_min_generators(diffs[-1], tgb, D)
+            gens = kernel_min_generators(diffs[-1])
         shifts = tuple(g.degree for g in gens)
         pmod = FreeModule(shifts)
         entries = {}
@@ -369,11 +344,10 @@ def minimal_resolution(pres, tgb, D, length=2):
         row = [0] * (D + 1)
         for g in gens:
             row[g.degree] += 1
-        modules.append(pmod)
         tor.append(row)
         diffs.append(dmap)
         prev_module = pmod
-    return TruncatedResolution(pres, tgb, D, p0, p0_map, diffs, modules, tor)
+    return TruncatedResolution(relations, p0_map, diffs, tor)
 
 
 def audit_resolution(res):
@@ -391,7 +365,7 @@ def audit_resolution(res):
       generators, without which equal dimensions do not make the images
       the kernels.
     """
-    tgb = res.tgb
+    tgb = res.relations.tgb
     fld = tgb.field
     findings = {"minimal": True, "exact": True, "surjective": True, "detail": []}
     for i, dmap in enumerate(res.diffs):
@@ -399,11 +373,11 @@ def audit_resolution(res):
             if poly.degree == 0:
                 findings["minimal"] = False
                 findings["detail"].append(f"d{i+1} has scalar entry at ({k},{l})")
-    for d in range(0, res.D + 1):
+    for d in range(0, tgb.D + 1):
         pcols = res.p0_map.component_columns(d)
         dcols = [dmap.component_columns(d) for dmap in res.diffs]
         both = SpanSolver(fld)
-        for col in res.pres.relations.component_columns(d):
+        for col in res.relations.component_columns(d):
             both.add(col)
         rank_rel = both.rank
         # a complex: P0 -> M kills image(d1) and di kills image(d(i+1)).  The
@@ -427,7 +401,7 @@ def audit_resolution(res):
                     break
         for col in pcols:
             both.add(col)
-        if both.rank != free_dim(tgb, res.pres.f0, d):
+        if both.rank != free_dim(tgb, res.relations.target, d):
             findings["surjective"] = False
             findings["detail"].append(f"P0 -> M not onto at degree {d}")
         # kernel of P0 -> M dimensionwise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
-from .gbasis import AlgebraPresentation, complete_to_degree
+from .gbasis import AlgebraPresentation, complete_to_degree, normal_word_counts
 from .grmod import FreeModule, ModuleMap, min_generators, pushed_span
 from .linalg import kernel_basis
 from .coherence import STABILITY_MARGIN, probe_algebra
@@ -34,6 +34,7 @@ def degree_one_generated(tgb):
 
 @dataclass
 class VeronesePresentation:
+    ambient: object                  # completed basis of A it was discovered from
     n: int
     window: int                      # max internal degree discovered
     generator_words: list            # normal words of A_n, in order
@@ -53,12 +54,12 @@ class VeronesePresentation:
     def all_relations_monomial(self):
         return all(self.relation_monomial.get(i, True) for i in self.relations_per_degree)
 
-    def to_dict(self, ambient_gt):
+    def to_dict(self):
         return {
             "n": self.n,
             "window_internal": self.window,
             "generators": {
-                name: word_str(ambient_gt, w)
+                name: word_str(self.ambient.gt, w)
                 for name, w in zip(self.presentation.gens.names, self.generator_words)
             },
             "relations_per_internal_degree": {
@@ -74,8 +75,8 @@ class VeronesePresentation:
         }
 
 
-def veronese_presentation(p, tgb, n, D, require_degree_one=False):
-    """Discover a presentation of A^{(n)} valid to internal degree D // n.
+def veronese_presentation(tgb, n):
+    """Discover a presentation of A^{(n)} valid to internal degree tgb.D // n.
 
     Generators are the dim A_n normal words; at each internal degree the
     kernel of (normal symbol words) -> A_{in} contributes the new relations.
@@ -83,13 +84,12 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
     """
     if n < 2:
         raise InputError("Veronese step n must be >= 2")
-    if require_degree_one and not degree_one_generated(tgb):
-        raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
+    label = tgb.presentation.label
     fld = tgb.field
     gen_words = tgb.normal_words(n)
     names = [f"v{i}" for i in range(len(gen_words))]
     sym_gt = GeneratorTable(names)
-    window = D // n
+    window = tgb.D // n
 
     relations = []
     relations_per_degree = {}
@@ -97,7 +97,7 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
     hilbert_internal = [1]
     hilbert_ambient = [tgb.dim(0)]
     for i in range(1, window + 1):
-        sym_pres = AlgebraPresentation(fld, sym_gt, list(relations), label=f"{p.label}^({n})")
+        sym_pres = AlgebraPresentation(fld, sym_gt, list(relations), label=f"{label}^({n})")
         sym_tgb = complete_to_degree(sym_pres, i)
         sym_words = sym_tgb.normal_words(i)
         ambient_index = tgb.normal_index(i * n)
@@ -123,8 +123,9 @@ def veronese_presentation(p, tgb, n, D, require_degree_one=False):
             )
         hilbert_internal.append(dim_pres)
         hilbert_ambient.append(dim_amb)
-    final = AlgebraPresentation(fld, sym_gt, relations, label=f"{p.label}^({n})")
+    final = AlgebraPresentation(fld, sym_gt, relations, label=f"{label}^({n})")
     return VeronesePresentation(
+        tgb,
         n,
         window,
         gen_words,
@@ -159,17 +160,17 @@ class PmModuleReport:
         }
 
 
-def pm_module_presentations(p, tgb, n, D, require_degree_one=True):
+def pm_module_presentations(tgb, n):
     """Minimal generators and first-syzygy profiles of P^m = (+)_i A_{m+in}.
 
-    Everything is computed over the A^{(n)} grading (internal degrees); the
-    ambient truncated basis supplies all products.  P^m is generated by A_m
-    when A is generated in degree 1; trailing silence in the syzygy profile
-    is the finite-presentation evidence.
+    Everything is computed over the A^{(n)} grading (internal degrees) up to
+    the bound of the ambient truncated basis, which supplies all products.
+    P^m is generated by A_m as A is generated in degree 1 (checked); trailing
+    silence in the syzygy profile is the finite-presentation evidence.
     """
-    if require_degree_one and not degree_one_generated(tgb):
-        raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
-    fld = tgb.field
+    if not degree_one_generated(tgb):
+        raise NotDegreeOneGenerated(f"{tgb.presentation.label} is not generated in degree 1")
+    fld, D = tgb.field, tgb.D
     push_words = tgb.normal_words(n)
     reports = []
     for m in range(n):
@@ -218,24 +219,24 @@ class VeroneseCrossCheck:
         }
 
 
-def _affordable_depth(pres, D, budget):
-    """Deepest m <= D with cumulative component dimensions within budget."""
-    from .gbasis import normal_word_counts
-
-    tgb = complete_to_degree(pres, D)
-    counts = normal_word_counts(tgb, D)
+def _affordable_depth(pres, D):
+    """Deepest m <= D with cumulative component dimensions within DIM_BUDGET."""
+    counts = normal_word_counts(complete_to_degree(pres, D))
     total = 0
     m = 0
     for d, c in enumerate(counts):
         total += c
-        if total > budget:
+        if total > DIM_BUDGET:
             break
         m = d
     return m
 
 
-def veronese_cross_check(p, n, D, gen_degree_bound=2, max_ideals=64):
-    """Probe A and the discovered A^{(n)} presentation; report agreement.
+def veronese_cross_check(vp, gen_degree_bound=2, max_ideals=64):
+    """Probe A and its discovered A^{(n)} presentation vp; report agreement.
+
+    A, n and the ambient bound D are those of the basis vp was discovered
+    from; A must be generated in degree 1.
 
     The discovered presentation is certified equal to A^{(n)} only up to the
     discovery window D // n; probing it deeper probes the algebra defined by
@@ -246,10 +247,12 @@ def veronese_cross_check(p, n, D, gen_degree_bound=2, max_ideals=64):
     beyond the ambient D.  Disagreement is flagged as evidence, never
     refutation.
     """
-    tgb = complete_to_degree(p, D)
-    vp = veronese_presentation(p, tgb, n, D, require_degree_one=True)
+    tgb = vp.ambient
+    p, n, D = tgb.presentation, vp.n, tgb.D
+    if not degree_one_generated(tgb):
+        raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
     ambient = probe_algebra(p, D, gen_degree_bound, max_ideals, side="right")
-    vD = _affordable_depth(vp.presentation, D, DIM_BUDGET)
+    vD = _affordable_depth(vp.presentation, D)
     vD = min(D, max(vD, STABILITY_MARGIN + 2))
     ver = probe_algebra(vp.presentation, vD, gen_degree_bound, max_ideals, side="right")
     agree = ambient.aggregate.kind == ver.aggregate.kind
@@ -261,4 +264,4 @@ def veronese_cross_check(p, n, D, gen_degree_bound=2, max_ideals=64):
     )
     return VeroneseCrossCheck(
         p.label, n, ambient.aggregate, ver.aggregate, agree, D, vD, vp.window, note
-    ), vp
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError, WindowTooShallow
 from .gbasis import complete_to_degree  # noqa: F401  (a binding the bench tracer patches)
-from .grmod import ModulePresentation, ModuleComponents, free_basis
+from .grmod import FreeModule, ModuleComponents, ModuleMap, free_basis
 from .linalg import SpanSolver, axpy
 
 STABLE_RUN = 4
@@ -157,10 +157,11 @@ def _window_from_components(tgb, lo, hi, dims, act_fn):
     return ZModuleWindow(tgb, lo, hi, dims, act)
 
 
-def transport_module(pres, tgb, lo, hi):
-    """Window module of the graded module coker(pres): (M_Z)_i = M_{-i}."""
-    comps = ModuleComponents(pres, tgb)
-    f0 = pres.f0
+def transport_module(relations, lo, hi):
+    """Window module of the graded module coker(relations): (M_Z)_i = M_{-i}."""
+    tgb = relations.tgb
+    comps = ModuleComponents(relations)
+    f0 = relations.target
 
     dims = {}
     bases = {}
@@ -184,7 +185,7 @@ def transport_module(pres, tgb, lo, hi):
 
 def projective_window(tgb, j, lo, hi):
     """P_j on the window: components A_ij = A_{j-i}."""
-    return transport_module(ModulePresentation.free(tgb, (-j,)), tgb, lo, hi)
+    return transport_module(ModuleMap(tgb, FreeModule(()), FreeModule((-j,)), {}), lo, hi)
 
 
 # --- Hom and cohproj Hom ---------------------------------------------------

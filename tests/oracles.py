@@ -379,13 +379,14 @@ def poly_in_ideal_bruteforce(p, q):
 def euler_characteristic_check(res):
     """sum_i (-1)^i dim P^i_d == dim M_d for d <= D; meaningful when the
     window loses no Tor (all syzygies of the last level vanish)."""
-    tgb = res.tgb
-    comps = ModuleComponents(res.pres, tgb)
+    tgb = res.relations.tgb
+    comps = ModuleComponents(res.relations)
+    modules = [res.p0_map.source] + [dmap.source for dmap in res.diffs]
     out = []
-    for d in range(res.D + 1):
+    for d in range(tgb.D + 1):
         total = 0
         sign = 1
-        for pmod in res.modules:
+        for pmod in modules:
             total += sign * free_dim(tgb, pmod, d)
             sign = -sign
         out.append(total == len(comps.basis(d)))

@@ -25,11 +25,7 @@ from cohprobe.gbasis import (
     hilbert_dims,
     opposite,
 )
-from cohprobe.grmod import (
-    ModulePresentation,
-    audit_resolution,
-    minimal_resolution,
-)
+from cohprobe.grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
 from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window, transport_module
@@ -71,25 +67,24 @@ def test_criterion_01_oracle_equivalence():
 
 
 def _free2_test_presentations(tgb):
-    """Deterministic suite of >= 20 module presentations over T(k^2)."""
+    """Deterministic suite of >= 20 module presentations over T(k^2), each
+    given by its relation map."""
     gt, fld = tgb.gt, tgb.field
     P = lambda s: parse_poly(gt, fld, s)
+    presented = lambda src, tgt, entries: ModuleMap(
+        tgb, FreeModule(tuple(src)), FreeModule(tuple(tgt)), entries)
     presentations = []
     singles = ["x", "y", "x*x", "x*y", "y*x", "y*y",
                "x - y", "x*y - y*x", "x*x - y*y", "x*y + y*x"]
     for text in singles:
         poly = P(text)
-        presentations.append(
-            ModulePresentation.of_map(tgb, (poly.degree,), (0,), {(0, 0): poly})
-        )
+        presentations.append(presented((poly.degree,), (0,), {(0, 0): poly}))
     pairs = [("x", "y"), ("x", "x - y"), ("y", "x - y"),
              ("x", "y*y"), ("y", "x*x"), ("x - y", "x*y")]
     for a, b in pairs:
         pa, pb = P(a), P(b)
         presentations.append(
-            ModulePresentation.of_map(
-                tgb, (pa.degree, pb.degree), (0,), {(0, 0): pa, (0, 1): pb}
-            )
+            presented((pa.degree, pb.degree), (0,), {(0, 0): pa, (0, 1): pb})
         )
     matrices = [
         [["x", "y"], ["y", "x"]],
@@ -106,13 +101,9 @@ def _free2_test_presentations(tgb):
                     poly = P(rows[k][l])
                     entries[(k, l)] = poly
                     shifts1[l] = poly.degree
-        presentations.append(
-            ModulePresentation.of_map(tgb, tuple(shifts1), (0, 0), entries)
-        )
+        presentations.append(presented(shifts1, (0, 0), entries))
     # trivial module over the free algebra
-    presentations.append(
-        ModulePresentation.of_map(tgb, (1, 1), (0,), {(0, 0): P("x"), (0, 1): P("y")})
-    )
+    presentations.append(presented((1, 1), (0,), {(0, 0): P("x"), (0, 1): P("y")}))
     return presentations
 
 
@@ -123,7 +114,7 @@ def test_criterion_02_tensor_algebra_coherence():
     presentations = _free2_test_presentations(tgb)
     assert len(presentations) >= 20
     for i, mp in enumerate(presentations):
-        tor = minimal_resolution(mp, tgb, 10).tor
+        tor = minimal_resolution(mp).tor
         assert tor[2] == [0] * 11, f"presentation {i}"
     agg = probe_algebra(_pres("free2"), 10)
     assert agg.aggregate.kind == "STABLE"
@@ -148,7 +139,7 @@ def test_criterion_04_example1_not_coherent():
     pres = _pres("example1")
     tgb = complete_to_degree(pres, 10)
     ideal = RightIdealSpec.from_strings(tgb, ["x"])
-    rep = probe_ideal(tgb, ideal, 10)
+    rep = probe_ideal(tgb, ideal)
     assert rep.profile == [0, 0] + [1] * 9
     assert rep.verdict.kind == "GROWING"
     oracle = ideal_syzygy_profile_oracle(tgb, ideal.gens, 8)
@@ -173,7 +164,7 @@ def test_criterion_05_example2_one_sided():
     assert left.witness_ideal == ["z"]
     tgb_op = complete_to_degree(opposite(pres), 10)
     witness = RightIdealSpec.from_strings(tgb_op, left.witness_ideal)
-    rep = probe_ideal(tgb_op, witness, 10)
+    rep = probe_ideal(tgb_op, witness)
     oracle = ideal_syzygy_profile_oracle(tgb_op, witness.gens, 8)
     assert rep.profile[:9] == oracle
     assert rep.profile == [0, 0] + [1] * 9
@@ -188,16 +179,16 @@ def test_criterion_06_remark_algebra():
     pres = _pres("remark")
     tgb = complete_to_degree(pres, 10)
     ideal = RightIdealSpec.from_strings(tgb, ["x*y"])
-    rep = probe_ideal(tgb, ideal, 10)
+    rep = probe_ideal(tgb, ideal)
     assert rep.verdict.kind == "GROWING"
     oracle = ideal_syzygy_profile_oracle(tgb, ideal.gens, 10)
     assert rep.profile == oracle
     assert [d for d, c in enumerate(rep.profile) if c] == [3, 5, 7, 9]
-    vp = veronese_presentation(pres, tgb, 2, 10)
+    vp = veronese_presentation(tgb, 2)
     assert vp.all_relations_monomial()
     assert vp.last_relation_degree() == 2
     assert vp.trailing_silence() >= 3
-    cc, _ = veronese_cross_check(pres, 2, 10)
+    cc = veronese_cross_check(vp)
     assert not cc.agree
     assert cc.ambient_verdict.kind == "GROWING"
     assert cc.veronese_verdict.kind == "STABLE"
@@ -210,14 +201,14 @@ def test_criterion_07_veronese_sanity():
     4^i; hilbert consistency dim A^(n)_i == dim A_(in) holds in every run."""
     comm = _pres("commutative_model")
     tgb = complete_to_degree(comm, 10)
-    vp = veronese_presentation(comm, tgb, 2, 10)
+    vp = veronese_presentation(tgb, 2)
     assert len(vp.generator_words) == 3
     assert {i: c for i, c in vp.relations_per_degree.items() if c} == {2: 4}
     assert vp.hilbert_internal == [1, 3, 5, 7, 9, 11]
     assert vp.hilbert_internal == vp.hilbert_ambient
     free2 = _pres("free2")
     tgb2 = complete_to_degree(free2, 10)
-    vp2 = veronese_presentation(free2, tgb2, 2, 10)
+    vp2 = veronese_presentation(tgb2, 2)
     assert all(c == 0 for c in vp2.relations_per_degree.values())
     assert vp2.hilbert_internal == [4 ** i for i in range(6)]
     assert vp2.hilbert_internal == vp2.hilbert_ambient
@@ -255,7 +246,7 @@ def test_criterion_08_serre_model_equivalence():
     pps = _six_presentations(tgb)
     direct = [coker_window(pp, tgb, lo, hi) for pp in pps]
     roundtrip = [
-        truncate_below(transport_module(gamma_star_presentation(pp, tgb), tgb, lo, hi), hi)
+        truncate_below(transport_module(gamma_star_presentation(pp, tgb), lo, hi), hi)
         for pp in pps
     ]
     for i in range(len(pps)):
@@ -273,7 +264,7 @@ def test_criterion_09_noetherian_base():
     agg = probe_algebra(pres, 10)
     assert agg.aggregate.kind == "STABLE"
     tgb = complete_to_degree(pres, 10)
-    stages = noetherian_chain_profile(tgb, 10)
+    stages = noetherian_chain_profile(tgb)
     assert stages == [True] * 5
     report(9, "coherent-but-not-Noetherian: probe STABLE, chain grows at all 5 stages")
 
@@ -294,22 +285,22 @@ def test_criterion_10_structural_audits():
     for label in ("free2", "xy_zero", "example2"):
         tgb = complete_to_degree(_pres(label), 8)
         gens = {(0, i): parse_poly(tgb.gt, tgb.field, n) for i, n in enumerate(tgb.gt.names)}
-        simple = ModulePresentation.of_map(tgb, tuple(tgb.gt.weights), (0,), gens)
-        audit = audit_resolution(minimal_resolution(simple, tgb, 8))
+        simple = ModuleMap(tgb, FreeModule(tuple(tgb.gt.weights)), FreeModule((0,)), gens)
+        audit = audit_resolution(minimal_resolution(simple))
         assert audit["minimal"] and audit["exact"] and audit["surjective"], label
     # probe/tor consistency on corpus witness ideals
     for label in ("free2", "xy_zero", "example1", "noetherian_base"):
         tgb = complete_to_degree(_pres(label), 8)
         entry = next(e for e in builtin_corpus(FAST) if e.label == label)
         ideal = RightIdealSpec.from_strings(tgb, entry.witness_right)
-        rep = probe_ideal(tgb, ideal, 8)
-        quotient = ModulePresentation.of_map(
+        rep = probe_ideal(tgb, ideal)
+        quotient = ModuleMap(
             tgb,
-            tuple(g.degree for g in ideal.gens),
-            (0,),
+            FreeModule(tuple(g.degree for g in ideal.gens)),
+            FreeModule((0,)),
             {(0, i): g for i, g in enumerate(ideal.gens)},
         )
-        assert minimal_resolution(quotient, tgb, 8).tor[2] == rep.profile, label
+        assert minimal_resolution(quotient).tor[2] == rep.profile, label
     # determinism: byte-identical JSON across runs
     argv = ["probe", str(ALGEBRAS / "example1.alg"), "--ideal", "x",
             "--field", "F32003", "--json", "-D", "8"]

@@ -160,6 +160,12 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def _tor_module(tmp_path, text):
     return ["tor", str(ALGEBRAS / "free2.alg"), "-D", "4",
             "--module", _write(tmp_path, "mod.json", text)]
@@ -203,6 +209,12 @@ BAD_INPUTS = {
     "negative tor length": lambda tmp: ["tor", str(ALGEBRAS / "xy_zero.alg"), "--length", "-2"],
     "negative hom range": lambda tmp: [
         "zalg", str(ALGEBRAS / "commutative.alg"), "--window=-2..8", "--hom-range", "-1"],
+    "zalg window top below 0": lambda tmp: [
+        "zalg", str(ALGEBRAS / "commutative.alg"), "--window=-8..-2"],
+    "algebra file not UTF-8": lambda tmp: ["hilbert", _write_bytes(
+        tmp, "bad.alg", b"label bad\ngen x 1\nrel x*x \xff\n"), "-D", "3"],
+    "module file not UTF-8": lambda tmp: ["tor", str(ALGEBRAS / "free2.alg"), "-D", "4",
+        "--module", _write_bytes(tmp, "mod.json", b'{"shifts0": [0], "matrix": [["\xff"]]}')],
 }
 
 

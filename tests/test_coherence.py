@@ -13,7 +13,7 @@ from cohprobe.coherence import (
     worst_verdict,
 )
 from cohprobe.gbasis import complete_to_degree, opposite
-from cohprobe.grmod import ModulePresentation, minimal_resolution
+from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
 from cohprobe.linalg import QQ
 
 from oracles import ideal_syzygy_profile_oracle
@@ -56,7 +56,7 @@ def test_ideal_spec_rejects_zero_and_units(tgb_fast):
 
 def test_probe_free_ideal_all_zero(tgb_fast):
     tgb = tgb_fast("free2")
-    rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x"]), 10)
+    rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x"]))
     assert rep.profile == [0] * 11
     assert rep.verdict.kind == "STABLE"
 
@@ -64,7 +64,7 @@ def test_probe_free_ideal_all_zero(tgb_fast):
 def test_probe_example1_x_matches_oracle(tgb_fast):
     tgb = tgb_fast("example1")
     ideal = RightIdealSpec.from_strings(tgb, ["x"])
-    rep = probe_ideal(tgb, ideal, 10)
+    rep = probe_ideal(tgb, ideal)
     assert rep.profile == [0, 0] + [1] * 9
     assert rep.verdict.kind == "GROWING"
     oracle = ideal_syzygy_profile_oracle(tgb, ideal.gens, 8)
@@ -77,7 +77,7 @@ def test_probe_example2_left_witness_matches_oracle(corpus_fast):
     pres = corpus_fast["example2"].presentation
     tgb_op = complete_to_degree(opposite(pres), 10)
     ideal = RightIdealSpec.from_strings(tgb_op, ["z"])
-    rep = probe_ideal(tgb_op, ideal, 10)
+    rep = probe_ideal(tgb_op, ideal)
     assert rep.verdict.kind == "GROWING"
     oracle = ideal_syzygy_profile_oracle(tgb_op, ideal.gens, 8)
     assert rep.profile[:9] == oracle
@@ -88,17 +88,17 @@ def test_probe_tor_consistency_corpus(tgb_fast, corpus_fast):
     # resolution of the cyclic quotient presented by the same generators
     for label in ("free2", "xy_zero", "example1", "example2",
                   "remark", "commutative_model", "noetherian_base"):
-        tgb = tgb_fast(label)
+        tgb = tgb_fast(label, 8)
         entry = corpus_fast[label]
         ideal = RightIdealSpec.from_strings(tgb, entry.witness_right)
-        rep = probe_ideal(tgb, ideal, 8)
-        quotient = ModulePresentation.of_map(
+        rep = probe_ideal(tgb, ideal)
+        quotient = ModuleMap(
             tgb,
-            tuple(g.degree for g in ideal.gens),
-            (0,),
+            FreeModule(tuple(g.degree for g in ideal.gens)),
+            FreeModule((0,)),
             {(0, i): g for i, g in enumerate(ideal.gens)},
         )
-        tor = minimal_resolution(quotient, tgb, 8).tor
+        tor = minimal_resolution(quotient).tor
         assert tor[2] == rep.profile, label
 
 
@@ -130,7 +130,7 @@ def test_verdict_monotonic_in_depth(corpus_fast):
         kinds = []
         for D in (8, 10, 12):
             tgb = complete_to_degree(pres, D)
-            rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, gens), D)
+            rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, gens))
             kinds.append(rep.verdict.kind)
         assert kinds == ["GROWING"] * 3, label
 
@@ -147,7 +147,7 @@ def test_enumerate_ideals_deterministic_and_capped(tgb_fast):
 
 def test_noetherian_chain(tgb_fast):
     tgb = tgb_fast("noetherian_base")
-    stages = noetherian_chain_profile(tgb, 10)
+    stages = noetherian_chain_profile(tgb)
     assert stages == [True] * 5
 
 
@@ -158,18 +158,18 @@ def test_noetherian_chain(tgb_fast):
     (["x*y", "y"], [0, 1, 1, 0, 0, 0, 0]),   # x*y is not in yA
 ], ids=["x", "x,x*y", "x,y", "x*y,y"])
 def test_ideal_tor0_profile(tgb_fast, texts, profile):
-    tgb = tgb_fast("free2")
+    tgb = tgb_fast("free2", 6)
     from cohprobe.freealg import parse_poly
 
     gens = [parse_poly(tgb.gt, tgb.field, t) for t in texts]
-    assert ideal_tor0_profile(tgb, gens, 6) == profile
+    assert ideal_tor0_profile(tgb, gens) == profile
 
 
 def test_probe_mixed_degree_ideal(tgb_fast):
     # J = (x, y^2) over xy=0: only syzygy source is ann(x) = yA, so one
     # generator (y, 0) at module degree 2
-    tgb = tgb_fast("xy_zero")
-    rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x", "y^2"]), 8)
+    tgb = tgb_fast("xy_zero", 8)
+    rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x", "y^2"]))
     assert rep.profile == [0, 0, 1, 0, 0, 0, 0, 0, 0]
     assert rep.verdict.kind == "STABLE" and rep.verdict.d0 == 2
 
@@ -181,7 +181,7 @@ def test_probe_profiles_field_independent(corpus_q, corpus_fast):
         profs = []
         for corpus in (corpus_q, corpus_fast):
             tgb = complete_to_degree(corpus[label].presentation, 8)
-            rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, gens), 8)
+            rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, gens))
             profs.append(rep.profile)
         assert profs[0] == profs[1], label
 

@@ -17,7 +17,7 @@ from cohprobe.gbasis import (
     opposite,
     validate_presentation,
 )
-from cohprobe.grmod import ModulePresentation, minimal_resolution
+from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 from oracles import (
     bar_tor_trivial_module,
@@ -157,7 +157,7 @@ def test_hilbert_agrees_with_oracle_all_corpus(corpus_fast, tgb_fast):
 def test_automaton_counts_match_enumeration(corpus_fast, tgb_fast):
     for label in corpus_fast:
         tgb = tgb_fast(label)
-        assert normal_word_counts(tgb, 10) == hilbert_dims(tgb, 10), label
+        assert normal_word_counts(tgb) == hilbert_dims(tgb, 10), label
 
 
 def test_opposite_involutive():
@@ -297,12 +297,17 @@ def test_random_presentations_against_references(case):
     tgb = complete_to_degree(p, 5)
     for q in polys:
         assert tgb.normal_form(q).terms == reference_normal_form(tgb, q.terms)
-    assert hilbert_dims(tgb, 5) == [component_dim_bruteforce(p, d) for d in range(6)]
+    dims = hilbert_dims(tgb, 5)
+    assert dims == [component_dim_bruteforce(p, d) for d in range(6)]
+    # reversing words is an anti-isomorphism A -> A^op: an involution on
+    # presentations, and completion of A^op finds the dimensions of A
+    assert [r.terms for r in opposite(opposite(p)).relations] == [r.terms for r in p.relations]
+    assert hilbert_dims(complete_to_degree(opposite(p), 5), 5) == dims
     # relations have degree >= 2, so the letter x is never zero in A
     ideal = RightIdealSpec.from_strings(tgb, ["x"])
-    assert probe_ideal(tgb, ideal, 5).profile == ideal_syzygy_profile_oracle(tgb, ideal.gens, 5)
-    k = ModulePresentation.of_map(
-        tgb, tuple(p.gens.weights), (0,),
+    assert probe_ideal(tgb, ideal).profile == ideal_syzygy_profile_oracle(tgb, ideal.gens, 5)
+    k = ModuleMap(
+        tgb, FreeModule(tuple(p.gens.weights)), FreeModule((0,)),
         {(0, i): NcPoly.monomial(p.gens, p.field, (i,)) for i in range(len(p.gens))},
     )
-    assert minimal_resolution(k, tgb, 5, length=2).tor == bar_tor_trivial_module(tgb, 5)
+    assert minimal_resolution(k, length=2).tor == bar_tor_trivial_module(tgb, 5)

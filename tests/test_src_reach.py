@@ -23,8 +23,12 @@ PACKAGE = Path(cohprobe.__file__).resolve().parent
 
 
 def defined_functions():
-    """(file name, qualified name) of every def in the package, dunders aside."""
-    found = set()
+    """(file name, first line) -> qualified name of every def in the package, dunders aside.
+
+    The first line is that of the code object: a decorated def starts at its
+    first decorator.
+    """
+    found = {}
 
     def walk(node, prefix, fname):
         for child in ast.iter_child_nodes(node):
@@ -32,7 +36,8 @@ def defined_functions():
                 walk(child, f"{prefix}{child.name}.", fname)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not (child.name.startswith("__") and child.name.endswith("__")):
-                    found.add((fname, prefix + child.name))
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(fname, first)] = prefix + child.name
                 walk(child, f"{prefix}{child.name}.<locals>.", fname)
             else:
                 walk(child, prefix, fname)
@@ -43,7 +48,7 @@ def defined_functions():
 
 
 def called_functions(run):
-    """(file name, qualified name) of every package function that run() calls."""
+    """(file name, first line) of every package code object that run() calls."""
     codes = set()
 
     def profiler(frame, event, arg):
@@ -57,7 +62,7 @@ def called_functions(run):
     finally:
         sys.setprofile(previous)
     return {
-        (Path(code.co_filename).name, code.co_qualname)
+        (Path(code.co_filename).name, code.co_firstlineno)
         for code in codes
         if Path(code.co_filename).resolve().parent == PACKAGE
     }
@@ -96,5 +101,7 @@ def test_cli_reaches_every_package_function(tmp_path):
             for case in BAD_INPUTS.values():
                 main(case(tmp_path))
 
-    unreached = defined_functions() - called_functions(run)
-    assert not unreached, sorted(unreached)
+    called = called_functions(run)
+    unreached = sorted(f"{key[0]}:{name}" for key, name in defined_functions().items()
+                       if key not in called)
+    assert not unreached, unreached

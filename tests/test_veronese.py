@@ -12,18 +12,17 @@ from cohprobe.veronese import (
 )
 
 
-def test_free2_veronese_relation_free(corpus_fast, tgb_fast):
-    pres = corpus_fast["free2"].presentation
-    vp = veronese_presentation(pres, tgb_fast("free2"), 2, 10, require_degree_one=True)
+def test_free2_veronese_relation_free(tgb_fast):
+    assert degree_one_generated(tgb_fast("free2"))
+    vp = veronese_presentation(tgb_fast("free2"), 2)
     assert len(vp.generator_words) == 4
     assert all(c == 0 for c in vp.relations_per_degree.values())
     assert vp.hilbert_internal == [4 ** i for i in range(6)]
     assert vp.hilbert_internal == vp.hilbert_ambient
 
 
-def test_commutative_veronese(corpus_fast, tgb_fast):
-    pres = corpus_fast["commutative_model"].presentation
-    vp = veronese_presentation(pres, tgb_fast("commutative_model"), 2, 10)
+def test_commutative_veronese(tgb_fast):
+    vp = veronese_presentation(tgb_fast("commutative_model"), 2)
     assert len(vp.generator_words) == 3
     # four independent quadratic relations: three commutators and the
     # determinantal one (hilbert forces 9 - 5 = 4, not 1)
@@ -32,27 +31,24 @@ def test_commutative_veronese(corpus_fast, tgb_fast):
     assert vp.hilbert_internal == vp.hilbert_ambient
 
 
-def test_remark_veronese_monomial_finite(corpus_fast, tgb_fast):
-    pres = corpus_fast["remark"].presentation
-    vp = veronese_presentation(pres, tgb_fast("remark"), 2, 10)
+def test_remark_veronese_monomial_finite(tgb_fast):
+    vp = veronese_presentation(tgb_fast("remark"), 2)
     assert vp.all_relations_monomial()
     assert vp.last_relation_degree() == 2
     assert vp.trailing_silence() >= 3
     assert vp.hilbert_internal == vp.hilbert_ambient == [1, 4, 5, 5, 5, 5]
 
 
-def test_pm_modules_free2(corpus_fast, tgb_fast):
-    reports = pm_module_presentations(corpus_fast["free2"].presentation, tgb_fast("free2"), 2, 10)
+def test_pm_modules_free2(tgb_fast):
+    reports = pm_module_presentations(tgb_fast("free2"), 2)
     assert [r.m for r in reports] == [0, 1]
     for r in reports:
         assert all(c == 0 for c in r.syzygy_profile)
         assert all(d == 0 for d in r.generator_degrees)
 
 
-def test_pm_modules_commutative(corpus_fast, tgb_fast):
-    reports = pm_module_presentations(
-        corpus_fast["commutative_model"].presentation, tgb_fast("commutative_model"), 2, 10
-    )
+def test_pm_modules_commutative(tgb_fast):
+    reports = pm_module_presentations(tgb_fast("commutative_model"), 2)
     p1 = reports[1]
     assert p1.syzygy_profile[1] > 0  # finitely many syzygies...
     assert all(c == 0 for c in p1.syzygy_profile[2:])  # ...then silence
@@ -67,33 +63,35 @@ def test_degree_one_generation_detector():
     tgb = complete_to_degree(pres, 8)
     assert not degree_one_generated(tgb)
     with pytest.raises(NotDegreeOneGenerated):
-        veronese_presentation(pres, tgb, 2, 8, require_degree_one=True)
+        pm_module_presentations(tgb, 2)
+    with pytest.raises(NotDegreeOneGenerated):
+        veronese_cross_check(veronese_presentation(tgb, 2))
 
 
 def test_veronese_of_veronese_hilbert(corpus_fast):
     pres = corpus_fast["commutative_model"].presentation
     tgb12 = complete_to_degree(pres, 12)
-    vp2 = veronese_presentation(pres, tgb12, 2, 12)
-    inner_tgb = complete_to_degree(vp2.presentation, 3)
-    vp22 = veronese_presentation(vp2.presentation, inner_tgb, 2, 3)
-    vp4 = veronese_presentation(pres, tgb12, 4, 12)
+    vp2 = veronese_presentation(tgb12, 2)
+    vp22 = veronese_presentation(complete_to_degree(vp2.presentation, 3), 2)
+    vp4 = veronese_presentation(tgb12, 4)
     shared = min(len(vp22.hilbert_internal), len(vp4.hilbert_internal))
     assert vp22.hilbert_internal[:shared] == vp4.hilbert_internal[:shared]
 
 
-def test_cross_checks(corpus_fast):
-    cc_free, _ = veronese_cross_check(corpus_fast["free2"].presentation, 2, 10)
+def test_cross_checks(tgb_fast):
+    cc_free = veronese_cross_check(veronese_presentation(tgb_fast("free2"), 2))
     assert cc_free.agree
     assert cc_free.ambient_verdict.kind == "STABLE"
-    cc_remark, vp = veronese_cross_check(corpus_fast["remark"].presentation, 2, 10)
+    vp = veronese_presentation(tgb_fast("remark"), 2)
+    cc_remark = veronese_cross_check(vp)
     assert not cc_remark.agree
     assert cc_remark.ambient_verdict.kind == "GROWING"
     assert cc_remark.veronese_verdict.kind == "STABLE"
     assert vp.all_relations_monomial()
 
 
-def test_cross_check_example1_both_growing(corpus_fast):
-    cc, _ = veronese_cross_check(corpus_fast["example1"].presentation, 2, 10)
+def test_cross_check_example1_both_growing(tgb_fast):
+    cc = veronese_cross_check(veronese_presentation(tgb_fast("example1"), 2))
     assert cc.agree
     assert cc.ambient_verdict.kind == "GROWING"
     assert cc.veronese_verdict.kind == "GROWING"
@@ -107,4 +105,4 @@ def test_hilbert_mismatch_hard_failure():
     pres = AlgebraPresentation(QQ, gt, [], label="weighted_free")
     tgb = complete_to_degree(pres, 8)
     with pytest.raises(HilbertMismatch):
-        veronese_presentation(pres, tgb, 2, 8)
+        veronese_presentation(tgb, 2)

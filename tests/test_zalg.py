@@ -3,7 +3,7 @@ import pytest
 from cohprobe.errors import WindowTooShallow
 from cohprobe.freealg import GeneratorTable, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.grmod import ModulePresentation
+from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import QQ
 from cohprobe.zalg import (
     ZAlgebraWindow,
@@ -77,20 +77,19 @@ def test_transport_projective(model_tgb):
 
 
 def test_transport_algebra_is_p0(model_tgb):
-    pres = ModulePresentation.free(model_tgb, (0,))
-    M = transport_module(pres, model_tgb, -4, 8)
+    M = transport_module(ModuleMap(model_tgb, FreeModule(()), FreeModule((0,)), {}), -4, 8)
     P0 = projective_window(model_tgb, 0, -4, 8)
     assert M.dims == P0.dims
     assert M.dim(0) == 1 and M.dim(-4) == 5
 
 
 def test_transport_simple(model_tgb):
-    pres = ModulePresentation.of_map(
-        model_tgb, (1, 1), (0,),
+    relations = ModuleMap(
+        model_tgb, FreeModule((1, 1)), FreeModule((0,)),
         {(0, 0): parse_poly(model_tgb.gt, model_tgb.field, "x"),
          (0, 1): parse_poly(model_tgb.gt, model_tgb.field, "y")},
     )
-    S = transport_module(pres, model_tgb, -4, 8)
+    S = transport_module(relations, -4, 8)
     assert S.dim(0) == 1
     assert all(S.dim(i) == 0 for i in range(-4, 9) if i != 0)
 
@@ -221,9 +220,9 @@ def test_tensor_iso_check():
 
 def test_gamma_star_projective(model_tgb):
     pp = ProjectivePresentation([], [2], {})
-    pres = gamma_star_presentation(pp, model_tgb)
-    assert pres.f0.shifts == (-2,)
-    assert len(pres.relations.source.shifts) == 0
+    relations = gamma_star_presentation(pp, model_tgb)
+    assert relations.target.shifts == (-2,)
+    assert len(relations.source.shifts) == 0
 
 
 def test_gamma_star_simple_vanishes_in_cohproj(model_tgb):
@@ -235,7 +234,7 @@ def test_gamma_star_simple_vanishes_in_cohproj(model_tgb):
         [-1, -1], [0],
         {(0, 0): parse_poly(gt, fld, "x"), (0, 1): parse_poly(gt, fld, "y")},
     )
-    rt = transport_module(gamma_star_presentation(pp, model_tgb), model_tgb, -6, 8)
+    rt = transport_module(gamma_star_presentation(pp, model_tgb), -6, 8)
     assert rt.dim(0) == 1 and all(rt.dim(i) == 0 for i in range(-6, 9) if i != 0)
     P1 = projective_window(model_tgb, 1, -6, 8)
     r = cohproj_hom(P1, rt)
@@ -247,7 +246,7 @@ def test_coker_window_matches_transport(model_tgb):
     fld = model_tgb.field
     pp = ProjectivePresentation([0], [1], {(0, 0): parse_poly(gt, fld, "x")})
     direct = coker_window(pp, model_tgb, -2, 10)
-    rt = transport_module(gamma_star_presentation(pp, model_tgb), model_tgb, -2, 10)
+    rt = transport_module(gamma_star_presentation(pp, model_tgb), -2, 10)
     assert direct.dims == rt.dims
     for c in range(3):
         Pc = projective_window(model_tgb, c, -2, 10)

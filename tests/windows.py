@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from cohprobe.errors import InputError
 from cohprobe.freealg import GeneratorTable
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.grmod import FreeModule, ModuleMap, ModulePresentation
+from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import QQ, SpanSolver, axpy
 from cohprobe.zalg import ZModuleWindow, _window_from_components
 
@@ -122,12 +122,13 @@ class ProjectivePresentation:
 
 
 def gamma_star_presentation(pp, tgb):
-    """Transport a projective presentation back to a graded presentation:
-    P_j corresponds to the free module with shift -j."""
+    """Transport a projective presentation back to a graded presentation,
+    returned as its relation map: P_j corresponds to the free module with
+    shift -j."""
     pp.validate()
     src = FreeModule(tuple(-a for a in pp.source_indices))
     tgt = FreeModule(tuple(-b for b in pp.target_indices))
-    return ModulePresentation(ModuleMap(tgb, src, tgt, dict(pp.entries)))
+    return ModuleMap(tgb, src, tgt, dict(pp.entries))
 
 
 def coker_window(pp, tgb, lo, hi):
