@@ -218,10 +218,9 @@ def cmd_probe(args):
             ideal = RightIdealSpec.from_strings(tgb, texts)
             blocks[side] = {"ideal": probe_ideal(tgb, ideal).to_dict()}
     else:
+        tgb = complete_to_degree(pres, D)
         for side in sides:
-            agg = probe_algebra(
-                pres, D, args.gen_degree_bound, args.max_ideals, side=side
-            )
+            agg = probe_algebra(tgb, args.gen_degree_bound, args.max_ideals, side=side)
             blocks[side] = agg.to_dict()
     report["probe"] = blocks
 
@@ -351,9 +350,11 @@ def cmd_corpus(args):
         dims = hilbert_dims(tgb, bound)
         oracle = [component_dim_bruteforce(pres, d) for d in range(bound + 1)]
         check(entry.label, "hilbert==oracle(d<=6)", dims == oracle, True)
-        right = probe_algebra(pres, D, 2, args.max_ideals, side="right")
+        # left first: its opposite basis, product tables included, is freed
+        # before the right probe fills the tables of tgb
+        left = probe_algebra(tgb, 2, args.max_ideals, side="left")
+        right = probe_algebra(tgb, 2, args.max_ideals, side="right")
         check(entry.label, "right aggregate", right.aggregate.kind, entry.expected_right)
-        left = probe_algebra(pres, D, 2, args.max_ideals, side="left")
         check(entry.label, "left aggregate", left.aggregate.kind, entry.expected_left)
         if entry.label == "noetherian_base":
             chain = noetherian_chain_profile(tgb)

@@ -185,10 +185,12 @@ def enumerate_ideals(tgb, gen_degree_bound, max_ideals):
     return ideals[:max_ideals]
 
 
-def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
-    """Probe every enumerated ideal and aggregate the worst verdict.
+def probe_algebra(tgb, gen_degree_bound=2, max_ideals=64, side="right"):
+    """Probe every enumerated ideal of the algebra of tgb, up to its bound,
+    and aggregate the worst verdict.
 
-    The left variant probes the opposite presentation; its ideals live in
+    The right variant probes tgb itself.  The left variant probes the
+    opposite presentation, completed to the same bound; its ideals live in
     opposite coordinates.  Raises InputError when no ideal is enumerated, so
     that no verdict is ever aggregated over zero ideals, and when max_ideals
     < 1, which would slice the enumeration from its end.
@@ -197,8 +199,9 @@ def probe_algebra(p, D, gen_degree_bound=2, max_ideals=64, side="right"):
         raise InputError("side must be 'right' or 'left'")
     if max_ideals < 1:
         raise InputError(f"max ideals {max_ideals} < 1")
-    probed = p if side == "right" else opposite(p)
-    tgb = complete_to_degree(probed, D)
+    p, D = tgb.presentation, tgb.D
+    if side == "left":
+        tgb = complete_to_degree(opposite(p), D)
     ideals = enumerate_ideals(tgb, gen_degree_bound, max_ideals)
     if not ideals:
         raise InputError(

@@ -10,7 +10,6 @@ comparison is total, and the order is admissible: u < v implies aub < avb.
 from __future__ import annotations
 
 from .errors import InhomogeneousSum, InputError, ParseError, ZeroDegreeGenerator
-from .linalg import axpy
 
 EMPTY_WORD = ()
 
@@ -129,6 +128,7 @@ class NcPoly:
         """Collect (word, scalar) items, checking homogeneity and dropping zeros."""
         terms = {}
         degree = None
+        one = field.one()
         for word, coeff in items:
             word = tuple(word)
             d = gt.word_degree(word)
@@ -136,12 +136,7 @@ class NcPoly:
                 degree = d
             elif d != degree:
                 raise InhomogeneousSum(f"mixed degrees {degree} and {d}")
-            cur = terms.get(word)
-            nv = coeff if cur is None else field.add(cur, coeff)
-            if field.is_zero(nv):
-                terms.pop(word, None)
-            else:
-                terms[word] = nv
+            field.axpy(terms, one, {word: coeff})
         return cls(terms, degree if terms else None)
 
     @classmethod
@@ -170,14 +165,12 @@ def poly_add(field, p, q):
     if p.degree != q.degree:
         raise InhomogeneousSum(f"cannot add degrees {p.degree} and {q.degree}")
     terms = dict(p.terms)
-    axpy(field, terms, field.one(), q.terms)
+    field.axpy(terms, field.one(), q.terms)
     return NcPoly(terms, p.degree if terms else None)
 
 
 def poly_scale(field, coeff, p):
-    if field.is_zero(coeff) or p.is_zero():
-        return NcPoly({}, None)
-    return NcPoly({w: field.mul(coeff, c) for w, c in p.terms.items()}, p.degree)
+    return NcPoly(field.scale(coeff, p.terms), p.degree)
 
 
 def poly_mul(field, p, q):
@@ -185,7 +178,7 @@ def poly_mul(field, p, q):
         return NcPoly({}, None)
     terms = {}
     for w1, c1 in p.terms.items():
-        axpy(field, terms, c1, {w1 + w2: c2 for w2, c2 in q.terms.items()})
+        field.axpy(terms, c1, {w1 + w2: c2 for w2, c2 in q.terms.items()})
     return NcPoly(terms, p.degree + q.degree if terms else None)
 
 

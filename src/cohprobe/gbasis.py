@@ -30,7 +30,7 @@ from .freealg import (
     word_key,
     word_str,
 )
-from .linalg import SpanSolver, axpy
+from .linalg import SpanSolver
 
 
 @dataclass
@@ -156,6 +156,7 @@ class TruncatedGroebnerBasis:
         for g in elements:
             self._index.insert(leading_word(self.gt, g), g)
         self._nf_cache = {}
+        self._products = {}
         self._normal_words = {}
         self._normal_index = {}
 
@@ -170,6 +171,29 @@ class TruncatedGroebnerBasis:
         self._nf_cache[word] = result
         return result
 
+    def products(self, e, word, on_left=False):
+        """The product table of word at degree e; memoized per (e, word, side).
+
+        Row i is NF(u * word), or NF(word * u) with on_left, for u the i-th
+        word of normal_words(e), as {index: coeff} over normal_index(e +
+        deg word).  The rows read the normal-form memo but are not written
+        to it, so each product is stored once, here.  Callers only read the
+        rows.
+        """
+        key = (e, word, on_left)
+        rows = self._products.get(key)
+        if rows is None:
+            idx = self.normal_index(e + self.gt.word_degree(word))
+            one = self.field.one()
+            rows = []
+            for u in self.normal_words(e):
+                nf = _reduce_terms(
+                    {word + u if on_left else u + word: one}, self._index, memo=self._nf_cache
+                )
+                rows.append({idx[t]: c for t, c in nf.items()})
+            self._products[key] = rows
+        return rows
+
     def normal_form(self, q):
         """Normal form of a homogeneous polynomial of degree <= D; linear, idempotent."""
         if q.is_zero():
@@ -178,7 +202,7 @@ class TruncatedGroebnerBasis:
             raise DegreeBoundExceeded(f"degree {q.degree} > bound {self.D}")
         out = {}
         for w, c in q.terms.items():
-            axpy(self.field, out, c, self.normal_form_word(w))
+            self.field.axpy(out, c, self.normal_form_word(w))
         return NcPoly(out, q.degree if out else None)
 
     # --- normal word bases --------------------------------------------
@@ -266,8 +290,9 @@ class _LeadIndex:
         """(start, end, reducer) of the leftmost lead word in word, the
         shortest one at that start; None when word is normal."""
         n = len(word)
+        root = self.root
         for i in range(n):
-            node = self.root
+            node = root
             for j in range(i, n):
                 node = node.get(word[j])
                 if node is None:
@@ -303,36 +328,39 @@ def _reduce_terms(terms, index, memo=None):
     a / gcd(a, c), and lam carries the product of the scales, so result /
     lam is the exact normal form.  Over F_p a = 1 and nothing is scaled.
     A memo hit, an exact normal form, is used the same way, with a the lcm
-    of its denominators.
+    of its denominators.  Rewrites add plain integers to the pending words;
+    the field puts a word's value in canonical form only when the word is
+    popped, so a word whose value cancelled is skipped then.
     """
     if not terms:
         return {}
     fld = index.field
-    mul, add, is_zero = fld.mul, fld.add, fld.is_zero
-    neg_prec = index.neg_prec
+    axpy, canonical, find = fld.axpy, fld.canonical, index.find
+    push, pop = heapq.heappush, heapq.heappop
+    neg_prec = index.neg_prec.__getitem__
     lam, pending = fld.integral(terms)
     pending = dict(pending)
-    heap = [(tuple([neg_prec[x] for x in w]), w) for w in pending]
+    heap = [(tuple(map(neg_prec, w)), w) for w in pending]
     heapq.heapify(heap)
     result = {}
 
     while heap:
-        w = heapq.heappop(heap)[1]
-        c = pending.pop(w, None)
-        if c is None:  # cancelled, or a second heap entry
+        w = pop(heap)[1]
+        # a word enters the heap once, when it first becomes pending, and
+        # never becomes pending again: rewrites only make smaller words
+        c = canonical(pending.pop(w))
+        if not c:  # cancelled
             continue
         hit = memo.get(w) if memo is not None else None
         if hit is not None:
             a, hit = fld.integral(hit)
         else:
-            pos = index.find(w)
+            pos = find(w)
             if pos is None:
-                cur = result.get(w)
-                nv = c if cur is None else add(cur, c)
-                if is_zero(nv):
-                    result.pop(w, None)
+                if w in result:  # put there by a memo hit
+                    axpy(result, 1, {w: c})
                 else:
-                    result[w] = nv
+                    result[w] = c
                 continue
             i, j, (a, tail) = pos
         if a != 1:
@@ -340,28 +368,21 @@ def _reduce_terms(terms, index, memo=None):
             c //= g
             s = a // g
             if s != 1:
-                for k in pending:
-                    pending[k] *= s
-                for k in result:
-                    result[k] *= s
+                pending = {k: v * s for k, v in pending.items()}
+                result = {k: v * s for k, v in result.items()}
                 lam *= s
         if hit is not None:
-            axpy(fld, result, c, hit)
+            axpy(result, c, hit)
             continue
         prefix, suffix = w[:i], w[j:]
         for t, tc in tail:
             nw = prefix + t + suffix
-            nv = mul(c, tc)
             cur = pending.get(nw)
             if cur is None:
-                pending[nw] = nv
-                heapq.heappush(heap, (tuple([neg_prec[x] for x in nw]), nw))
-                continue
-            nv = add(cur, nv)
-            if is_zero(nv):
-                del pending[nw]
+                pending[nw] = c * tc
+                push(heap, (tuple(map(neg_prec, nw)), nw))
             else:
-                pending[nw] = nv
+                pending[nw] = cur + c * tc
     return {w: fld.of_fraction(v, lam) for w, v in result.items()}
 
 

@@ -10,11 +10,12 @@ so all coordinates and witnesses are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError
 from .freealg import NcPoly, poly_str
-from .linalg import SpanSolver, axpy, kernel_basis
+from .linalg import SpanSolver, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -83,55 +84,69 @@ class ModuleMap:
             self.entries[(k, l)] = poly
 
     def component_columns(self, d):
-        """Columns of the degree-d component matrix over the target basis index."""
+        """Columns of the degree-d component matrix over the target basis index.
+
+        The column of e_l * u is the sum over the terms c * w of the entries
+        (k, l) of c times row u of the left-product table of w, shifted to
+        block k.  A single unit term in the first block is the table itself,
+        so such columns share its row dicts: callers only read columns.
+        """
         tgb = self.tgb
         fld = tgb.field
+        one = fld.one()
         tgt_off = _block_offsets(tgb, self.target, d)
         cols = []
         for l, s in enumerate(self.source.shifts):
-            if d - s < 0:
+            e = d - s
+            if e < 0:
                 continue
-            polys = [(k, self.entries[(k, l)]) for k in range(len(self.target)) if (k, l) in self.entries]
-            for u in tgb.normal_words(d - s):
+            terms = [
+                (tgt_off[k], c, tgb.products(e, w, on_left=True))
+                for k in range(len(self.target)) if (k, l) in self.entries
+                for w, c in self.entries[(k, l)].terms.items()
+            ]
+            if len(terms) == 1 and terms[0][0] == 0 and terms[0][1] == one:
+                cols.extend(terms[0][2])
+                continue
+            for i in range(tgb.dim(e)):
                 vec = {}
-                for k, a in polys:
-                    idx = tgb.normal_index(d - self.target.shifts[k])
-                    image = {}
-                    for w, c in a.terms.items():
-                        axpy(fld, image, c, tgb.normal_form_word(w + u))
-                    for t, v in image.items():
-                        vec[tgt_off[k] + idx[t]] = v
+                for off, c, rows in terms:
+                    fld.axpy(vec, c, _shifted(rows[i], off))
                 cols.append(vec)
         return cols
+
+
+def _shifted(row, off):
+    """row with every index moved by off; row itself when off is 0."""
+    return {off + t: v for t, v in row.items()} if off else row
 
 
 def push_up(tgb, fm, d_from, vectors, word):
     """Right-multiply coordinate vectors at degree d_from by a word.
 
     vectors are indexed over free_basis(tgb, fm, d_from); the products are
-    indexed over free_basis at d_from + deg(word).  The basis, the block
-    offsets and the product of each basis pair with word are built once
-    per call, not once per vector.
+    indexed over free_basis at d_from + deg(word).  Coordinate i is the pair
+    (k, u), k found from the block offsets; its product is row u of the
+    right-product table of word, shifted to block k once per call.
     """
     if not vectors:
         return []
     fld = tgb.field
-    basis_from = free_basis(tgb, fm, d_from)
-    d_to = d_from + tgb.gt.word_degree(word)
-    offsets = _block_offsets(tgb, fm, d_to)
-    products = {}
+    starts = _block_offsets(tgb, fm, d_from)
+    offsets = _block_offsets(tgb, fm, d_from + tgb.gt.word_degree(word))
+    prods = {}
     out = []
     for vec in vectors:
         pushed = {}
         for i, c in vec.items():
-            prod = products.get(i)
+            prod = prods.get(i)
             if prod is None:
-                k, u = basis_from[i]
-                idx = tgb.normal_index(d_to - fm.shifts[k])
-                prod = products[i] = {
-                    offsets[k] + idx[t]: tc for t, tc in tgb.normal_form_word(u + word).items()
-                }
-            axpy(fld, pushed, c, prod)
+                # the last block starting at or before i; empty blocks share
+                # their start with the next one
+                k = bisect_right(starts, i) - 1
+                rows = tgb.products(d_from - fm.shifts[k], word)
+                prod = prods[i] = _shifted(rows[i - starts[k]], offsets[k])
+            fld.axpy(pushed, c, prod)
         out.append(pushed)
     return out
 
@@ -390,7 +405,7 @@ def audit_resolution(res):
                     continue
                 image = {}
                 for j, c in cols[offsets[l]].items():
-                    axpy(fld, image, c, outer[j])
+                    fld.axpy(image, c, outer[j])
                 in_kernel = both.contains(image) if i == 0 else not image
                 if not in_kernel:
                     findings["exact"] = False

@@ -4,7 +4,9 @@ Every degreewise computation in the package reduces to rank, kernel and
 span-membership questions over an exact field.  Vectors are sparse dicts
 ``{index: scalar}`` with no stored zeros; a matrix is a list of column
 vectors.  Pivoting is deterministic (leftmost nonzero), so every downstream
-report is reproducible byte for byte.
+report is reproducible byte for byte.  Each field owns its accumulate loop
+(``axpy``), ``scale`` and ``canonical``, on plain ints mod p for F_p, so
+the inner loops make no per-scalar method calls.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ class Rationals:
         m = lcm(*(v.denominator for v in terms.values()))
         return m, {k: v.numerator * (m // v.denominator) for k, v in terms.items()}
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
+    def canonical(self, n):
+        """The integral value n in canonical form: n itself over Q."""
+        return n
 
     def neg(self, a):
         return -a
@@ -43,8 +43,24 @@ class Rationals:
     def inv(self, a):
         return 1 / a
 
-    def is_zero(self, a):
-        return a == 0
+    def axpy(self, target, coeff, source):
+        """target += coeff * source for sparse vectors, in place, dropping zeros."""
+        get = target.get
+        for c, v in source.items():
+            nv = coeff * v
+            cur = get(c)
+            if cur is not None:
+                nv += cur
+            if nv:
+                target[c] = nv
+            else:
+                target.pop(c, None)
+
+    def scale(self, a, vec):
+        """a * vec as a new sparse vector."""
+        if not a:
+            return {}
+        return {c: a * v for c, v in vec.items()}
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -86,11 +102,9 @@ class PrimeField:
         """(1, terms): residues already are integers; the dict is not copied."""
         return 1, terms
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+    def canonical(self, n):
+        """The integral value n in canonical form: its residue in range(p)."""
+        return n % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -98,8 +112,23 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def is_zero(self, a):
-        return a == 0
+    def axpy(self, target, coeff, source):
+        """target += coeff * source for sparse vectors, in place, dropping zeros."""
+        p = self.p
+        get = target.get
+        for c, v in source.items():
+            nv = (get(c, 0) + coeff * v) % p
+            if nv:
+                target[c] = nv
+            else:
+                target.pop(c, None)
+
+    def scale(self, a, vec):
+        """a * vec as a new sparse vector."""
+        if not a:
+            return {}
+        p = self.p
+        return {c: a * v % p for c, v in vec.items()}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -123,20 +152,6 @@ def parse_field(spec):
     if s.startswith("F") and digits.strip().isdecimal():
         return PrimeField(int(digits))
     raise InputError(f"unknown field spec {spec!r}")
-
-
-def axpy(field, target, coeff, source):
-    """target += coeff * source for sparse vectors, in place, dropping zeros."""
-    mul, add, is_zero = field.mul, field.add, field.is_zero
-    for c, v in source.items():
-        nv = mul(coeff, v)
-        cur = target.get(c)
-        if cur is not None:
-            nv = add(cur, nv)
-        if is_zero(nv):
-            target.pop(c, None)
-        else:
-            target[c] = nv
 
 
 class SpanSolver:
@@ -176,9 +191,9 @@ class SpanSolver:
                 break
             c = min(hits)
             coeff = residue[c]
-            axpy(f, residue, f.neg(coeff), self.pivot_rows[c])
+            f.axpy(residue, f.neg(coeff), self.pivot_rows[c])
             if self.track:
-                axpy(f, expr, coeff, self.exprs[c])
+                f.axpy(expr, coeff, self.exprs[c])
         return residue, expr
 
     def add(self, vec, tag=None):
@@ -192,13 +207,12 @@ class SpanSolver:
             return False
         f = self.field
         lead = min(residue)
-        scale = f.inv(residue[lead])
-        self.pivot_rows[lead] = {c: f.mul(scale, v) for c, v in residue.items()}
+        inv = f.inv(residue[lead])
+        self.pivot_rows[lead] = f.scale(inv, residue)
         if self.track:
-            row_expr = {}
-            axpy(f, row_expr, f.neg(scale), expr)
+            row_expr = f.scale(f.neg(inv), expr)
             if tag is not None:
-                axpy(f, row_expr, scale, {tag: f.one()})
+                f.axpy(row_expr, inv, {tag: f.one()})
             self.exprs[lead] = row_expr
         return True
 
@@ -222,7 +236,6 @@ def kernel_basis(field, columns):
         if solver._insert(residue, expr, j):
             continue
         vec = {j: one}
-        for t, c in expr.items():
-            vec[t] = field.neg(c)
+        field.axpy(vec, field.neg(one), expr)
         out.append(vec)
     return out

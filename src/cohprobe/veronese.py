@@ -251,10 +251,12 @@ def veronese_cross_check(vp, gen_degree_bound=2, max_ideals=64):
     p, n, D = tgb.presentation, vp.n, tgb.D
     if not degree_one_generated(tgb):
         raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
-    ambient = probe_algebra(p, D, gen_degree_bound, max_ideals, side="right")
+    ambient = probe_algebra(tgb, gen_degree_bound, max_ideals, side="right")
     vD = _affordable_depth(vp.presentation, D)
     vD = min(D, max(vD, STABILITY_MARGIN + 2))
-    ver = probe_algebra(vp.presentation, vD, gen_degree_bound, max_ideals, side="right")
+    ver = probe_algebra(
+        complete_to_degree(vp.presentation, vD), gen_degree_bound, max_ideals, side="right"
+    )
     agree = ambient.aggregate.kind == ver.aggregate.kind
     note = (
         f"veronese probe depth {vD} exceeds the discovery window {vp.window}; "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import DegreeBoundExceeded, InputError, WindowTooShallow
 from .gbasis import complete_to_degree  # noqa: F401  (a binding the bench tracer patches)
 from .grmod import FreeModule, ModuleComponents, ModuleMap, free_basis
-from .linalg import SpanSolver, axpy
+from .linalg import SpanSolver
 
 STABLE_RUN = 4
 MIN_LEVELS = 6
@@ -108,10 +108,10 @@ class ZAlgebraWindow:
                 for zi in range(dim_z):
                     left = {}
                     for t, c in xy.items():
-                        axpy(fld, left, c, m_jl_i[(t, zi)])
+                        fld.axpy(left, c, m_jl_i[(t, zi)])
                     right = {}
                     for t, c in m_jk_i[(yi, zi)].items():
-                        axpy(fld, right, c, m_kl_i2[(xi, t)])
+                        fld.axpy(right, c, m_kl_i2[(xi, t)])
                     if left != right:
                         return False
         return True

@@ -11,7 +11,44 @@ import heapq
 from cohprobe.freealg import leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
 from cohprobe.grmod import ModuleComponents, free_dim
-from cohprobe.linalg import axpy
+
+
+# Generic field arithmetic: a plain + or * on the values, then the field's own
+# embedding of fractions (of_fraction) normalizes the result.
+
+
+def field_add(field, a, b):
+    return field.of_fraction(a + b, 1)
+
+
+def field_mul(field, a, b):
+    return field.of_fraction(a * b, 1)
+
+
+def is_zero(a):
+    return a == 0
+
+
+def reference_axpy(field, target, coeff, source):
+    """target += coeff * source one scalar at a time, dropping zeros."""
+    for c, v in source.items():
+        nv = field_mul(field, coeff, v)
+        if c in target:
+            nv = field_add(field, target[c], nv)
+        if is_zero(nv):
+            target.pop(c, None)
+        else:
+            target[c] = nv
+
+
+def reference_scale(field, a, vec):
+    """a * vec one scalar at a time, dropping zeros."""
+    out = {}
+    for c, v in vec.items():
+        nv = field_mul(field, a, v)
+        if not is_zero(nv):
+            out[c] = nv
+    return out
 
 
 def _reduce_row(field, row, pivots):
@@ -27,8 +64,8 @@ def _reduce_row(field, row, pivots):
         coeff = row[hit]
         for c, v in pivots[hit].items():
             cur = row.get(c, field.of_fraction(0, 1))
-            nv = field.add(cur, field.neg(field.mul(coeff, v)))
-            if field.is_zero(nv):
+            nv = field_add(field, cur, field.neg(field_mul(field, coeff, v)))
+            if is_zero(nv):
                 row.pop(c, None)
             else:
                 row[c] = nv
@@ -43,7 +80,7 @@ def span_rank(field, vectors):
             continue
         lead = max(row)
         inv = field.inv(row[lead])
-        pivots[lead] = {c: field.mul(inv, v) for c, v in row.items()}
+        pivots[lead] = {c: field_mul(field, inv, v) for c, v in row.items()}
     return len(pivots)
 
 
@@ -55,7 +92,7 @@ def span_contains(field, vectors, probe):
             continue
         lead = max(row)
         inv = field.inv(row[lead])
-        pivots[lead] = {c: field.mul(inv, v) for c, v in row.items()}
+        pivots[lead] = {c: field_mul(field, inv, v) for c, v in row.items()}
     return not _reduce_row(field, probe, pivots)
 
 
@@ -91,8 +128,8 @@ def hom_dim_oracle(m1, m2):
                             v = act2[rp][a].get(r) if act2 else None
                             if v is not None:
                                 key = unknowns[(j, rp, b)]
-                                row[key] = fld.add(row.get(key, fld.of_fraction(0, 1)), fld.neg(v))
-                        rows.append({k: v for k, v in row.items() if not fld.is_zero(v)})
+                                row[key] = field_add(fld, row.get(key, fld.of_fraction(0, 1)), fld.neg(v))
+                        rows.append({k: v for k, v in row.items() if not is_zero(v)})
     return len(unknowns) - span_rank(fld, rows)
 
 
@@ -123,8 +160,8 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
                 for t, tc in tgb.normal_form_word(gw + w).items():
                     col = tgt_index[t]
                     cur = vec.get(col, fld.of_fraction(0, 1))
-                    nv = fld.add(cur, fld.mul(gc, tc))
-                    if fld.is_zero(nv):
+                    nv = field_add(fld, cur, field_mul(fld, gc, tc))
+                    if is_zero(nv):
                         vec.pop(col, None)
                     else:
                         vec[col] = nv
@@ -151,15 +188,15 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
                 prow, pcert = pivots[hit]
                 for c, v in prow.items():
                     cur = row.get(c, fld.of_fraction(0, 1))
-                    nv = fld.add(cur, fld.neg(fld.mul(coeff, v)))
-                    if fld.is_zero(nv):
+                    nv = field_add(fld, cur, fld.neg(field_mul(fld, coeff, v)))
+                    if is_zero(nv):
                         row.pop(c, None)
                     else:
                         row[c] = nv
                 for c, v in pcert.items():
                     cur = cert.get(c, fld.of_fraction(0, 1))
-                    nv = fld.add(cur, fld.neg(fld.mul(coeff, v)))
-                    if fld.is_zero(nv):
+                    nv = field_add(fld, cur, fld.neg(field_mul(fld, coeff, v)))
+                    if is_zero(nv):
                         cert.pop(c, None)
                     else:
                         cert[c] = nv
@@ -167,8 +204,8 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
                 lead = max(row)
                 inv = fld.inv(row[lead])
                 pivots[lead] = (
-                    {c: fld.mul(inv, v) for c, v in row.items()},
-                    {c: fld.mul(inv, v) for c, v in cert.items()},
+                    {c: field_mul(fld, inv, v) for c, v in row.items()},
+                    {c: field_mul(fld, inv, v) for c, v in cert.items()},
                 )
             else:
                 kernel.append(cert)
@@ -187,8 +224,8 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
             for t, tc in tgb.normal_form_word(u + word).items():
                 n = pos[(i, t)]
                 cur = out.get(n, fld.of_fraction(0, 1))
-                nv = fld.add(cur, fld.mul(c, tc))
-                if fld.is_zero(nv):
+                nv = field_add(fld, cur, field_mul(fld, c, tc))
+                if is_zero(nv):
                     out.pop(n, None)
                 else:
                     out[n] = nv
@@ -262,10 +299,10 @@ def bar_tor_trivial_module(tgb, D, i_max=2):
                 for w, c in prod.items():
                     key = chain[:cut] + (w,) + chain[cut + 2:]
                     n = tpos[key]
-                    coeff = fld.mul(sign, c) if cut % 2 == 0 else c
+                    coeff = field_mul(fld, sign, c) if cut % 2 == 0 else c
                     cur = vec.get(n, fld.of_fraction(0, 1))
-                    nv = fld.add(cur, coeff)
-                    if fld.is_zero(nv):
+                    nv = field_add(fld, cur, coeff)
+                    if is_zero(nv):
                         vec.pop(n, None)
                     else:
                         vec[n] = nv
@@ -316,17 +353,17 @@ def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=No
             continue
         in_heap.discard(w)
         c = pending.pop(w, None)
-        if c is None or fld.is_zero(c):
+        if c is None or is_zero(c):
             continue
         hit = memo.get(w) if memo is not None else None
         if hit is not None:
-            axpy(fld, result, c, hit)
+            reference_axpy(fld, result, c, hit)
             continue
         pos = _find_factor(w, leads_by_len, lead_lens)
         if pos is None:
             cur = result.get(w)
-            nv = c if cur is None else fld.add(cur, c)
-            if fld.is_zero(nv):
+            nv = c if cur is None else field_add(fld, cur, c)
+            if is_zero(nv):
                 result.pop(w, None)
             else:
                 result[w] = nv
@@ -339,10 +376,10 @@ def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=No
             if t == lead:
                 continue
             nw = prefix + t + suffix
-            add = fld.neg(fld.mul(c, tc))
+            add = fld.neg(field_mul(fld, c, tc))
             cur = pending.get(nw)
-            nv = add if cur is None else fld.add(cur, add)
-            if fld.is_zero(nv):
+            nv = add if cur is None else field_add(fld, cur, add)
+            if is_zero(nv):
                 pending.pop(nw, None)
                 in_heap.discard(nw)
             else:
@@ -409,14 +446,14 @@ def _fold(m, b, j, word):
         out = {}
         if ai is not None:
             for bb, c in vec.items():
-                axpy(fld, out, c, tensor[bb][ai])
+                reference_axpy(fld, out, c, tensor[bb][ai])
         else:
             # the letter itself is not a normal word; expand it
             idx = tgb.normal_index(w)
             for t, tc in tgb.normal_form_word((letter,)).items():
                 aj = idx[t]
                 for bb, c in vec.items():
-                    axpy(fld, out, fld.mul(c, tc), tensor[bb][aj])
+                    reference_axpy(fld, out, field_mul(fld, c, tc), tensor[bb][aj])
         vec = out
         cur = nxt
         if not vec:

@@ -116,7 +116,7 @@ def test_criterion_02_tensor_algebra_coherence():
     for i, mp in enumerate(presentations):
         tor = minimal_resolution(mp).tor
         assert tor[2] == [0] * 11, f"presentation {i}"
-    agg = probe_algebra(_pres("free2"), 10)
+    agg = probe_algebra(complete_to_degree(_pres("free2"), 10))
     assert agg.aggregate.kind == "STABLE"
     report(2, f"{len(presentations)} presentations with Tor_2 == 0; probe STABLE")
 
@@ -146,7 +146,7 @@ def test_criterion_04_example1_not_coherent():
     assert rep.profile[:9] == oracle
     witnesses = {d: comps for d, comps in rep.witness}
     assert witnesses[10] == ["z^8*y"]
-    left = probe_algebra(pres, 10, side="left")
+    left = probe_algebra(complete_to_degree(pres, 10), side="left")
     assert left.aggregate.kind == "GROWING"
     report(4, "J=(x) grows one syzygy per degree (z^n y); left probe GROWING")
 
@@ -156,10 +156,10 @@ def test_criterion_05_example2_one_sided():
     enumeration; left probe GROWING with an explicit oracle-confirmed
     witness."""
     pres = _pres("example2")
-    right = probe_algebra(pres, 10, gen_degree_bound=2)
+    right = probe_algebra(complete_to_degree(pres, 10), gen_degree_bound=2)
     assert right.aggregate.kind == "STABLE"
     assert len(right.reports) == 55
-    left = probe_algebra(pres, 10, gen_degree_bound=2, side="left")
+    left = probe_algebra(complete_to_degree(pres, 10), gen_degree_bound=2, side="left")
     assert left.aggregate.kind == "GROWING"
     assert left.witness_ideal == ["z"]
     tgb_op = complete_to_degree(opposite(pres), 10)
@@ -261,7 +261,7 @@ def test_criterion_09_noetherian_base():
     """k<t,z>/(zt): probe aggregate STABLE while the staged chain
     (tz, t^2 z^2, ...) needs a new generator at every stage up to D."""
     pres = _pres("noetherian_base")
-    agg = probe_algebra(pres, 10)
+    agg = probe_algebra(complete_to_degree(pres, 10))
     assert agg.aggregate.kind == "STABLE"
     tgb = complete_to_degree(pres, 10)
     stages = noetherian_chain_profile(tgb)

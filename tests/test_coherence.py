@@ -108,7 +108,7 @@ def test_probe_algebra_aggregates(corpus_fast):
         ("example2", "right", "STABLE"),
         ("example2", "left", "GROWING"),
     ]:
-        agg = probe_algebra(corpus_fast[label].presentation, 10, side=side)
+        agg = probe_algebra(complete_to_degree(corpus_fast[label].presentation, 10), side=side)
         assert agg.aggregate.kind == expected, (label, side)
         if expected == "GROWING":
             assert agg.witness_ideal
@@ -117,8 +117,8 @@ def test_probe_algebra_aggregates(corpus_fast):
 def test_probe_opposite_involution(corpus_fast):
     pres = corpus_fast["example2"].presentation
     double = opposite(opposite(pres))
-    a1 = probe_algebra(pres, 8, side="right", max_ideals=12)
-    a2 = probe_algebra(double, 8, side="right", max_ideals=12)
+    a1 = probe_algebra(complete_to_degree(pres, 8), side="right", max_ideals=12)
+    a2 = probe_algebra(complete_to_degree(double, 8), side="right", max_ideals=12)
     assert [r.profile for r in a1.reports] == [r.profile for r in a2.reports]
     assert a1.aggregate.kind == a2.aggregate.kind
 
@@ -194,7 +194,7 @@ def test_probe_weighted_generators():
     pres = AlgebraPresentation(
         QQ, gt, [parse_poly(gt, QQ, "x*z - z*x")], label="weighted_comm"
     )
-    agg = probe_algebra(pres, 10, gen_degree_bound=2, max_ideals=10)
+    agg = probe_algebra(complete_to_degree(pres, 10), gen_degree_bound=2, max_ideals=10)
     assert agg.aggregate.kind == "STABLE"
 
 

@@ -311,3 +311,15 @@ def test_random_presentations_against_references(case):
         {(0, i): NcPoly.monomial(p.gens, p.field, (i,)) for i in range(len(p.gens))},
     )
     assert minimal_resolution(k, length=2).tor == bar_tor_trivial_module(tgb, 5)
+    # product tables: row i of products(e, w) is NF(u * w), or NF(w * u) on
+    # the left, for u the i-th normal word of degree e, indexed by normal words
+    for w in sorted({w for q in polys for w in q.terms}):
+        dw = p.gens.word_degree(w)
+        for e in range(6 - dw):
+            idx = tgb.normal_index(e + dw)
+            for on_left in (False, True):
+                rows = tgb.products(e, w, on_left)
+                assert len(rows) == tgb.dim(e)
+                for u, row in zip(tgb.normal_words(e), rows):
+                    want = reference_normal_form(tgb, {w + u if on_left else u + w: p.field.one()})
+                    assert row == {idx[t]: c for t, c in want.items()}

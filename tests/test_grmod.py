@@ -13,7 +13,7 @@ from cohprobe.grmod import (
 )
 from cohprobe.linalg import QQ, PrimeField
 
-from oracles import bar_tor_trivial_module, euler_characteristic_check
+from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy
 
 
 def make_tgb(names, rels, D=8, field=QQ):
@@ -265,3 +265,36 @@ def test_free_dim():
     tgb = make_tgb("xy", [])
     fm = FreeModule((0, 1))
     assert free_dim(tgb, fm, 2) == 4 + 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("cells", [
+    # a non-monomial entry, a second target block and coefficients other than 1
+    {(0, 0): "x^2 + 3*y*x", (1, 0): "2*x - y", (1, 1): "-3*x*y + y^2", (0, 2): "1/2*x"},
+    # one unit monomial into the first block: the columns are the table rows
+    {(0, 0): "y*x"},
+], ids=["mixed", "unit"])
+def test_component_columns_against_normal_forms(field, cells):
+    # Jordan plane: normal forms of products carry coefficients other than 1
+    tgb = make_tgb("xy", ["y*x - x*y - x^2"], D=7, field=field)
+    src = (2, 3, 1) if len(cells) > 1 else (2,)
+    tgt = (0, 1)
+    f = presented(tgb, src, tgt, {k: parse_poly(tgb.gt, field, v) for k, v in cells.items()})
+    for d in range(tgb.D + 1):
+        offsets, off = [], 0
+        for t in tgt:
+            offsets.append(off)
+            off += tgb.dim(d - t) if d >= t else 0
+        want = []
+        for l, s in enumerate(src):
+            for u in tgb.normal_words(d - s) if d >= s else []:
+                vec = {}
+                for (k, col), poly in f.entries.items():
+                    if col != l:
+                        continue
+                    idx = tgb.normal_index(d - tgt[k])
+                    for w, c in poly.terms.items():
+                        nf = tgb.normal_form_word(w + u)
+                        reference_axpy(field, vec, c, {offsets[k] + idx[t]: v for t, v in nf.items()})
+                want.append(vec)
+        assert f.component_columns(d) == want

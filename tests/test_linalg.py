@@ -8,12 +8,11 @@ from cohprobe.linalg import (
     PrimeField,
     QQ,
     SpanSolver,
-    axpy,
     kernel_basis,
     parse_field,
 )
 
-from oracles import kernel_dim, span_rank
+from oracles import field_mul, kernel_dim, reference_axpy, reference_scale, span_rank
 
 
 def columns_of(field, rows):
@@ -24,7 +23,7 @@ def columns_of(field, rows):
         col = {}
         for i, row in enumerate(rows):
             v = field.of_fraction(row[j], 1)
-            if not field.is_zero(v):
+            if v != 0:
                 col[i] = v
         cols.append(col)
     return cols
@@ -84,7 +83,7 @@ def test_kernel_basis_property(field, rows):
         assert not (set(vec) & set(free)) - {j}
         image = {}
         for t, c in vec.items():
-            axpy(field, image, c, cols[t])
+            field.axpy(image, c, cols[t])
         assert image == {}
 
 
@@ -130,16 +129,49 @@ def test_solver_certificate_identity_random(field):
         originals = {}
         for t in range(6):
             vec = {i: field.of_fraction(rng.randrange(-3, 4), 1) for i in range(5)}
-            vec = {i: v for i, v in vec.items() if not field.is_zero(v)}
+            vec = {i: v for i, v in vec.items() if v != 0}
             originals[t] = vec
             solver.add(dict(vec), tag=t)
         probe = {i: field.of_fraction(rng.randrange(-4, 5), 1) for i in range(5)}
-        probe = {i: v for i, v in probe.items() if not field.is_zero(v)}
+        probe = {i: v for i, v in probe.items() if v != 0}
         residue, expr = solver.reduce(dict(probe))
         rebuilt = dict(residue)
         for tag, coeff in expr.items():
-            axpy(field, rebuilt, coeff, originals[tag])
+            field.axpy(rebuilt, coeff, originals[tag])
         assert rebuilt == probe
         for pivot, row in solver.pivot_rows.items():
             assert row[pivot] == field.one()
             assert min(row) == pivot
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, target, coeff, source); some source entries cancel target ones."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    scalar = st.builds(field.of_fraction, st.integers(-9, 9), st.integers(1, 4))
+
+    def vector():
+        vec = draw(st.dictionaries(st.integers(0, 8), scalar, max_size=6))
+        return {c: v for c, v in vec.items() if v != 0}
+
+    target, coeff, source = vector(), draw(scalar), vector()
+    if coeff != 0 and target:
+        for c in draw(st.lists(st.sampled_from(sorted(target)), max_size=3)):
+            source[c] = field_mul(field, field.neg(target[c]), field.inv(coeff))
+    return field, target, coeff, source
+
+
+@settings(deadline=None)
+@given(axpy_cases())
+def test_field_axpy_and_scale_match_reference(case):
+    field, target, coeff, source = case
+    before = dict(source)
+    want = dict(target)
+    reference_axpy(field, want, coeff, source)
+    got = dict(target)
+    field.axpy(got, coeff, source)
+    assert got == want
+    scaled = field.scale(coeff, source)
+    assert scaled == reference_scale(field, coeff, source)
+    assert all(v != 0 for v in got.values()) and all(v != 0 for v in scaled.values())
+    assert source == before

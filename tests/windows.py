@@ -12,7 +12,7 @@ from cohprobe.errors import InputError
 from cohprobe.freealg import GeneratorTable
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import FreeModule, ModuleMap
-from cohprobe.linalg import QQ, SpanSolver, axpy
+from cohprobe.linalg import QQ, SpanSolver
 from cohprobe.zalg import ZModuleWindow, _window_from_components
 
 
@@ -168,7 +168,7 @@ def coker_window(pp, tgb, lo, hi):
                         continue
                     for w, c in poly.terms.items():
                         nf = tgb.normal_form_word(w + u)
-                        axpy(fld, vec, c, {pos[(s, tw)]: tc for tw, tc in nf.items()})
+                        fld.axpy(vec, c, {pos[(s, tw)]: tc for tw, tc in nf.items()})
                 solver.add(vec, tag=None)
         chosen = []
         one = fld.one()
