@@ -168,8 +168,11 @@ class ModuleComponents:
     """Cached degreewise bases and canonical coordinates for M = coker(relations).
 
     The degree-d basis is the deterministic unit-vector complement of the
-    relation image inside the free component; coords() expresses any free
-    component vector in that basis.
+    relation image inside the free component: the units that do not depend
+    on the relation columns and the units before them.  The kernel of
+    [relation columns | unit columns] writes every other unit in that basis
+    modulo the relations, so each degree is one reduction table, unit index
+    -> coordinates, and coords() is a sparse sum over it.
     """
 
     def __init__(self, relations):
@@ -184,31 +187,35 @@ class ModuleComponents:
         if cached is not None:
             return cached
         fld = self.tgb.field
-        solver = SpanSolver(fld, track=True)
-        for col in self.relations.component_columns(d):
-            solver.add(col, tag=None)
-        basis = []
-        fb = free_basis(self.tgb, self.relations.target, d)
         one = fld.one()
+        rel = self.relations.component_columns(d)
+        fb = free_basis(self.tgb, self.relations.target, d)
+        m = len(rel)
+        # dependent unit i -> its kernel vector, whose 1 sits at m + i
+        deps = {max(v) - m: v for v in kernel_basis(fld, rel + [{i: one} for i in range(len(fb))])
+                if max(v) >= m}
+        pos = {}  # independent unit -> its position in the basis
+        table = []
         for i in range(len(fb)):
-            if solver.add({i: one}, tag=len(basis)):
-                basis.append((i, fb[i]))
-        data = (solver, basis, fb)
-        self._data[d] = data
-        return data
+            if i in deps:
+                table.append({pos[t - m]: fld.neg(c) for t, c in deps[i].items() if m <= t < m + i})
+            else:
+                pos[i] = len(pos)
+                table.append({pos[i]: one})
+        self._data[d] = ([fb[i] for i in pos], table)
+        return self._data[d]
 
     def basis(self, d):
         """Basis of M_d as pairs (generator k, normal word)."""
-        _, basis, _ = self._degree_data(d)
-        return [pair for _, pair in basis]
+        return self._degree_data(d)[0]
 
     def coords(self, d, fvec):
         """Coordinates of a free-component vector in the chosen basis of M_d."""
-        solver, _, _ = self._degree_data(d)
-        residue, expr = solver.reduce(fvec)
-        if residue:
-            raise AssertionError("vector not reduced to the quotient basis")
-        return expr
+        table = self._degree_data(d)[1]
+        out = {}
+        for i, c in fvec.items():
+            self.tgb.field.axpy(out, c, table[i])
+        return out
 
 
 @dataclass

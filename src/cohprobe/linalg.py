@@ -72,15 +72,21 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# _MR_BOUND (Sorenson and Webster, 2015); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    if p >= _MR_BOUND:
+        raise InputError(f"modulus {p} too large: primality is decided only below {_MR_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 == d * 2^s with d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _MR_BASES)
 
 
 class PrimeField:
@@ -159,83 +165,65 @@ class SpanSolver:
 
     Every stored row has a 1 at its pivot, its leftmost nonzero column, and
     no two rows share a pivot; rows are never reduced against later pivots,
-    since residues, certificates and ranks do not depend on that.  With
-    ``track=True`` every stored row carries a certificate expressing it as a
-    combination of the tagged vectors fed to :meth:`add`; untagged vectors
-    (tag None) are treated as zero objects in certificates, which is exactly
-    what reduction modulo a known subspace needs.
+    since residues and ranks do not depend on that.
     """
 
-    def __init__(self, field, track=False):
+    def __init__(self, field):
         self.field = field
-        self.track = track
         self.pivot_rows = {}  # pivot col -> row dict (row[pivot] == 1)
-        self.exprs = {}       # pivot col -> {tag: coeff}
 
     @property
     def rank(self):
         return len(self.pivot_rows)
 
     def reduce(self, vec):
-        """Reduce vec against the stored rows; returns (residue, expr).
-
-        residue + sum(expr[tag] * original_vec[tag]) == vec, where untagged
-        contributions are dropped from expr.
-        """
+        """The residue of vec against the stored rows, as a new dict."""
         f = self.field
         residue = dict(vec)
-        expr = {} if self.track else None
         while True:
             hits = residue.keys() & self.pivot_rows.keys()
             if not hits:
-                break
+                return residue
             c = min(hits)
-            coeff = residue[c]
-            f.axpy(residue, f.neg(coeff), self.pivot_rows[c])
-            if self.track:
-                f.axpy(expr, coeff, self.exprs[c])
-        return residue, expr
+            f.axpy(residue, f.neg(residue[c]), self.pivot_rows[c])
 
-    def add(self, vec, tag=None):
+    def add(self, vec):
         """Insert vec into the span; returns True iff the rank increased."""
-        residue, expr = self.reduce(vec)
-        return self._insert(residue, expr, tag)
+        return self._insert(self.reduce(vec))
 
-    def _insert(self, residue, expr, tag):
-        """Store the reduced residue of the vector tagged tag as a new row."""
+    def _insert(self, residue):
+        """Store a residue of reduce as a new row; the dict is kept when its pivot is 1."""
         if not residue:
             return False
-        f = self.field
         lead = min(residue)
-        inv = f.inv(residue[lead])
-        self.pivot_rows[lead] = f.scale(inv, residue)
-        if self.track:
-            row_expr = f.scale(f.neg(inv), expr)
-            if tag is not None:
-                f.axpy(row_expr, inv, {tag: f.one()})
-            self.exprs[lead] = row_expr
+        c = residue[lead]
+        self.pivot_rows[lead] = residue if c == 1 else self.field.scale(self.field.inv(c), residue)
         return True
 
     def contains(self, vec):
-        residue, _ = self.reduce(vec)
-        return not residue
+        return not self.reduce(vec)
 
 
 def kernel_basis(field, columns):
     """Deterministic basis of the kernel of the map with the given columns.
 
     One vector per column j that depends on the columns before it, in
-    ascending j: a 1 in position j and minus the dependency coefficients,
-    so the count is len(columns) - rank.
+    ascending j: a 1 in position j and minus the dependency coefficients on
+    the independent columns, so the count is len(columns) - rank.  Column j
+    is eliminated with a unit entry appended at n + j, n one past the
+    largest row index, so its residue records the combination it came from:
+    a residue with no entry below n is the kernel vector shifted by n, and
+    any other residue is stored.
     """
-    solver = SpanSolver(field, track=True)
-    out = []
+    n = 1 + max((max(col) for col in columns if col), default=-1)
+    solver = SpanSolver(field)
     one = field.one()
+    out = []
     for j, col in enumerate(columns):
-        residue, expr = solver.reduce(col)
-        if solver._insert(residue, expr, j):
-            continue
-        vec = {j: one}
-        field.axpy(vec, field.neg(one), expr)
-        out.append(vec)
+        residue = solver.reduce(col)
+        residue[n + j] = one
+        if min(residue) < n:
+            solver._insert(residue)
+        else:
+            out.append({t - n: v for t, v in residue.items()})
     return out

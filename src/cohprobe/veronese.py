@@ -10,6 +10,7 @@ degree i always corresponds to ambient degree i*n; reports carry both.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
@@ -30,6 +31,18 @@ def degree_one_generated(tgb):
         pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
         for d in range(2, tgb.D + 1)
     )
+
+
+_DEGREE_ONE = set()  # ids of the live bases found generated in degree 1
+
+
+def _require_degree_one(tgb):
+    """Raise NotDegreeOneGenerated unless A is; each basis is checked once."""
+    if id(tgb) not in _DEGREE_ONE:
+        if not degree_one_generated(tgb):
+            raise NotDegreeOneGenerated(f"{tgb.presentation.label} is not generated in degree 1")
+        _DEGREE_ONE.add(id(tgb))
+        weakref.finalize(tgb, _DEGREE_ONE.discard, id(tgb))
 
 
 @dataclass
@@ -168,8 +181,7 @@ def pm_module_presentations(tgb, n):
     P^m is generated by A_m as A is generated in degree 1 (checked); trailing
     silence in the syzygy profile is the finite-presentation evidence.
     """
-    if not degree_one_generated(tgb):
-        raise NotDegreeOneGenerated(f"{tgb.presentation.label} is not generated in degree 1")
+    _require_degree_one(tgb)
     fld, D = tgb.field, tgb.D
     push_words = tgb.normal_words(n)
     reports = []
@@ -219,9 +231,9 @@ class VeroneseCrossCheck:
         }
 
 
-def _affordable_depth(pres, D):
-    """Deepest m <= D with cumulative component dimensions within DIM_BUDGET."""
-    counts = normal_word_counts(complete_to_degree(pres, D))
+def _affordable_depth(tgb):
+    """Deepest m <= tgb.D with cumulative component dimensions within DIM_BUDGET."""
+    counts = normal_word_counts(tgb)
     total = 0
     m = 0
     for d, c in enumerate(counts):
@@ -249,14 +261,13 @@ def veronese_cross_check(vp, gen_degree_bound=2, max_ideals=64):
     """
     tgb = vp.ambient
     p, n, D = tgb.presentation, vp.n, tgb.D
-    if not degree_one_generated(tgb):
-        raise NotDegreeOneGenerated(f"{p.label} is not generated in degree 1")
+    _require_degree_one(tgb)
     ambient = probe_algebra(tgb, gen_degree_bound, max_ideals, side="right")
-    vD = _affordable_depth(vp.presentation, D)
-    vD = min(D, max(vD, STABILITY_MARGIN + 2))
-    ver = probe_algebra(
-        complete_to_degree(vp.presentation, vD), gen_degree_bound, max_ideals, side="right"
-    )
+    vtgb = complete_to_degree(vp.presentation, D)
+    vD = min(D, max(_affordable_depth(vtgb), STABILITY_MARGIN + 2))
+    if vD < D:
+        vtgb = complete_to_degree(vp.presentation, vD)
+    ver = probe_algebra(vtgb, gen_degree_bound, max_ideals, side="right")
     agree = ambient.aggregate.kind == ver.aggregate.kind
     note = (
         f"veronese probe depth {vD} exceeds the discovery window {vp.window}; "

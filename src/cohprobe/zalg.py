@@ -29,7 +29,7 @@ class ZAlgebraWindow:
     """Components A_ij and multiplication tensors on an index window.
 
     Component bases are the normal words of degree j - i; multiplication
-    tensors are built lazily from normal forms of concatenations.
+    tensors are the product tables of the basis, which memoizes them.
     """
 
     def __init__(self, tgb, lo, hi):
@@ -40,7 +40,6 @@ class ZAlgebraWindow:
         self.tgb = tgb
         self.lo = lo
         self.hi = hi
-        self._mult = {}
 
     def basis(self, i, j):
         return self.tgb.normal_words(j - i)
@@ -51,20 +50,11 @@ class ZAlgebraWindow:
         return self.tgb.dim(j - i)
 
     def mult(self, i, j, k):
-        """Tensor A_jk (x) A_ij -> A_ik: (x_idx, y_idx) -> vec over A_ik basis."""
-        key = (i, j, k)
-        cached = self._mult.get(key)
-        if cached is not None:
-            return cached
-        tgb = self.tgb
-        out = {}
-        idx = tgb.normal_index(k - i)
-        for xi, x in enumerate(tgb.normal_words(k - j)):
-            for yi, y in enumerate(tgb.normal_words(j - i)):
-                nf = tgb.normal_form_word(x + y)
-                out[(xi, yi)] = {idx[w]: c for w, c in nf.items()}
-        self._mult[key] = out
-        return out
+        """Tensor A_jk (x) A_ij -> A_ik: [y_idx][x_idx] -> vec over the A_ik basis.
+
+        Row x_idx of the product table of y at degree k - j is NF(x * y).
+        """
+        return [self.tgb.products(k - j, y) for y in self.basis(i, j)]
 
     def audit(self):
         """Unit law on the diagonal and associativity on all composable triples."""
@@ -79,10 +69,10 @@ class ZAlgebraWindow:
                 t1 = self.mult(i, i, j)  # A_ij (x) A_ii -> A_ij
                 t2 = self.mult(i, j, j)  # A_jj (x) A_ij -> A_ij
                 for xi in range(self.dim(i, j)):
-                    if t1[(xi, 0)] != {xi: fld.one()}:
+                    if t1[0][xi] != {xi: fld.one()}:
                         problems.append(f"right unit fails on A_{i}{j}")
                         break
-                    if t2[(0, xi)] != {xi: fld.one()}:
+                    if t2[xi][0] != {xi: fld.one()}:
                         problems.append(f"left unit fails on A_{i}{j}")
                         break
         for i in range(self.lo, self.hi + 1):
@@ -104,14 +94,14 @@ class ZAlgebraWindow:
         dim_z = self.dim(i, j)
         for xi in range(dim_x):
             for yi in range(dim_y):
-                xy = m_kl_j[(xi, yi)]
+                xy = m_kl_j[yi][xi]
                 for zi in range(dim_z):
                     left = {}
                     for t, c in xy.items():
-                        fld.axpy(left, c, m_jl_i[(t, zi)])
+                        fld.axpy(left, c, m_jl_i[zi][t])
                     right = {}
-                    for t, c in m_jk_i[(yi, zi)].items():
-                        fld.axpy(right, c, m_kl_i2[(xi, t)])
+                    for t, c in m_jk_i[zi][yi].items():
+                        fld.axpy(right, c, m_kl_i2[t][xi])
                     if left != right:
                         return False
         return True

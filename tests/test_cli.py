@@ -195,6 +195,8 @@ BAD_INPUTS = {
     "module matrix row beyond shifts1": lambda tmp: _tor_module(
         tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [["x", "y"]]})),
     "composite field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "F4"],
+    "field beyond the primality bound": lambda tmp: [
+        "hilbert", str(ALGEBRAS / "free2.alg"), "--field", "F3317044064679887385961983"],
     "unknown field": lambda tmp: ["hilbert", str(ALGEBRAS / "free2.alg"), "--field", "R"],
     "probe over zero ideals (max ideals)": lambda tmp: [
         "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--max-ideals", "0"],

@@ -1,13 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohprobe.errors import InputError
+from cohprobe.freealg import GeneratorTable, NcPoly
+from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
+from cohprobe.grmod import FreeModule, ModuleComponents, ModuleMap
 from cohprobe.linalg import (
     PrimeField,
     QQ,
     SpanSolver,
+    _is_prime,
     kernel_basis,
     parse_field,
 )
@@ -92,6 +98,24 @@ def test_prime_field_rejects_composite():
         PrimeField(32001)
 
 
+def test_prime_field_decides_large_moduli_fast():
+    start = time.perf_counter()
+    assert PrimeField(1000000000000000003).p == 1000000000000000003
+    assert time.perf_counter() - start < 1
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in (561, 3215031751):
+        with pytest.raises(InputError, match="not prime"):
+            PrimeField(composite)
+
+
+def test_prime_field_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(3000):
+        assert _is_prime(n) == by_trial(n), n
+
+
 def test_parse_field():
     assert parse_field("Q") == QQ
     assert parse_field("F32003") == PrimeField(32003)
@@ -109,36 +133,91 @@ def test_q_vs_fp_agreement_random():
         assert solver_rank(QQ, columns_of(QQ, data)) == solver_rank(fp, columns_of(fp, data))
 
 
+def test_solver_stores_no_dict_of_its_caller():
+    # a row whose pivot is already 1 is the residue dict itself, and reduce
+    # builds that dict afresh, so changing the caller's vector later is harmless
+    vec = {0: 1, 2: 3}
+    solver = SpanSolver(PrimeField(7))
+    solver.add(vec)
+    vec[1] = 4
+    assert solver.pivot_rows == {0: {0: 1, 2: 3}}
+    probe = {1: 1}
+    assert solver.reduce(probe) == probe and solver.reduce(probe) is not probe
+
+
+def scalar_relations(field, dim, columns):
+    """coker(k^len(columns) -> k^dim) at degree 0, the columns as its relation map."""
+    gt = GeneratorTable(["x"])
+    tgb = complete_to_degree(AlgebraPresentation(field, gt, []), 1)
+    entries = {(k, l): NcPoly({(): v}, 0) for l, col in enumerate(columns) for k, v in col.items()}
+    return ModuleMap(tgb, FreeModule((0,) * len(columns)), FreeModule((0,) * dim), entries)
+
+
+def assert_kernel_certificates(field, cols):
+    """Every kernel vector v of cols is a certificate: sum_j v_j * cols[j] == 0,
+    with a 1 at its column j, and no entry after j or on another dependent column."""
+    basis = kernel_basis(field, cols)
+    dependent = {max(vec) for vec in basis}
+    assert len(dependent) == len(basis)
+    for vec in basis:
+        j = max(vec)
+        assert vec[j] == field.one()
+        assert not (set(vec) & dependent) - {j}
+        image = {}
+        for t, c in vec.items():
+            field.axpy(image, c, cols[t])
+        assert image == {}
+    return basis
+
+
+def assert_quotient_coordinates(field, rel, fvec):
+    """fvec - sum_b coords_b * e_(basis b) lies in the span of the relations."""
+    dim = 1 + max((max(v) for v in rel + [fvec] if v), default=-1)
+    comps = ModuleComponents(scalar_relations(field, dim, rel))
+    coords = comps.coords(0, fvec)
+    rebuilt = dict(fvec)
+    for b, c in coords.items():
+        k, _ = comps.basis(0)[b]
+        field.axpy(rebuilt, field.neg(c), {k: field.one()})
+    span = SpanSolver(field)
+    for col in rel:
+        span.add(col)
+    assert span.contains(rebuilt)
+    return coords
+
+
 def test_solver_certificates():
-    solver = SpanSolver(QQ, track=True)
-    solver.add({0: Fraction(1), 1: Fraction(1)}, tag="a")
-    solver.add({1: Fraction(1)}, tag="b")
-    residue, expr = solver.reduce({0: Fraction(2), 1: Fraction(3)})
-    assert not residue
-    # 2*(e0+e1) + 1*e1
-    assert expr == {"a": Fraction(2), "b": Fraction(1)}
+    a = {0: Fraction(1), 1: Fraction(1)}
+    b = {1: Fraction(1)}
+    probe = {0: Fraction(2), 1: Fraction(3)}
+    # probe == 2*(e0+e1) + 1*e1 and e0 == (e0+e1) - e1
+    cert, e0 = assert_kernel_certificates(QQ, [a, b, probe, {0: Fraction(1)}])
+    assert cert == {2: Fraction(1), 0: Fraction(-2), 1: Fraction(-1)}
+    assert e0 == {3: Fraction(1), 0: Fraction(-1), 1: Fraction(1)}
+    # modulo e0+e1 the basis is e0, e2, and e1 == -e0
+    coords = assert_quotient_coordinates(QQ, [a], {0: Fraction(2), 1: Fraction(3), 2: Fraction(1)})
+    assert coords == {0: Fraction(-1), 1: Fraction(1)}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
 def test_solver_certificate_identity_random(field):
-    # vec == residue + sum(expr[tag] * original[tag]) for tracked solvers, and
-    # every stored row is echelon: a 1 at its pivot, nothing to the left of it
+    # kernel vectors and quotient coordinates are certificates over the vectors
+    # fed in, and every stored row is echelon: a 1 at its pivot, nothing to
+    # the left of it
     rng = random.Random(17)
     for _ in range(20):
-        solver = SpanSolver(field, track=True)
-        originals = {}
+        originals = []
         for t in range(6):
             vec = {i: field.of_fraction(rng.randrange(-3, 4), 1) for i in range(5)}
-            vec = {i: v for i, v in vec.items() if v != 0}
-            originals[t] = vec
-            solver.add(dict(vec), tag=t)
+            originals.append({i: v for i, v in vec.items() if v != 0})
         probe = {i: field.of_fraction(rng.randrange(-4, 5), 1) for i in range(5)}
         probe = {i: v for i, v in probe.items() if v != 0}
-        residue, expr = solver.reduce(dict(probe))
-        rebuilt = dict(residue)
-        for tag, coeff in expr.items():
-            field.axpy(rebuilt, coeff, originals[tag])
-        assert rebuilt == probe
+        solver = SpanSolver(field)
+        for vec in originals:
+            solver.add(vec)
+        basis = assert_kernel_certificates(field, originals + [probe])
+        assert solver.contains(probe) == any(max(vec) == len(originals) for vec in basis)
+        assert_quotient_coordinates(field, originals[:3], probe)
         for pivot, row in solver.pivot_rows.items():
             assert row[pivot] == field.one()
             assert min(row) == pivot

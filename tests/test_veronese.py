@@ -1,5 +1,11 @@
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
+import cohprobe.veronese as veronese
+from cohprobe.cli import main
 from cohprobe.errors import NotDegreeOneGenerated
 from cohprobe.freealg import GeneratorTable, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
@@ -66,6 +72,31 @@ def test_degree_one_generation_detector():
         pm_module_presentations(tgb, 2)
     with pytest.raises(NotDegreeOneGenerated):
         veronese_cross_check(veronese_presentation(tgb, 2))
+
+
+def test_cross_check_and_pm_modules_share_their_work(monkeypatch):
+    # the discovered presentation is completed at D once, and the ambient
+    # basis is checked for degree-one generation once, for both reports
+    completed, checked = [], []
+    real_complete, real_check = veronese.complete_to_degree, veronese.degree_one_generated
+
+    def complete(p, D):
+        completed.append((p.label, D))
+        return real_complete(p, D)
+
+    def check(tgb):
+        checked.append((tgb.presentation.label, tgb.D))
+        return real_check(tgb)
+
+    monkeypatch.setattr(veronese, "complete_to_degree", complete)
+    monkeypatch.setattr(veronese, "degree_one_generated", check)
+    alg = Path(__file__).resolve().parent.parent / "algebras" / "commutative.alg"
+    with redirect_stdout(io.StringIO()):
+        code = main(["veronese", str(alg), "--n", "2", "-D", "8",
+                     "--cross-check", "--pm-modules", "--json"])
+    assert code == 0
+    assert completed.count(("commutative_model^(2)", 8)) == 1
+    assert checked == [("commutative_model", 8)]
 
 
 def test_veronese_of_veronese_hilbert(corpus_fast):

@@ -1,8 +1,13 @@
 import pytest
 
 from cohprobe.errors import WindowTooShallow
-from cohprobe.freealg import GeneratorTable, parse_poly
-from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
+from cohprobe.freealg import GeneratorTable, make_monic, parse_poly
+from cohprobe.gbasis import (
+    AlgebraPresentation,
+    CompletionLog,
+    TruncatedGroebnerBasis,
+    complete_to_degree,
+)
 from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import QQ
 from cohprobe.zalg import (
@@ -67,6 +72,23 @@ def test_window_audits(model_tgb, tgb_fast):
     assert ZAlgebraWindow(model_tgb, 0, 5).audit()["ok"]
     assert ZAlgebraWindow(tgb_fast("free2"), 0, 4).audit()["ok"]
     assert ZAlgebraWindow(tgb_fast("example2"), 0, 4).audit()["ok"]
+
+
+def test_window_audit_rejects_uncompleted_relations():
+    # the Sklyanin relations alone are not a Groebner basis: rewriting by them
+    # gives products that are not associative, and the audit must say where
+    gt = GeneratorTable(["x", "y", "z"])
+    rels = ("y*z + 2*z*y - x^2", "z*x + 2*x*z - y^2", "x*y + 2*y*x - z^2")
+    pres = AlgebraPresentation(
+        QQ, gt, [parse_poly(gt, QQ, r) for r in rels], label="sklyanin(1,2,-1)"
+    )
+    raw = TruncatedGroebnerBasis(
+        pres, 5, [make_monic(gt, QQ, r) for r in pres.relations], CompletionLog()
+    )
+    audit = ZAlgebraWindow(raw, 0, 4).audit()
+    assert not audit["ok"]
+    assert audit["problems"][0] == "associativity fails on (0,1,2,3)"
+    assert ZAlgebraWindow(complete_to_degree(pres, 5), 0, 4).audit() == {"ok": True, "problems": []}
 
 
 def test_transport_projective(model_tgb):

@@ -12,7 +12,7 @@ from cohprobe.errors import InputError
 from cohprobe.freealg import GeneratorTable
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import FreeModule, ModuleMap
-from cohprobe.linalg import QQ, SpanSolver
+from cohprobe.linalg import QQ, SpanSolver, kernel_basis
 from cohprobe.zalg import ZModuleWindow, _window_from_components
 
 
@@ -141,7 +141,7 @@ def coker_window(pp, tgb, lo, hi):
     pp.validate()
     fld = tgb.field
     dims = {}
-    solvers = {}
+    tables = {}
     bases = {}
 
     def tgt_slice_basis(i):
@@ -153,10 +153,11 @@ def coker_window(pp, tgb, lo, hi):
                 out.append((s, w))
         return out
 
+    one = fld.one()
     for i in range(lo, hi + 1):
         tbasis = tgt_slice_basis(i)
         pos = {pair: n for n, pair in enumerate(tbasis)}
-        solver = SpanSolver(fld, track=True)
+        rel = []
         for t, a in enumerate(pp.source_indices):
             if a - i < 0:
                 continue
@@ -169,24 +170,29 @@ def coker_window(pp, tgb, lo, hi):
                     for w, c in poly.terms.items():
                         nf = tgb.normal_form_word(w + u)
                         fld.axpy(vec, c, {pos[(s, tw)]: tc for tw, tc in nf.items()})
-                solver.add(vec, tag=None)
-        chosen = []
-        one = fld.one()
-        for n in range(len(tbasis)):
-            if solver.add({n: one}, tag=len(chosen)):
-                chosen.append(n)
+                rel.append(vec)
+        # a unit that depends on the relations and the units before it is
+        # written in the chosen units by its kernel vector, 1 at m + n
+        m = len(rel)
+        units = [{n: one} for n in range(len(tbasis))]
+        deps = {max(v) - m: v for v in kernel_basis(fld, rel + units) if max(v) >= m}
+        chosen = [n for n in range(len(tbasis)) if n not in deps]
+        col = {n: b for b, n in enumerate(chosen)}
+        tables[i] = [
+            {col[t - m]: fld.neg(c) for t, c in deps[n].items() if m <= t < m + n}
+            if n in deps else {col[n]: one}
+            for n in range(len(tbasis))
+        ]
         dims[i] = len(chosen)
-        solvers[i] = solver
         bases[i] = (tbasis, chosen, pos)
 
     def act_fn(i, j, b, a):
         tbasis_j, chosen_j, _ = bases[j]
-        tbasis_i, chosen_i, pos_i = bases[i]
+        pos_i = bases[i][2]
         s, u = tbasis_j[chosen_j[b]]
-        vec = {pos_i[(s, tw)]: tc for tw, tc in tgb.normal_form_word(u + a).items()}
-        residue, expr = solvers[i].reduce(vec)
-        if residue:
-            raise AssertionError("cokernel action did not reduce")
-        return expr
+        out = {}
+        for t, tc in tgb.normal_form_word(u + a).items():
+            fld.axpy(out, tc, tables[i][pos_i[(s, t)]])
+        return out
 
     return _window_from_components(tgb, lo, hi, dims, act_fn)
