@@ -1,15 +1,26 @@
 """Coherence probes: Tor_1 profiles of finitely generated right ideals.
 
-A probe builds the map  (+) A(-deg g_i) -> A  onto the ideal, computes the
-minimal generators of its kernel degree by degree up to D, and reads the
-per-degree new-generator counts as evidence.  Verdicts are evidence, never
-proofs: STABLE(d0) means the profile is silent after d0 with at least the
-stability margin of trailing silent degrees; GROWING means new generators
-keep appearing through the top half of the window.
+A probe takes the map  f: (+) A(-deg g_i) -> A  onto the ideal J and
+counts the minimal generators of ker f per degree up to D; the counts are
+read as evidence.  Verdicts are evidence, never proofs: STABLE(d0) means
+the profile is silent after d0 with at least the stability margin of
+trailing silent degrees; GROWING means new generators keep appearing
+through the top half of the window.
 
 Profiles are graded by module degree (the degree of the syzygy inside
 (+) A(-deg g_i)), which is also the grading of Tor_1(J, k) and matches
-Tor_2(A/J, k) degree for degree.
+Tor_2(A/J, k) degree for degree.  The profile has two sources:
+
+- where Anick's criterion certifies global dimension <= 2 through D
+  (gbasis.anick_series returns its c(t)), Tor balance and the Euler
+  characteristic of A/J (x) P(k) give profile(t) = S(t) - H_J(t) c(t)
+  mod t^(D+1), S counting the generators g_i by degree and H_J(e) the rank
+  of f at degree e: one rank per degree, no kernel;
+- elsewhere, the count of grmod.kernel_min_generators(f).
+
+kernel_min_generators is also the one source of witnesses, the minimal
+syzygies of the top window (D//2, D].  A report computes them only when
+they are read, and only when its profile counts a generator there.
 """
 
 from __future__ import annotations
@@ -18,9 +29,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
-from .gbasis import AlgebraPresentation, RelationFamily, complete_to_degree, opposite
+from .gbasis import (
+    AlgebraPresentation,
+    RelationFamily,
+    anick_series,
+    complete_to_degree,
+    opposite,
+)
 from .grmod import FreeModule, ModuleMap, kernel_min_generators, letters, min_generators
-from .linalg import QQ
+from .linalg import QQ, SpanSolver
 
 STABILITY_MARGIN = 4
 
@@ -95,7 +112,14 @@ class CoherenceProbeReport:
     D: int
     profile: list                 # new minimal kernel generators per module degree
     verdict: Verdict
-    witness: list                 # (degree, [component strings]) in the top window
+    find_witness: object          # () -> witness, run only when the witness is read
+
+    @property
+    def witness(self):
+        """(degree, [component strings]) of the minimal syzygies above D//2."""
+        if not any(self.profile[self.D // 2 + 1:]):
+            return []
+        return self.find_witness()
 
     def to_dict(self):
         return {
@@ -115,17 +139,48 @@ def ideal_map(tgb, ideal):
     return ModuleMap(tgb, FreeModule(shifts), FreeModule((0,)), entries)
 
 
+def _rank_profile(f, c):
+    """S(t) - H_J(t) c(t) mod t^(D+1): the profile where c certifies global
+    dimension <= 2, with H_J(e) the rank of f at degree e."""
+    tgb = f.tgb
+    D = tgb.D
+    h = [0] * (D + 1)
+    for e in range(min(f.source.shifts), D + 1):
+        span = SpanSolver(tgb.field)
+        for col in f.component_columns(e):
+            span.add(col)
+        h[e] = span.rank
+    profile = [-sum(h[d - j] * c[j] for j in range(d + 1)) for d in range(D + 1)]
+    for s in f.source.shifts:
+        profile[s] += 1
+    return profile
+
+
+def _top_window(gens, D):
+    return [g for g in gens if g.degree > D // 2]
+
+
 def probe_ideal(tgb, ideal):
     """Per-degree Tor_1 new-generator profile of the ideal up to the bound of tgb."""
     D = tgb.D
-    gens = kernel_min_generators(ideal_map(tgb, ideal))
-    profile = [0] * (D + 1)
-    for g in gens:
-        profile[g.degree] += 1
+    f = ideal_map(tgb, ideal)
+    c = anick_series(tgb)
+    if c is None:
+        gens = kernel_min_generators(f)
+        profile = [0] * (D + 1)
+        for g in gens:
+            profile[g.degree] += 1
+        top = _top_window(gens, D)
+    else:
+        top = None
+        profile = _rank_profile(f, c)
+
+    def find_witness():
+        found = top if top is not None else _top_window(kernel_min_generators(f), D)
+        return [(g.degree, g.strings(tgb)) for g in found]
+
     verdict = classify_profile(profile, D)
-    top_floor = D // 2
-    witness = [(g.degree, g.strings(tgb)) for g in gens if g.degree > top_floor]
-    return CoherenceProbeReport(ideal.strings(tgb), D, profile, verdict, witness)
+    return CoherenceProbeReport(ideal.strings(tgb), D, profile, verdict, find_witness)
 
 
 _VERDICT_RANK = {"STABLE": 0, "INCONCLUSIVE": 1, "GROWING": 2}

@@ -249,6 +249,20 @@ class TruncatedGroebnerBasis:
     def dim(self, d):
         return len(self.normal_words(d))
 
+    def truncated(self, D):
+        """The basis at the lower bound D: the elements of degree <= D.
+
+        A reduced truncated basis is unique, so this is the basis that
+        complete_to_degree(presentation, D) returns, without the completion.
+        """
+        if D > self.D:
+            raise DegreeBoundExceeded(f"degree {D} > bound {self.D}")
+        log = CompletionLog(input_relations=self.log.input_relations)
+        log.events.append(f"truncated from D={self.D} to D={D}")
+        return TruncatedGroebnerBasis(
+            self.presentation, D, [g for g in self.elements if g.degree <= D], log
+        )
+
     def element_strings(self):
         return [poly_str(self.gt, self.field, g) for g in self.elements]
 
@@ -489,6 +503,42 @@ def hilbert_dims(tgb, D):
     if D > tgb.D:
         raise DegreeBoundExceeded(f"degree {D} > bound {tgb.D}")
     return [tgb.dim(d) for d in range(D + 1)]
+
+
+def anick_series(tgb):
+    """c(t) = 1 - sum_letters t^w + sum_relations t^(deg r) through tgb.D when
+    Anick's criterion certifies global dimension <= 2 there, else None.
+
+    The relations are those of the presentation and the family members of
+    degree <= tgb.D.  The criterion (D. Anick, "Non-commutative graded
+    algebras and their Hilbert series", J. Algebra 78, 1982) asks that every
+    relation term be a word of length >= 2, so that the letters are minimal
+    generators and Tor_1(k, k) = L while Tor_2(k, k) <= R coefficientwise,
+    and that H_A(t) c(t) == 1 mod t^(D+1).  Then 1/H_A - c = (V_2 - R) - V_3
+    + V_4 - ... with V_i = Tor_i(k, k), and V_4 starts above V_3, so at the
+    lowest degree <= D where R - V_2 or V_3 were nonzero the difference
+    would have a negative coefficient.  Hence Tor_2(k, k) = R and
+    Tor_i(k, k) = 0 for i >= 3 in degrees <= D.
+    """
+    D, p = tgb.D, tgb.presentation
+    gt, fld = p.gens, p.field
+    relations = list(p.relations)
+    for fam in p.relfams:
+        relations.extend(fam.expand(gt, fld, D))
+    c = [1] + [0] * D
+    for w in gt.weights:
+        if w <= D:
+            c[w] -= 1
+    for r in relations:
+        if any(len(t) < 2 for t in r.terms):
+            return None
+        if r.degree <= D:
+            c[r.degree] += 1
+    h = hilbert_dims(tgb, D)
+    for d in range(D + 1):
+        if sum(h[d - j] * c[j] for j in range(d + 1)) != int(d == 0):
+            return None
+    return c
 
 
 def normal_word_counts(tgb):

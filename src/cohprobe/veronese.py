@@ -265,8 +265,7 @@ def veronese_cross_check(vp, gen_degree_bound=2, max_ideals=64):
     ambient = probe_algebra(tgb, gen_degree_bound, max_ideals, side="right")
     vtgb = complete_to_degree(vp.presentation, D)
     vD = min(D, max(_affordable_depth(vtgb), STABILITY_MARGIN + 2))
-    if vD < D:
-        vtgb = complete_to_degree(vp.presentation, vD)
+    vtgb = vtgb.truncated(vD)
     ver = probe_algebra(vtgb, gen_degree_bound, max_ideals, side="right")
     agree = ambient.aggregate.kind == ver.aggregate.kind
     note = (

@@ -1,20 +1,23 @@
 import pytest
 
+import cohprobe.coherence as coherence
 from cohprobe.coherence import (
     RightIdealSpec,
     Verdict,
     builtin_corpus,
     classify_profile,
     enumerate_ideals,
+    ideal_map,
     ideal_tor0_profile,
     noetherian_chain_profile,
     probe_algebra,
     probe_ideal,
     worst_verdict,
 )
-from cohprobe.gbasis import complete_to_degree, opposite
-from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
-from cohprobe.linalg import QQ
+from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly
+from cohprobe.gbasis import AlgebraPresentation, anick_series, complete_to_degree, opposite
+from cohprobe.grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
+from cohprobe.linalg import QQ, PrimeField
 
 from oracles import ideal_syzygy_profile_oracle
 
@@ -218,3 +221,115 @@ def test_corpus_expected_verdicts_table():
     assert table["example2"] == ("STABLE", "GROWING")
     assert table["remark"] == ("GROWING", "GROWING")
     assert table["noetherian_base"] == ("STABLE", "STABLE")
+
+
+# --- the two profile sources ---------------------------------------------
+
+ANICK_HOLDS = ("free1", "free2", "xy_zero", "example2", "noetherian_base", "commutative_model")
+
+
+def _sides(pres, D):
+    yield "right", complete_to_degree(pres, D)
+    yield "left", complete_to_degree(opposite(pres), D)
+
+
+def _kernel_profile(tgb, ideal):
+    profile = [0] * (tgb.D + 1)
+    for g in kernel_min_generators(ideal_map(tgb, ideal)):
+        profile[g.degree] += 1
+    return profile
+
+
+def _extra_ideals(tgb):
+    """A repeated letter, and a non-monomial ideal of mixed degrees."""
+    names = tgb.gt.names
+    extra = [[names[0], names[0]]]
+    if len(names) > 1:
+        a, b = names[:2]
+        extra.append([f"{a} + {b}", f"{a}*{b} + {b}*{a}"])
+    return [RightIdealSpec.from_strings(tgb, texts) for texts in extra]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_probe_profile_sources_agree_on_corpus(field):
+    # the rank route, wherever Anick's criterion holds, against the count of
+    # minimal kernel generators, on every corpus ideal of both sides
+    for entry in builtin_corpus(field):
+        for side, tgb in _sides(entry.presentation, 8):
+            assert (anick_series(tgb) is not None) == (entry.label in ANICK_HOLDS)
+            for ideal in enumerate_ideals(tgb, 2, 64) + _extra_ideals(tgb):
+                want = _kernel_profile(tgb, ideal)
+                assert probe_ideal(tgb, ideal).profile == want, (entry.label, side)
+
+
+def _make(names, rels, label):
+    gt = GeneratorTable(list(names))
+    fld = PrimeField(32003)
+    return AlgebraPresentation(fld, gt, [parse_poly(gt, fld, r) for r in rels], label=label)
+
+
+def test_anick_criterion_refusals(corpus_fast):
+    refused = [
+        corpus_fast["example1"].presentation,   # global dimension 3
+        corpus_fast["remark"].presentation,     # infinitely related, Tor_3(k, k) != 0
+        _make("xyz", ["-2*y*z + 2*z*y - x^2", "-2*z*x + 2*x*z - y^2",
+                      "-2*x*y + 2*y*x - z^2"], "sklyanin(-2,2,-1)"),
+        _make("xyz", ["y*z", "x*z - z*x", "y*z"], "example2 with y*z twice"),
+    ]
+    for pres in refused:
+        for side, tgb in _sides(pres, 7):
+            assert anick_series(tgb) is None, (pres.label, side)
+
+
+def test_anick_criterion_is_sound_on_corpus(corpus_fast):
+    # where it holds: Tor_1(k, k) = L, Tor_2(k, k) = R and Tor_3(k, k) = 0
+    for label in ANICK_HOLDS:
+        for side, tgb in _sides(corpus_fast[label].presentation, 8):
+            c = anick_series(tgb)
+            gt = tgb.gt
+            k = ModuleMap(
+                tgb, FreeModule(tuple(gt.weights)), FreeModule((0,)),
+                {(0, i): NcPoly.monomial(gt, tgb.field, (i,)) for i in range(len(gt))},
+            )
+            tor = minimal_resolution(k, length=3).tor
+            letters = [gt.weights.count(d) for d in range(9)]
+            assert tor[1] == letters, (label, side)
+            assert tor[2] == [c[d] - (d == 0) + letters[d] for d in range(9)], (label, side)
+            assert not any(tor[3]), (label, side)
+
+
+def test_witness_is_found_only_when_read(tgb_fast, monkeypatch):
+    calls = []
+    real = coherence.kernel_min_generators
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(coherence, "kernel_min_generators", counted)
+    right = probe_algebra(tgb_fast("example2", 8), side="right")
+    right.to_dict()
+    assert right.aggregate.kind == "STABLE" and calls == []
+    left = probe_algebra(tgb_fast("example2", 8), side="left")
+    assert calls == []
+    growing = [r for r in left.reports if any(r.profile[5:])]
+    assert growing
+    blocks = left.to_dict()["ideals"]
+    assert len(calls) == len(growing)
+    # the witness is that of the kernel route
+    tgb_op = complete_to_degree(opposite(tgb_fast("example2", 8).presentation), 8)
+    for block in blocks:
+        ideal = RightIdealSpec.from_strings(tgb_op, block["gens"])
+        gens = real(ideal_map(tgb_op, ideal))
+        assert block["witness"] == [[g.degree, g.strings(tgb_op)] for g in gens if g.degree > 4]
+
+
+def test_witness_starts_just_above_half_the_bound(tgb_fast):
+    # over xy_zero the one syzygy of x^5 is y, at module degree 6 = D//2 + 1:
+    # the rank route reports it, and the witness window (D//2, D] holds it
+    tgb = tgb_fast("xy_zero", 10)
+    assert anick_series(tgb) is not None
+    rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x^5"]))
+    assert rep.profile == [0] * 6 + [1] + [0] * 4
+    assert str(rep.verdict) == "STABLE(6)"
+    assert rep.witness == [(6, ["y"])]

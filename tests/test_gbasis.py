@@ -10,6 +10,7 @@ from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDeg
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
 from cohprobe.gbasis import (
     AlgebraPresentation,
+    anick_series,
     complete_to_degree,
     component_dim_bruteforce,
     hilbert_dims,
@@ -19,6 +20,7 @@ from cohprobe.gbasis import (
 )
 from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
+from cohprobe.veronese import degree_one_generated, veronese_presentation
 from oracles import (
     bar_tor_trivial_module,
     ideal_syzygy_profile_oracle,
@@ -272,6 +274,24 @@ def test_added_degrees_nondecreasing(name):
     assert len(degrees) == len(tgb.elements)
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in ALGEBRAS.glob("*.alg")))
+def test_truncated_basis_is_the_completion_at_the_lower_bound(name):
+    # the reduced truncated basis is unique, so cutting the basis at D down
+    # to d gives the completion at d; checked on the algebra and, when it
+    # is generated in degree 1, on its discovered Veronese presentation
+    p = parse_algebra_file((ALGEBRAS / name).read_text(encoding="utf-8"), field=PrimeField(32003))
+    tgb = complete_to_degree(p, 8)
+    presentations = [p]
+    if degree_one_generated(tgb):
+        presentations.append(veronese_presentation(tgb, 2).presentation)
+    for q in presentations:
+        full = complete_to_degree(q, 8)
+        for d in range(2, 8):
+            assert full.truncated(d) == complete_to_degree(q, d), (q.label, d)
+    with pytest.raises(DegreeBoundExceeded):
+        tgb.truncated(9)
+
+
 @st.composite
 def presentations_and_polys(draw):
     field = draw(st.sampled_from([QQ, PrimeField(32003)]))
@@ -310,7 +330,15 @@ def test_random_presentations_against_references(case):
         tgb, FreeModule(tuple(p.gens.weights)), FreeModule((0,)),
         {(0, i): NcPoly.monomial(p.gens, p.field, (i,)) for i in range(len(p.gens))},
     )
-    assert minimal_resolution(k, length=2).tor == bar_tor_trivial_module(tgb, 5)
+    tor = minimal_resolution(k, length=3).tor
+    assert tor[:3] == bar_tor_trivial_module(tgb, 5)
+    # where Anick's criterion holds, the probe above took its rank route, and
+    # Tor_1(k, k) = L, Tor_2(k, k) = R and Tor_3(k, k) = 0 through the bound
+    c = anick_series(tgb)
+    if c is not None:
+        assert tor[1] == [0, len(p.gens), 0, 0, 0, 0]
+        assert tor[2] == [c[d] + tor[1][d] - (d == 0) for d in range(6)]
+        assert not any(tor[3])
     # product tables: row i of products(e, w) is NF(u * w), or NF(w * u) on
     # the left, for u the i-th normal word of degree e, indexed by normal words
     for w in sorted({w for q in polys for w in q.terms}):

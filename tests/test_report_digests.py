@@ -38,6 +38,13 @@ REQUESTS = [
      "59decb14cde25e2838a79fc226595fc1123b512c2099fbbce4d45182e46e8cf7"),
     (["corpus", "-D", "7", "--field", "F32003", "--max-ideals", "4"],
      "5c79317234fdcc0c2c072d679c5cb9efdb5d59b3541979bff7afda5b6e0fc802"),
+    # a GROWING profile whose witness is reached through --ideal
+    (["probe", "example2.alg", "--side", "left", "--ideal", "z", "-D", "10",
+      "--field", "F32003"],
+     "15adeac6800b5c7d61ec2b33114bef8d1e389dde670159f8419afa6b6138f3bc"),
+    # the Veronese probe at an affordable depth below D
+    (["veronese", "free2.alg", "--n", "2", "-D", "10", "--cross-check", "--field", "F32003"],
+     "d011b1fd6d52ef5012a86399abe3f946a00e4ff25c0665934643d34ed729371b"),
 ]
 
 
@@ -79,7 +86,16 @@ def _digest(argv):
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("args,digest", REQUESTS, ids=[" ".join(args[:2]) for args, _ in REQUESTS])
+def _request_ids():
+    """Command and file, with the next two arguments when that pair repeats."""
+    ids = []
+    for args, _ in REQUESTS:
+        name = " ".join(args[:2])
+        ids.append(name if name not in ids else " ".join(args[:4]))
+    return ids
+
+
+@pytest.mark.parametrize("args,digest", REQUESTS, ids=_request_ids())
 def test_report_digest(args, digest):
     assert _digest(_argv(args)) == digest
 

@@ -1,4 +1,5 @@
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -97,6 +98,29 @@ def test_cross_check_and_pm_modules_share_their_work(monkeypatch):
     assert code == 0
     assert completed.count(("commutative_model^(2)", 8)) == 1
     assert checked == [("commutative_model", 8)]
+
+
+def test_cross_check_below_the_ambient_bound_completes_once(monkeypatch):
+    # free2^(2) affords probe depth 6 < D = 10: its basis at 6 is cut from
+    # the one completed at 10, not completed again
+    completed = []
+    real_complete = veronese.complete_to_degree
+
+    def complete(p, D):
+        completed.append((p.label, D))
+        return real_complete(p, D)
+
+    monkeypatch.setattr(veronese, "complete_to_degree", complete)
+    alg = Path(__file__).resolve().parent.parent / "algebras" / "free2.alg"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["veronese", str(alg), "--n", "2", "-D", "10", "--cross-check",
+                     "--field", "F32003", "--json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["veronese"]["cross_check"]["veronese_D"] == 6
+    # discovery completes free2^(2) at the internal degrees 1..5 only
+    assert completed.count(("free2^(2)", 10)) == 1
+    assert ("free2^(2)", 6) not in completed
 
 
 def test_veronese_of_veronese_hilbert(corpus_fast):

@@ -74,6 +74,24 @@ def test_window_audits(model_tgb, tgb_fast):
     assert ZAlgebraWindow(tgb_fast("example2"), 0, 4).audit()["ok"]
 
 
+def test_mult_composes_in_the_graded_order(tgb_fast):
+    # mult(i, j, k)[y][x] is NF(x * y) for x in A_jk and y in A_ij; the
+    # opposite product is associative and unital too, so the audit alone
+    # cannot tell the two sides apart
+    tgb = tgb_fast("example2", 6)
+    zw = ZAlgebraWindow(tgb, 0, 4)
+    for i in range(5):
+        for j in range(i, 5):
+            for k in range(j, 5):
+                idx = tgb.normal_index(k - i)
+                want = [
+                    [{idx[t]: c for t, c in tgb.normal_form_word(x + y).items()}
+                     for x in zw.basis(j, k)]
+                    for y in zw.basis(i, j)
+                ]
+                assert zw.mult(i, j, k) == want, (i, j, k)
+
+
 def test_window_audit_rejects_uncompleted_relations():
     # the Sklyanin relations alone are not a Groebner basis: rewriting by them
     # gives products that are not associative, and the audit must say where
