@@ -12,7 +12,7 @@ Profiles are graded by module degree (the degree of the syzygy inside
 Tor_2(A/J, k) degree for degree.  The profile has two sources:
 
 - where Anick's criterion certifies global dimension <= 2 through D
-  (gbasis.anick_series returns its c(t)), Tor balance and the Euler
+  (the basis's anick_series holds its c(t)), Tor balance and the Euler
   characteristic of A/J (x) P(k) give profile(t) = S(t) - H_J(t) c(t)
   mod t^(D+1), S counting the generators g_i by degree and H_J(e) the rank
   of f at degree e: one rank per degree, no kernel;
@@ -32,7 +32,6 @@ from .freealg import NcPoly, parse_poly, poly_str
 from .gbasis import (
     AlgebraPresentation,
     RelationFamily,
-    anick_series,
     complete_to_degree,
     opposite,
 )
@@ -164,7 +163,7 @@ def probe_ideal(tgb, ideal):
     """Per-degree Tor_1 new-generator profile of the ideal up to the bound of tgb."""
     D = tgb.D
     f = ideal_map(tgb, ideal)
-    c = anick_series(tgb)
+    c = tgb.anick_series
     if c is None:
         gens = kernel_min_generators(f)
         profile = [0] * (D + 1)

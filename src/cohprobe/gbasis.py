@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd
 
 from .errors import DegreeBoundExceeded, InputError, NonHomogeneousRelation, ZeroDegreeGenerator
@@ -155,43 +156,46 @@ class TruncatedGroebnerBasis:
         self._index = _LeadIndex(self.gt, self.field)
         for g in elements:
             self._index.insert(leading_word(self.gt, g), g)
-        self._nf_cache = {}
+        self._rows = {}
         self._products = {}
         self._normal_words = {}
         self._normal_index = {}
 
     # --- rewriting ---------------------------------------------------
 
+    def normal_form_row(self, word):
+        """NF(word) as {index: coeff} over normal_index(deg word); memoized per word.
+
+        This is the one stored copy of a normal form: products and
+        normal_form_word read it, so callers only read rows.
+        """
+        row = self._rows.get(word)
+        if row is None:
+            idx = self.normal_index(self.gt.word_degree(word))
+            nf = _reduce_terms({word: self.field.one()}, self._index)
+            row = self._rows[word] = {idx[t]: c for t, c in nf.items()}
+        return row
+
     def normal_form_word(self, word):
-        """Normal form of a single word, as a terms dict; memoized."""
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        result = _reduce_terms({word: self.field.one()}, self._index, memo=self._nf_cache)
-        self._nf_cache[word] = result
-        return result
+        """Normal form of a single word, as a terms dict over normal words."""
+        words = self.normal_words(self.gt.word_degree(word))
+        return {words[i]: c for i, c in self.normal_form_row(word).items()}
 
     def products(self, e, word, on_left=False):
         """The product table of word at degree e; memoized per (e, word, side).
 
-        Row i is NF(u * word), or NF(word * u) with on_left, for u the i-th
-        word of normal_words(e), as {index: coeff} over normal_index(e +
-        deg word).  The rows read the normal-form memo but are not written
-        to it, so each product is stored once, here.  Callers only read the
-        rows.
+        Row i is normal_form_row(u * word), or of word * u with on_left, for u
+        the i-th word of normal_words(e).  The table lists the stored rows, so
+        a product word reached by several splits, or from both sides, is one
+        row.
         """
         key = (e, word, on_left)
         rows = self._products.get(key)
         if rows is None:
-            idx = self.normal_index(e + self.gt.word_degree(word))
-            one = self.field.one()
-            rows = []
-            for u in self.normal_words(e):
-                nf = _reduce_terms(
-                    {word + u if on_left else u + word: one}, self._index, memo=self._nf_cache
-                )
-                rows.append({idx[t]: c for t, c in nf.items()})
-            self._products[key] = rows
+            rows = self._products[key] = [
+                self.normal_form_row(word + u if on_left else u + word)
+                for u in self.normal_words(e)
+            ]
         return rows
 
     def normal_form(self, q):
@@ -263,6 +267,42 @@ class TruncatedGroebnerBasis:
             self.presentation, D, [g for g in self.elements if g.degree <= D], log
         )
 
+    @cached_property
+    def anick_series(self):
+        """c(t) = 1 - sum_letters t^w + sum_relations t^(deg r) through D when
+        Anick's criterion certifies global dimension <= 2 there, else None.
+
+        The relations are those of the presentation and the family members of
+        degree <= D.  The criterion (D. Anick, "Non-commutative graded
+        algebras and their Hilbert series", J. Algebra 78, 1982) asks that every
+        relation term be a word of length >= 2, so that the letters are minimal
+        generators and Tor_1(k, k) = L while Tor_2(k, k) <= R coefficientwise,
+        and that H_A(t) c(t) == 1 mod t^(D+1).  Then 1/H_A - c = (V_2 - R) - V_3
+        + V_4 - ... with V_i = Tor_i(k, k), and V_4 starts above V_3, so at the
+        lowest degree <= D where R - V_2 or V_3 were nonzero the difference
+        would have a negative coefficient.  Hence Tor_2(k, k) = R and
+        Tor_i(k, k) = 0 for i >= 3 in degrees <= D.
+        """
+        D, p = self.D, self.presentation
+        gt, fld = p.gens, p.field
+        relations = list(p.relations)
+        for fam in p.relfams:
+            relations.extend(fam.expand(gt, fld, D))
+        c = [1] + [0] * D
+        for w in gt.weights:
+            if w <= D:
+                c[w] -= 1
+        for r in relations:
+            if any(len(t) < 2 for t in r.terms):
+                return None
+            if r.degree <= D:
+                c[r.degree] += 1
+        h = hilbert_dims(self, D)
+        for d in range(D + 1):
+            if sum(h[d - j] * c[j] for j in range(d + 1)) != int(d == 0):
+                return None
+        return c
+
     def element_strings(self):
         return [poly_str(self.gt, self.field, g) for g in self.elements]
 
@@ -332,7 +372,7 @@ class _LeadIndex:
         return out
 
 
-def _reduce_terms(terms, index, memo=None):
+def _reduce_terms(terms, index):
     """Normal form of a terms dict modulo the indexed basis; deterministic.
 
     Rewrites the largest unreduced word first, at its leftmost lead word;
@@ -341,15 +381,14 @@ def _reduce_terms(terms, index, memo=None):
     rewrite c * w with reducer (a, tail), everything is first scaled by
     a / gcd(a, c), and lam carries the product of the scales, so result /
     lam is the exact normal form.  Over F_p a = 1 and nothing is scaled.
-    A memo hit, an exact normal form, is used the same way, with a the lcm
-    of its denominators.  Rewrites add plain integers to the pending words;
-    the field puts a word's value in canonical form only when the word is
-    popped, so a word whose value cancelled is skipped then.
+    Rewrites add plain integers to the pending words; the field puts a
+    word's value in canonical form only when the word is popped, so a word
+    whose value cancelled is skipped then.
     """
     if not terms:
         return {}
     fld = index.field
-    axpy, canonical, find = fld.axpy, fld.canonical, index.find
+    canonical, find = fld.canonical, index.find
     push, pop = heapq.heappush, heapq.heappop
     neg_prec = index.neg_prec.__getitem__
     lam, pending = fld.integral(terms)
@@ -365,18 +404,11 @@ def _reduce_terms(terms, index, memo=None):
         c = canonical(pending.pop(w))
         if not c:  # cancelled
             continue
-        hit = memo.get(w) if memo is not None else None
-        if hit is not None:
-            a, hit = fld.integral(hit)
-        else:
-            pos = find(w)
-            if pos is None:
-                if w in result:  # put there by a memo hit
-                    axpy(result, 1, {w: c})
-                else:
-                    result[w] = c
-                continue
-            i, j, (a, tail) = pos
+        pos = find(w)
+        if pos is None:
+            result[w] = c
+            continue
+        i, j, (a, tail) = pos
         if a != 1:
             g = gcd(a, c)
             c //= g
@@ -385,9 +417,6 @@ def _reduce_terms(terms, index, memo=None):
                 pending = {k: v * s for k, v in pending.items()}
                 result = {k: v * s for k, v in result.items()}
                 lam *= s
-        if hit is not None:
-            axpy(result, c, hit)
-            continue
         prefix, suffix = w[:i], w[j:]
         for t, tc in tail:
             nw = prefix + t + suffix
@@ -479,21 +508,16 @@ def complete_to_degree(p, D):
                     break
 
     # final inter-reduction: tails rewritten to normal form, leads untouched
-    # (a tail word of the lead's degree cannot contain the lead)
-    changed = True
-    while changed:
-        changed = False
-        for lw in sorted(basis, key=lambda w: word_key(gt, w)):
-            g = basis[lw]
-            terms = {lw: g.terms[lw]}
-            terms.update(_reduce_terms({w: c for w, c in g.terms.items() if w != lw}, index))
-            reduced = NcPoly(terms, g.degree)
-            if reduced != g:
-                basis[lw] = reduced
-                index.insert(lw, reduced)
-                changed = True
-
-    elements = [basis[lw] for lw in sorted(basis, key=lambda w: word_key(gt, w))]
+    # (a tail word of the lead's degree cannot contain the lead).  Normal
+    # forms modulo the completed basis are unique, so one pass suffices.
+    elements = []
+    for lw in sorted(basis, key=lambda w: word_key(gt, w)):
+        g = basis[lw]
+        terms = {lw: g.terms[lw]}
+        terms.update(_reduce_terms({w: c for w, c in g.terms.items() if w != lw}, index))
+        g = NcPoly(terms, g.degree)
+        index.insert(lw, g)
+        elements.append(g)
     log.events.append(f"completed with {len(elements)} elements at D={D}")
     return TruncatedGroebnerBasis(p, D, elements, log)
 
@@ -503,42 +527,6 @@ def hilbert_dims(tgb, D):
     if D > tgb.D:
         raise DegreeBoundExceeded(f"degree {D} > bound {tgb.D}")
     return [tgb.dim(d) for d in range(D + 1)]
-
-
-def anick_series(tgb):
-    """c(t) = 1 - sum_letters t^w + sum_relations t^(deg r) through tgb.D when
-    Anick's criterion certifies global dimension <= 2 there, else None.
-
-    The relations are those of the presentation and the family members of
-    degree <= tgb.D.  The criterion (D. Anick, "Non-commutative graded
-    algebras and their Hilbert series", J. Algebra 78, 1982) asks that every
-    relation term be a word of length >= 2, so that the letters are minimal
-    generators and Tor_1(k, k) = L while Tor_2(k, k) <= R coefficientwise,
-    and that H_A(t) c(t) == 1 mod t^(D+1).  Then 1/H_A - c = (V_2 - R) - V_3
-    + V_4 - ... with V_i = Tor_i(k, k), and V_4 starts above V_3, so at the
-    lowest degree <= D where R - V_2 or V_3 were nonzero the difference
-    would have a negative coefficient.  Hence Tor_2(k, k) = R and
-    Tor_i(k, k) = 0 for i >= 3 in degrees <= D.
-    """
-    D, p = tgb.D, tgb.presentation
-    gt, fld = p.gens, p.field
-    relations = list(p.relations)
-    for fam in p.relfams:
-        relations.extend(fam.expand(gt, fld, D))
-    c = [1] + [0] * D
-    for w in gt.weights:
-        if w <= D:
-            c[w] -= 1
-    for r in relations:
-        if any(len(t) < 2 for t in r.terms):
-            return None
-        if r.degree <= D:
-            c[r.degree] += 1
-    h = hilbert_dims(tgb, D)
-    for d in range(D + 1):
-        if sum(h[d - j] * c[j] for j in range(d + 1)) != int(d == 0):
-            return None
-    return c
 
 
 def normal_word_counts(tgb):

@@ -277,14 +277,14 @@ def kernel_min_generators(f):
 def _projected_kernel(fld, pcols, rcols):
     """Basis of ker(P -> coker(rel)) at one degree, from the two column lists.
 
-    The kernel of the stacked matrix [pcols | rcols], projected to the P
-    block and span-reduced to a deterministic basis (echelon rows by pivot).
+    The kernel vectors of [rcols | pcols] whose 1 lies in the P block,
+    restricted to that block.  Those whose 1 lies in the relation block
+    vanish on the P block, and each of the rest ends in its 1 at its own
+    position, so they are a basis of the projection with no second pass.
     """
-    reducer = SpanSolver(fld)
-    nsrc = len(pcols)
-    for vec in kernel_basis(fld, pcols + rcols):
-        reducer.add({i: c for i, c in vec.items() if i < nsrc})
-    return [reducer.pivot_rows[p] for p in sorted(reducer.pivot_rows)]
+    m = len(rcols)
+    return [{i - m: c for i, c in vec.items() if i >= m}
+            for vec in kernel_basis(fld, rcols + pcols) if max(vec) >= m]
 
 
 @dataclass

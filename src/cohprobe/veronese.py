@@ -113,12 +113,8 @@ def veronese_presentation(tgb, n):
         sym_pres = AlgebraPresentation(fld, sym_gt, list(relations), label=f"{label}^({n})")
         sym_tgb = complete_to_degree(sym_pres, i)
         sym_words = sym_tgb.normal_words(i)
-        ambient_index = tgb.normal_index(i * n)
-        cols = []
-        for sw in sym_words:
-            concat = tuple(letter for s in sw for letter in gen_words[s])
-            nf = tgb.normal_form_word(concat)
-            cols.append({ambient_index[w]: c for w, c in nf.items()})
+        cols = [tgb.normal_form_row(tuple(letter for s in sw for letter in gen_words[s]))
+                for sw in sym_words]
         new_rels = [
             NcPoly({sym_words[t]: c for t, c in vec.items()}, i)
             for vec in kernel_basis(fld, cols)

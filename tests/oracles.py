@@ -332,7 +332,7 @@ def _find_factor(word, leads_by_len, lead_lens):
     return None
 
 
-def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=None):
+def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly):
     """Fully reduce a terms dict; deterministic descending-word sweep.
 
     Rewrites the largest unreduced word first; every rewrite replaces a word
@@ -354,10 +354,6 @@ def _reduce_terms(terms, gt, fld, leads_by_len, lead_lens, lead_to_poly, memo=No
         in_heap.discard(w)
         c = pending.pop(w, None)
         if c is None or is_zero(c):
-            continue
-        hit = memo.get(w) if memo is not None else None
-        if hit is not None:
-            reference_axpy(fld, result, c, hit)
             continue
         pos = _find_factor(w, leads_by_len, lead_lens)
         if pos is None:

@@ -1,6 +1,7 @@
 import pytest
 
 import cohprobe.coherence as coherence
+import cohprobe.gbasis as gbasis
 from cohprobe.coherence import (
     RightIdealSpec,
     Verdict,
@@ -15,7 +16,7 @@ from cohprobe.coherence import (
     worst_verdict,
 )
 from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly
-from cohprobe.gbasis import AlgebraPresentation, anick_series, complete_to_degree, opposite
+from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
 from cohprobe.grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
@@ -256,7 +257,7 @@ def test_probe_profile_sources_agree_on_corpus(field):
     # minimal kernel generators, on every corpus ideal of both sides
     for entry in builtin_corpus(field):
         for side, tgb in _sides(entry.presentation, 8):
-            assert (anick_series(tgb) is not None) == (entry.label in ANICK_HOLDS)
+            assert (tgb.anick_series is not None) == (entry.label in ANICK_HOLDS)
             for ideal in enumerate_ideals(tgb, 2, 64) + _extra_ideals(tgb):
                 want = _kernel_profile(tgb, ideal)
                 assert probe_ideal(tgb, ideal).profile == want, (entry.label, side)
@@ -278,14 +279,14 @@ def test_anick_criterion_refusals(corpus_fast):
     ]
     for pres in refused:
         for side, tgb in _sides(pres, 7):
-            assert anick_series(tgb) is None, (pres.label, side)
+            assert tgb.anick_series is None, (pres.label, side)
 
 
 def test_anick_criterion_is_sound_on_corpus(corpus_fast):
     # where it holds: Tor_1(k, k) = L, Tor_2(k, k) = R and Tor_3(k, k) = 0
     for label in ANICK_HOLDS:
         for side, tgb in _sides(corpus_fast[label].presentation, 8):
-            c = anick_series(tgb)
+            c = tgb.anick_series
             gt = tgb.gt
             k = ModuleMap(
                 tgb, FreeModule(tuple(gt.weights)), FreeModule((0,)),
@@ -296,6 +297,22 @@ def test_anick_criterion_is_sound_on_corpus(corpus_fast):
             assert tor[1] == letters, (label, side)
             assert tor[2] == [c[d] - (d == 0) + letters[d] for d in range(9)], (label, side)
             assert not any(tor[3]), (label, side)
+
+
+def test_anick_series_is_read_off_once_per_basis(corpus_fast, monkeypatch):
+    # every probed ideal reads the criterion; each side's basis computes it once
+    seen = []
+    real = gbasis.hilbert_dims
+
+    def counted(tgb, D):
+        seen.append(tgb)
+        return real(tgb, D)
+
+    monkeypatch.setattr(gbasis, "hilbert_dims", counted)
+    tgb = complete_to_degree(corpus_fast["example2"].presentation, 7)
+    for side in ("right", "left"):
+        assert len(probe_algebra(tgb, side=side).reports) > 1
+    assert len(seen) == 2 and seen[0] is tgb
 
 
 def test_witness_is_found_only_when_read(tgb_fast, monkeypatch):
@@ -328,7 +345,7 @@ def test_witness_starts_just_above_half_the_bound(tgb_fast):
     # over xy_zero the one syzygy of x^5 is y, at module degree 6 = D//2 + 1:
     # the rank route reports it, and the witness window (D//2, D] holds it
     tgb = tgb_fast("xy_zero", 10)
-    assert anick_series(tgb) is not None
+    assert tgb.anick_series is not None
     rep = probe_ideal(tgb, RightIdealSpec.from_strings(tgb, ["x^5"]))
     assert rep.profile == [0] * 6 + [1] + [0] * 4
     assert str(rep.verdict) == "STABLE(6)"

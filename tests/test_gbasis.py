@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cohprobe.gbasis as gbasis
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.coherence import RightIdealSpec, probe_ideal
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
 from cohprobe.gbasis import (
     AlgebraPresentation,
-    anick_series,
     complete_to_degree,
     component_dim_bruteforce,
     hilbert_dims,
@@ -334,7 +334,7 @@ def test_random_presentations_against_references(case):
     assert tor[:3] == bar_tor_trivial_module(tgb, 5)
     # where Anick's criterion holds, the probe above took its rank route, and
     # Tor_1(k, k) = L, Tor_2(k, k) = R and Tor_3(k, k) = 0 through the bound
-    c = anick_series(tgb)
+    c = tgb.anick_series
     if c is not None:
         assert tor[1] == [0, len(p.gens), 0, 0, 0, 0]
         assert tor[2] == [c[d] + tor[1][d] - (d == 0) for d in range(6)]
@@ -351,3 +351,33 @@ def test_random_presentations_against_references(case):
                 for u, row in zip(tgb.normal_words(e), rows):
                     want = reference_normal_form(tgb, {w + u if on_left else u + w: p.field.one()})
                     assert row == {idx[t]: c for t, c in want.items()}
+
+
+def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
+    seen = []
+    real = gbasis._reduce_terms
+
+    def counted(terms, index):
+        seen.append(tuple(terms))
+        return real(terms, index)
+
+    monkeypatch.setattr(gbasis, "_reduce_terms", counted)
+    tgb = complete_to_degree(corpus_fast["example2"].presentation, 6)
+    seen.clear()
+    # NF(x*x) is one row, read as u*w on the right and as w*u on the left
+    x = (0,)
+    i = tgb.normal_index(1)[x]
+    assert tgb.products(1, x)[i] is tgb.products(1, x, on_left=True)[i]
+    # every product word is reduced once, however often it is reached
+    for d in range(1, 4):
+        for w in tgb.normal_words(d):
+            for e in range(7 - d):
+                for on_left in (False, True):
+                    tgb.products(e, w, on_left)
+    assert seen and len(seen) == len(set(seen))
+    # normal_form_word is a row keyed by normal words
+    for d in range(7):
+        words = tgb.normal_words(d)
+        for w in enumerate_words(tgb.gt, d):
+            row = tgb.normal_form_row(w)
+            assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}

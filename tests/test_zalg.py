@@ -92,6 +92,20 @@ def test_mult_composes_in_the_graded_order(tgb_fast):
                 assert zw.mult(i, j, k) == want, (i, j, k)
 
 
+def test_window_audit_checks_each_degree_triple_once(tgb_fast, monkeypatch):
+    # A_ij = A_(j-i), so associativity is checked at i = lo only
+    seen = []
+    real = ZAlgebraWindow._assoc_ok
+
+    def counted(self, i, j, k, l):
+        seen.append((i, j, k, l))
+        return real(self, i, j, k, l)
+
+    monkeypatch.setattr(ZAlgebraWindow, "_assoc_ok", counted)
+    assert ZAlgebraWindow(tgb_fast("free2"), -2, 3).audit()["ok"]
+    assert seen == [(-2, j, k, l) for j in range(-2, 4) for k in range(j, 4) for l in range(k, 4)]
+
+
 def test_window_audit_rejects_uncompleted_relations():
     # the Sklyanin relations alone are not a Groebner basis: rewriting by them
     # gives products that are not associative, and the audit must say where
