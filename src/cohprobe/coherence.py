@@ -25,16 +25,13 @@ they are read, and only when its profile counts a generator there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
+from .algfile import parse_algebra_file
 from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
-from .gbasis import (
-    AlgebraPresentation,
-    RelationFamily,
-    complete_to_degree,
-    opposite,
-)
+from .gbasis import AlgebraPresentation, complete_to_degree, opposite
 from .grmod import FreeModule, ModuleMap, kernel_min_generators, letters, min_generators
 from .linalg import QQ, SpanSolver
 
@@ -220,23 +217,14 @@ class AggregateProbeReport:
 
 
 def enumerate_ideals(tgb, gen_degree_bound, max_ideals):
-    """Deterministic list of RightIdealSpecs with <= 2 normal-word generators."""
-    words = []
-    for d in range(1, gen_degree_bound + 1):
-        words.extend(tgb.normal_words(d))
-    fld = tgb.field
-    gt = tgb.gt
-    ideals = []
-    for w in words:
-        ideals.append(RightIdealSpec([NcPoly.monomial(gt, fld, w)]))
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            ideals.append(
-                RightIdealSpec(
-                    [NcPoly.monomial(gt, fld, words[i]), NcPoly.monomial(gt, fld, words[j])]
-                )
-            )
-    return ideals[:max_ideals]
+    """The first max_ideals RightIdealSpecs with <= 2 normal-word generators
+    of degree <= gen_degree_bound: the single words, then the pairs (i, j),
+    i < j, in word order; only the ideals returned are built."""
+    words = [w for d in range(1, gen_degree_bound + 1) for w in tgb.normal_words(d)]
+    fld, gt = tgb.field, tgb.gt
+    singles = ((w,) for w in words)
+    gens = islice(chain(singles, combinations(words, 2)), max_ideals)
+    return [RightIdealSpec([NcPoly.monomial(gt, fld, w) for w in ws]) for ws in gens]
 
 
 def probe_algebra(tgb, gen_degree_bound=2, max_ideals=64, side="right"):
@@ -297,122 +285,80 @@ class CorpusEntry:
     presentation: AlgebraPresentation
     expected_right: str
     expected_left: str
-    witness_right: list = dc_field(default_factory=list)   # ideal gen strings
-    witness_left: list = dc_field(default_factory=list)    # ideals of the opposite
-    note: str = ""
 
 
-def _pres(field, names, rel_texts, label, fams=()):
-    from .freealg import GeneratorTable
-
-    gt = GeneratorTable(list(names))
-    rels = [parse_poly(gt, field, t) for t in rel_texts]
-    return AlgebraPresentation(field, gt, rels, list(fams), label=label)
+# (expected right verdict, expected left verdict, algebra file text)
+_CORPUS = [
+    ("STABLE", "STABLE", """
+# polynomial ring in one variable
+label free1
+gen x 1
+"""),
+    ("STABLE", "STABLE", """
+# tensor algebra on two generators; coherent, Tor_2 == 0
+label free2
+gen x 1
+gen y 1
+"""),
+    ("STABLE", "STABLE", """
+# one monomial relation; coherent
+label xy_zero
+gen x 1
+gen y 1
+rel x*y
+"""),
+    ("GROWING", "GROWING", """
+# neither side coherent; J=(x) needs a new syzygy every degree
+label example1
+gen x 1
+gen y 1
+gen z 1
+rel x*y
+rel y*z
+rel x*z - z*x
+"""),
+    ("STABLE", "GROWING", """
+# right coherent, not left coherent
+label example2
+gen x 1
+gen y 1
+gen z 1
+rel y*z
+rel x*z - z*x
+"""),
+    ("GROWING", "GROWING", """
+# infinitely related: x^2 y, y x^2, y x y, x y^(2n+1) x
+label remark
+gen x 1
+gen y 1
+rel x^2*y
+rel y*x^2
+rel y*x*y
+relfam x*y^{2*n+1}*x  n >= 0
+"""),
+    ("STABLE", "STABLE", """
+# coherent but not right Noetherian: chain (tz, t^2z^2, ...)
+label noetherian_base
+gen t 1
+gen z 1
+rel z*t
+"""),
+    ("STABLE", "STABLE", """
+# Serre desk model: coordinate ring of the projective line
+label commutative_model
+gen x 1
+gen y 1
+rel x*y - y*x
+"""),
+]
 
 
 def builtin_corpus(field=QQ):
     """The example algebras of the source material, with expected verdicts."""
     entries = []
-    entries.append(
-        CorpusEntry(
-            "free1",
-            _pres(field, "x", [], "free1"),
-            "STABLE",
-            "STABLE",
-            witness_right=["x"],
-            witness_left=["x"],
-            note="polynomial ring in one variable",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "free2",
-            _pres(field, "xy", [], "free2"),
-            "STABLE",
-            "STABLE",
-            witness_right=["x"],
-            witness_left=["x"],
-            note="tensor algebra on two generators; coherent, Tor_2 == 0",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "xy_zero",
-            _pres(field, "xy", ["x*y"], "xy_zero"),
-            "STABLE",
-            "STABLE",
-            witness_right=["x"],
-            witness_left=["y"],
-            note="one monomial relation; coherent",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "example1",
-            _pres(field, "xyz", ["x*y", "y*z", "x*z - z*x"], "example1"),
-            "GROWING",
-            "GROWING",
-            witness_right=["x"],
-            witness_left=["z"],
-            note="neither side coherent; J=(x) needs a new syzygy every degree",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "example2",
-            _pres(field, "xyz", ["y*z", "x*z - z*x"], "example2"),
-            "STABLE",
-            "GROWING",
-            witness_right=["x"],
-            witness_left=["z"],
-            note="right coherent, not left coherent",
-        )
-    )
-    remark_gt_names = "xy"
-    remark_fam = RelationFamily(
-        factors=[(0, (0, 1)), (1, (2, 1)), (0, (0, 1))],  # x * y^(2n+1) * x
-        n_min=0,
-        raw="x*y^{2*n+1}*x n >= 0",
-    )
-    entries.append(
-        CorpusEntry(
-            "remark",
-            _pres(
-                field,
-                remark_gt_names,
-                ["x^2*y", "y*x^2", "y*x*y"],
-                "remark",
-                fams=[remark_fam],
-            ),
-            "GROWING",
-            "GROWING",
-            witness_right=["x*y"],
-            witness_left=["x*y"],
-            note="infinitely related; witness ideal (x*y) is a design choice",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "noetherian_base",
-            _pres(field, "tz", ["z*t"], "noetherian_base"),
-            "STABLE",
-            "STABLE",
-            witness_right=["z"],
-            witness_left=["t"],
-            note="coherent but not right Noetherian: chain (tz, t^2z^2, ...)",
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "commutative_model",
-            _pres(field, "xy", ["x*y - y*x"], "commutative_model"),
-            "STABLE",
-            "STABLE",
-            witness_right=["x"],
-            witness_left=["x"],
-            note="Serre desk model: coordinate ring of the projective line",
-        )
-    )
+    for right, left, text in _CORPUS:
+        p = parse_algebra_file(text, field=field)
+        entries.append(CorpusEntry(p.label, p, right, left))
     return entries
 
 

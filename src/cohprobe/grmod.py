@@ -190,15 +190,13 @@ class ModuleComponents:
         one = fld.one()
         rel = self.relations.component_columns(d)
         fb = free_basis(self.tgb, self.relations.target, d)
-        m = len(rel)
-        # dependent unit i -> its kernel vector, whose 1 sits at m + i
-        deps = {max(v) - m: v for v in kernel_basis(fld, rel + [{i: one} for i in range(len(fb))])
-                if max(v) >= m}
+        # dependent unit i -> its kernel vector modulo the relations, whose 1 sits at i
+        deps = {max(v): v for v in _projected_kernel(fld, [{i: one} for i in range(len(fb))], rel)}
         pos = {}  # independent unit -> its position in the basis
         table = []
         for i in range(len(fb)):
             if i in deps:
-                table.append({pos[t - m]: fld.neg(c) for t, c in deps[i].items() if m <= t < m + i})
+                table.append({pos[t]: fld.neg(c) for t, c in deps[i].items() if t < i})
             else:
                 pos[i] = len(pos)
                 table.append({pos[i]: one})
@@ -281,7 +279,10 @@ def _projected_kernel(fld, pcols, rcols):
     restricted to that block.  Those whose 1 lies in the relation block
     vanish on the P block, and each of the rest ends in its 1 at its own
     position, so they are a basis of the projection with no second pass.
+    With no relation columns that is kernel_basis(pcols) itself.
     """
+    if not rcols:
+        return kernel_basis(fld, pcols)
     m = len(rcols)
     return [{i - m: c for i, c in vec.items() if i >= m}
             for vec in kernel_basis(fld, rcols + pcols) if max(vec) >= m]
@@ -337,38 +338,32 @@ def minimal_resolution(relations, length=2):
                 p0_entries[(k, len(p0_shifts))] = unit
                 p0_shifts.append(d)
                 tor0[d] += 1
-    p0 = FreeModule(tuple(p0_shifts))
-    p0_map = ModuleMap(tgb, p0, f0, p0_entries)
+    p0_map = ModuleMap(tgb, FreeModule(tuple(p0_shifts)), f0, p0_entries)
 
     tor = [tor0]
     diffs = []
-
-    prev_module = p0
-    for level in range(1, length + 1):
-        if level == 1:
-            gens = min_generators(
-                tgb, p0, range(min(p0.shifts, default=D + 1), D + 1),
-                lambda d: _projected_kernel(
-                    fld, p0_map.component_columns(d), relations.component_columns(d)
-                ),
-                letters(tgb),
-            )
-        else:
-            gens = kernel_min_generators(diffs[-1])
-        shifts = tuple(g.degree for g in gens)
-        pmod = FreeModule(shifts)
+    # level i resolves the kernel of prev modulo rel: P^0 -> F0 modulo the
+    # relations at level 1, then the previous differential modulo nothing
+    prev, rel = p0_map, relations.component_columns
+    for _ in range(length):
+        src = prev.source
+        gens = min_generators(
+            tgb, src, range(min(src.shifts, default=D + 1), D + 1),
+            lambda d: _projected_kernel(fld, prev.component_columns(d), rel(d)),
+            letters(tgb),
+        )
         entries = {}
         for col, g in enumerate(gens):
             for k, poly in enumerate(g.element):
                 if not poly.is_zero():
                     entries[(k, col)] = poly
-        dmap = ModuleMap(tgb, pmod, prev_module, entries)
+        prev = ModuleMap(tgb, FreeModule(tuple(g.degree for g in gens)), src, entries)
+        rel = lambda d: []
         row = [0] * (D + 1)
         for g in gens:
             row[g.degree] += 1
         tor.append(row)
-        diffs.append(dmap)
-        prev_module = pmod
+        diffs.append(prev)
     return TruncatedResolution(relations, p0_map, diffs, tor)
 
 

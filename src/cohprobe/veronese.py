@@ -10,14 +10,13 @@ degree i always corresponds to ambient degree i*n; reports carry both.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree, normal_word_counts
-from .grmod import FreeModule, ModuleMap, min_generators, pushed_span
-from .linalg import kernel_basis
+from .grmod import FreeModule, ModuleMap, min_generators
+from .linalg import SpanSolver, kernel_basis
 from .coherence import STABILITY_MARGIN, probe_algebra
 
 # cumulative component dimensions the Veronese side of a cross-check may probe
@@ -25,24 +24,30 @@ DIM_BUDGET = 2500
 
 
 def degree_one_generated(tgb):
-    """True iff A_1 * A_(d-1) spans A_d for every d <= tgb.D."""
-    units = {1: [{i: tgb.field.one()} for i in range(tgb.dim(1))]}
-    return all(
-        pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
-        for d in range(2, tgb.D + 1)
-    )
+    """True iff A_1 * A_(d-1) spans A_d for every 2 <= d <= tgb.D.
 
-
-_DEGREE_ONE = set()  # ids of the live bases found generated in degree 1
+    That is Tor_1(k, k) = 0 in degrees 2..D, and Tor_1(k, k) is the letters
+    modulo the letter terms of the relations: a product u*r*v with u or v
+    nonempty has none (A. Polishchuk, L. Positselski, "Quadratic Algebras",
+    AMS 2005, ch. 1).  So one rank decides it, with no product table: the
+    letter terms of the relations of degree <= D must span every letter of
+    weight 2..D.
+    """
+    p, D = tgb.presentation, tgb.D
+    relations = list(p.relations)
+    for fam in p.relfams:
+        relations.extend(fam.expand(p.gens, p.field, D))
+    span = SpanSolver(p.field)
+    for r in relations:
+        if 2 <= r.degree <= D:  # a family member may be a letter of weight 1
+            span.add({t[0]: c for t, c in r.terms.items() if len(t) == 1})
+    return span.rank == sum(1 for w in p.gens.weights if 2 <= w <= D)
 
 
 def _require_degree_one(tgb):
-    """Raise NotDegreeOneGenerated unless A is; each basis is checked once."""
-    if id(tgb) not in _DEGREE_ONE:
-        if not degree_one_generated(tgb):
-            raise NotDegreeOneGenerated(f"{tgb.presentation.label} is not generated in degree 1")
-        _DEGREE_ONE.add(id(tgb))
-        weakref.finalize(tgb, _DEGREE_ONE.discard, id(tgb))
+    """Raise NotDegreeOneGenerated unless A is."""
+    if not degree_one_generated(tgb):
+        raise NotDegreeOneGenerated(f"{tgb.presentation.label} is not generated in degree 1")
 
 
 @dataclass

@@ -11,6 +11,19 @@ from cohprobe.linalg import QQ, PrimeField
 
 FAST = PrimeField(32003)
 
+# corpus label -> the generators of a right ideal that shows the algebra's
+# right verdict; (x*y) for remark is a design choice
+WITNESS_RIGHT = {
+    "free1": ["x"],
+    "free2": ["x"],
+    "xy_zero": ["x"],
+    "example1": ["x"],
+    "example2": ["x"],
+    "remark": ["x*y"],
+    "noetherian_base": ["z"],
+    "commutative_model": ["x"],
+}
+
 
 @pytest.fixture(scope="session")
 def fast_field():

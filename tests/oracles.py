@@ -10,7 +10,7 @@ import heapq
 
 from cohprobe.freealg import leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
-from cohprobe.grmod import ModuleComponents, free_dim
+from cohprobe.grmod import FreeModule, ModuleComponents, free_dim, pushed_span
 
 
 # Generic field arithmetic: a plain + or * on the values, then the field's own
@@ -131,6 +131,17 @@ def hom_dim_oracle(m1, m2):
                                 row[key] = field_add(fld, row.get(key, fld.of_fraction(0, 1)), fld.neg(v))
                         rows.append({k: v for k, v in row.items() if not is_zero(v)})
     return len(unknowns) - span_rank(fld, rows)
+
+
+def degree_one_generated_oracle(tgb):
+    """True iff A_1 * A_(d-1) spans A_d for every d <= tgb.D, by definition:
+    the unit vectors of A_1 pushed up by every normal word of degree d - 1
+    through the product tables."""
+    units = {1: [{i: tgb.field.one()} for i in range(tgb.dim(1))]}
+    return all(
+        pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
+        for d in range(2, tgb.D + 1)
+    )
 
 
 def ideal_syzygy_profile_oracle(tgb, gens, D):

@@ -30,6 +30,7 @@ from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
 from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window, transport_module
 
+from conftest import WITNESS_RIGHT
 from oracles import fold_audit, ideal_syzygy_profile_oracle
 from windows import (
     ProjectivePresentation,
@@ -291,8 +292,7 @@ def test_criterion_10_structural_audits():
     # probe/tor consistency on corpus witness ideals
     for label in ("free2", "xy_zero", "example1", "noetherian_base"):
         tgb = complete_to_degree(_pres(label), 8)
-        entry = next(e for e in builtin_corpus(FAST) if e.label == label)
-        ideal = RightIdealSpec.from_strings(tgb, entry.witness_right)
+        ideal = RightIdealSpec.from_strings(tgb, WITNESS_RIGHT[label])
         rep = probe_ideal(tgb, ideal)
         quotient = ModuleMap(
             tgb,

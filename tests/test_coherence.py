@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 import cohprobe.coherence as coherence
 import cohprobe.gbasis as gbasis
+from cohprobe.algfile import parse_algebra_file, render_algebra_file
 from cohprobe.coherence import (
     RightIdealSpec,
     Verdict,
@@ -20,7 +23,10 @@ from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
 from cohprobe.grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
+from conftest import WITNESS_RIGHT
 from oracles import ideal_syzygy_profile_oracle
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def test_classify_stable_silent():
@@ -87,14 +93,13 @@ def test_probe_example2_left_witness_matches_oracle(corpus_fast):
     assert rep.profile[:9] == oracle
 
 
-def test_probe_tor_consistency_corpus(tgb_fast, corpus_fast):
+def test_probe_tor_consistency_corpus(tgb_fast):
     # Tor_1(J, k) degreewise equals Tor_2(A/J, k): probe profile vs the
     # resolution of the cyclic quotient presented by the same generators
     for label in ("free2", "xy_zero", "example1", "example2",
                   "remark", "commutative_model", "noetherian_base"):
         tgb = tgb_fast(label, 8)
-        entry = corpus_fast[label]
-        ideal = RightIdealSpec.from_strings(tgb, entry.witness_right)
+        ideal = RightIdealSpec.from_strings(tgb, WITNESS_RIGHT[label])
         rep = probe_ideal(tgb, ideal)
         quotient = ModuleMap(
             tgb,
@@ -147,6 +152,25 @@ def test_enumerate_ideals_deterministic_and_capped(tgb_fast):
     assert [i.strings(tgb) for i in ideals] == [i.strings(tgb) for i in again]
     full = enumerate_ideals(tgb, 2, 1000)
     assert len(full) == 6 + 15  # six words, all pairs
+
+
+def test_enumerate_ideals_builds_only_what_it_returns(tgb_fast, monkeypatch):
+    # 126 words of degree 1..6 give 126 singles and 7,875 pairs; the first
+    # 130 ideals are the singles and then the pairs of the first word
+    made = []
+    real_init = RightIdealSpec.__init__
+
+    def init(self, *args, **kwargs):
+        made.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RightIdealSpec, "__init__", init)
+    tgb = tgb_fast("free2", 8)
+    assert len(enumerate_ideals(tgb, 6, 64)) == len(made) == 64
+    words = [w for d in range(1, 7) for w in tgb.normal_words(d)]
+    want = [(w,) for w in words] + [(words[0], w) for w in words[1:5]]
+    got = [tuple(w for g in ideal.gens for w in g.terms) for ideal in enumerate_ideals(tgb, 6, 130)]
+    assert got == want
 
 
 def test_noetherian_chain(tgb_fast):
@@ -214,6 +238,18 @@ def test_corpus_entries_complete():
         "noetherian_base",
         "commutative_model",
     } <= labels
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_corpus_presentations_are_the_bundled_files(field):
+    files = {}
+    for path in ALGEBRAS.glob("*.alg"):
+        p = parse_algebra_file(path.read_text(encoding="utf-8"), field=field)
+        files[p.label] = render_algebra_file(p)
+    corpus = {e.label: render_algebra_file(e.presentation) for e in builtin_corpus(field)}
+    assert sorted(files) == sorted(set(corpus) - {"free1"})
+    for label, text in files.items():
+        assert corpus[label] == text, label
 
 
 def test_corpus_expected_verdicts_table():

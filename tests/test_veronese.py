@@ -1,22 +1,29 @@
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import cohprobe.veronese as veronese
+from cohprobe.algfile import parse_algebra_file
 from cohprobe.cli import main
+from cohprobe.coherence import builtin_corpus
 from cohprobe.errors import NotDegreeOneGenerated
-from cohprobe.freealg import GeneratorTable, parse_poly
+from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.linalg import QQ
+from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import (
     degree_one_generated,
     pm_module_presentations,
     veronese_cross_check,
     veronese_presentation,
 )
+
+from oracles import degree_one_generated_oracle
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def test_free2_veronese_relation_free(tgb_fast):
@@ -76,28 +83,78 @@ def test_degree_one_generation_detector():
 
 
 def test_cross_check_and_pm_modules_share_their_work(monkeypatch):
-    # the discovered presentation is completed at D once, and the ambient
-    # basis is checked for degree-one generation once, for both reports
-    completed, checked = [], []
-    real_complete, real_check = veronese.complete_to_degree, veronese.degree_one_generated
+    # the discovered presentation is completed at D once, for both reports
+    completed = []
+    real_complete = veronese.complete_to_degree
 
     def complete(p, D):
         completed.append((p.label, D))
         return real_complete(p, D)
 
-    def check(tgb):
-        checked.append((tgb.presentation.label, tgb.D))
-        return real_check(tgb)
-
     monkeypatch.setattr(veronese, "complete_to_degree", complete)
-    monkeypatch.setattr(veronese, "degree_one_generated", check)
     alg = Path(__file__).resolve().parent.parent / "algebras" / "commutative.alg"
     with redirect_stdout(io.StringIO()):
         code = main(["veronese", str(alg), "--n", "2", "-D", "8",
                      "--cross-check", "--pm-modules", "--json"])
     assert code == 0
     assert completed.count(("commutative_model^(2)", 8)) == 1
-    assert checked == [("commutative_model", 8)]
+
+
+def test_degree_one_check_builds_no_product_table(corpus_fast):
+    # the check reads the relations: free2 at D=12 has 4,094 words of
+    # degree 1..11 that a pushed span would multiply out
+    tgb = complete_to_degree(corpus_fast["free2"].presentation, 12)
+    assert degree_one_generated(tgb)
+    assert not tgb._products and not tgb._rows
+
+
+def test_degree_one_generated_with_a_heavy_letter():
+    # z = x*y makes the weight-2 letter z a product of degree-one letters
+    pres = parse_algebra_file("gen x 1\ngen y 1\ngen z 2\nrel z - x*y\n")
+    for D in (1, 2, 5):
+        tgb = complete_to_degree(pres, D)
+        assert degree_one_generated(tgb) and degree_one_generated_oracle(tgb), D
+
+
+def _degree_one_presentations():
+    """The corpus and bundled algebras, a family whose first member is a
+    letter, plus 100 seeded random presentations on 2 or 3 letters of weight
+    1 or 2 whose relations of degree 2 and 3 mix words with letter terms."""
+    out = [parse_algebra_file("gen x 1\ngen y 1\ngen z 2\nrel z - x*y\nrelfam x^{n} n >= 1\n")]
+    for field in (QQ, PrimeField(32003)):
+        out += [e.presentation for e in builtin_corpus(field)]
+        out += [parse_algebra_file(path.read_text(encoding="utf-8"), field=field)
+                for path in sorted(ALGEBRAS.glob("*.alg"))]
+    rng = random.Random(20021)
+    for k in range(100):
+        field = (QQ, PrimeField(32003))[k % 2]
+        n = rng.choice((2, 3))
+        gt = GeneratorTable(["x", "y", "z"][:n], weights=[rng.choice((1, 1, 2)) for _ in range(n)])
+        relations = []
+        for _ in range(rng.randint(1, 3)):
+            words = enumerate_words(gt, rng.choice((2, 2, 3)))
+            if not words:
+                continue
+            letters = [w for w in words if len(w) == 1]
+            picked = rng.sample(letters, min(len(letters), rng.randint(0, 1)))
+            picked += rng.sample(words, rng.randint(1, min(3, len(words))))
+            r = NcPoly.build(gt, field, [(w, rng.randint(1, 5)) for w in dict.fromkeys(picked)])
+            if not r.is_zero():
+                relations.append(r)
+        out.append(AlgebraPresentation(field, gt, relations, label=f"random{k}"))
+    return out
+
+
+def test_degree_one_generated_matches_the_pushed_span():
+    cases = negatives = 0
+    for pres in _degree_one_presentations():
+        for D in (3, 5):
+            tgb = complete_to_degree(pres, D)
+            want = degree_one_generated_oracle(tgb)
+            assert degree_one_generated(tgb) == want, (pres.label, D, pres.relation_strings())
+            cases += 1
+            negatives += not want
+    assert cases > 200 and 50 < negatives < cases - 50
 
 
 def test_cross_check_below_the_ambient_bound_completes_once(monkeypatch):
