@@ -1,11 +1,11 @@
 """Command-line front end.
 
-    cohprobe hilbert examples/example1.alg -D 10
+    cohprobe hilbert algebras/example1.alg -D 10
     cohprobe gb file.alg --json
-    cohprobe tor file.alg [--module mod.json]
+    cohprobe tor file.alg --module mod.json
     cohprobe probe file.alg --side both --gen-degree-bound 2
     cohprobe veronese file.alg --n 2
-    cohprobe zalg file.alg --window -2..8
+    cohprobe zalg file.alg --window=-2..8
     cohprobe corpus
 
 Reports are deterministic: identical configuration yields byte-identical
@@ -391,9 +391,8 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"cohprobe {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="algebra file")
+    def common(p):
+        p.add_argument("file", help="algebra file")
         p.add_argument("-D", "--max-degree", type=int, default=10)
         p.add_argument("--field", help="Q or F<p> (overrides the file)")
         p.add_argument("--order", help="generator precedence, e.g. 'x>y>z'")
@@ -454,13 +453,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "max_degree", 2) < 2:
+        if args.max_degree < 2:
             raise CohprobeError("max degree must be >= 2")
         return args.func(args)
-    except CohprobeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CohprobeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,7 +96,7 @@ def classify_profile(profile, D):
     if D - d0 >= STABILITY_MARGIN:
         return Verdict("STABLE", d0)
     top = range(D // 2 + 1, D + 1)
-    nnz = sum(1 for d in top if d <= D and profile[d])
+    nnz = sum(1 for d in top if profile[d])
     if nnz >= max(1, len(top) // 2):
         return Verdict("GROWING")
     return Verdict("INCONCLUSIVE")
@@ -183,13 +183,8 @@ _VERDICT_RANK = {"STABLE": 0, "INCONCLUSIVE": 1, "GROWING": 2}
 
 
 def worst_verdict(verdicts):
-    worst = Verdict("STABLE", 0)
-    rank = -1
-    for v in verdicts:
-        r = _VERDICT_RANK[v.kind]
-        if r > rank:
-            worst, rank = v, r
-    return worst
+    """The first verdict of the highest rank; STABLE(0) when there are none."""
+    return max(verdicts, key=lambda v: _VERDICT_RANK[v.kind], default=Verdict("STABLE", 0))
 
 
 @dataclass

@@ -77,20 +77,15 @@ def enumerate_words(gt, d):
     if d < 0:
         raise InputError("degree must be >= 0")
     out = []
-    letters = range(len(gt))
-
-    def extend(prefix, rem):
+    stack = [((), d)]
+    while stack:
+        prefix, rem = stack.pop()
         if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for i in letters:
-            w = gt.weights[i]
+            out.append(prefix)
+            continue
+        for i, w in enumerate(gt.weights):
             if w <= rem:
-                prefix.append(i)
-                extend(prefix, rem - w)
-                prefix.pop()
-
-    extend([], d)
+                stack.append((prefix + (i,), rem - w))
     out.sort(key=lambda w: word_key(gt, w))
     return out
 
@@ -157,29 +152,8 @@ class NcPoly:
         return f"NcPoly({self.terms!r})"
 
 
-def poly_add(field, p, q):
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    if p.degree != q.degree:
-        raise InhomogeneousSum(f"cannot add degrees {p.degree} and {q.degree}")
-    terms = dict(p.terms)
-    field.axpy(terms, field.one(), q.terms)
-    return NcPoly(terms, p.degree if terms else None)
-
-
 def poly_scale(field, coeff, p):
     return NcPoly(field.scale(coeff, p.terms), p.degree)
-
-
-def poly_mul(field, p, q):
-    if p.is_zero() or q.is_zero():
-        return NcPoly({}, None)
-    terms = {}
-    for w1, c1 in p.terms.items():
-        field.axpy(terms, c1, {w1 + w2: c2 for w2, c2 in q.terms.items()})
-    return NcPoly(terms, p.degree + q.degree if terms else None)
 
 
 def leading_word(gt, p):

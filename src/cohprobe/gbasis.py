@@ -24,9 +24,6 @@ from .freealg import (
     enumerate_words,
     leading_word,
     make_monic,
-    poly_add,
-    poly_mul,
-    poly_scale,
     poly_str,
     word_key,
     word_str,
@@ -89,6 +86,13 @@ class AlgebraPresentation:
 
     def relation_strings(self):
         return [poly_str(self.gens, self.field, r) for r in self.relations]
+
+    def relations_through(self, D):
+        """The relations, then the members of each family of degree <= D."""
+        out = list(self.relations)
+        for fam in self.relfams:
+            out.extend(fam.expand(self.gens, self.field, D))
+        return out
 
 
 def validate_presentation(p):
@@ -223,22 +227,17 @@ class TruncatedGroebnerBasis:
         gt = self.gt
         step = self._index.step
         out = []
-
-        def extend(prefix, rem, live):
+        stack = [((), d, [self._index.root])]
+        while stack:
+            prefix, rem, live = stack.pop()
             if rem == 0:
-                out.append(tuple(prefix))
-                return
-            for i in range(len(gt)):
-                w = gt.weights[i]
-                if w > rem:
-                    continue
-                nxt = step(live, i)
-                if nxt is not None:
-                    prefix.append(i)
-                    extend(prefix, rem - w, nxt)
-                    prefix.pop()
-
-        extend([], d, [self._index.root])
+                out.append(prefix)
+                continue
+            for i, w in enumerate(gt.weights):
+                if w <= rem:
+                    nxt = step(live, i)
+                    if nxt is not None:
+                        stack.append((prefix + (i,), rem - w, nxt))
         out.sort(key=lambda w: word_key(gt, w))
         self._normal_words[d] = out
         return out
@@ -284,15 +283,11 @@ class TruncatedGroebnerBasis:
         Tor_i(k, k) = 0 for i >= 3 in degrees <= D.
         """
         D, p = self.D, self.presentation
-        gt, fld = p.gens, p.field
-        relations = list(p.relations)
-        for fam in p.relfams:
-            relations.extend(fam.expand(gt, fld, D))
         c = [1] + [0] * D
-        for w in gt.weights:
+        for w in p.gens.weights:
             if w <= D:
                 c[w] -= 1
-        for r in relations:
+        for r in p.relations_through(D):
             if any(len(t) < 2 for t in r.terms):
                 return None
             if r.degree <= D:
@@ -332,13 +327,14 @@ class _LeadIndex:
         self.neg_prec = [-v for v in gt.prec_value]
 
     def insert(self, lead, g):
-        """Index the monic g under its lead word, replacing an older reducer."""
+        """Index the monic g under its lead word; returns its reducer (a, tail)."""
         node = self.root
         for x in lead:
             node = node.setdefault(x, {})
         _, G = self.field.integral(g.terms)
         neg = self.field.neg
-        node[None] = (G[lead], [(t, neg(c)) for t, c in G.items() if t != lead])
+        reducer = node[None] = (G[lead], [(t, neg(c)) for t, c in G.items() if t != lead])
+        return reducer
 
     def find(self, word):
         """(start, end, reducer) of the leftmost lead word in word, the
@@ -439,6 +435,13 @@ def complete_to_degree(p, D):
     degree <= D.  Elements land in nondecreasing degree (an S-polynomial is
     at least as heavy as its parents), so a new lead never divides an older
     one: a word with a proper factor of degree d is heavier than d.
+
+    S-polynomials are built from the integer reducers of the lead trie:
+    for g1 with (a1, t1), g2 with (a2, t2) and head*lead2 == lead1*tail,
+    a1*a2*(g1*tail - head*g2) = a1 * sum c*(head t) over t2 - a2 * sum
+    c*(t tail) over t1, the overlap word cancelling.  Its normal form is
+    a nonzero multiple of that of g1*tail - head*g2, so the monic element
+    that lands is the same.
     """
     validate_presentation(p)
     gt, fld = p.gens, p.field
@@ -450,8 +453,9 @@ def complete_to_degree(p, D):
         log.events.append(f"family {fam.raw!r} expanded to {len(members)} members at D={D}")
         inputs.extend(members)
 
-    basis = {}  # leading word -> poly
+    basis = {}  # leading word -> (monic element, its reducer)
     index = _LeadIndex(gt, fld)
+    canonical = fld.canonical
     counter = 0
     heap = []
 
@@ -476,14 +480,14 @@ def complete_to_degree(p, D):
             continue
         q = make_monic(gt, fld, NcPoly(terms, q.degree))
         lw = leading_word(gt, q)
-        basis[lw] = q
-        index.insert(lw, q)
+        reducer = index.insert(lw, q)
+        basis[lw] = (q, reducer)
         log.added.append((q.degree, word_str(gt, lw)))
         # queue overlap ambiguities with every current element (both sides)
-        for other_lw, other in list(basis.items()):
-            for first_lw, first_g, second_lw, second_g in (
-                (lw, q, other_lw, other),
-                (other_lw, other, lw, q),
+        for other_lw, (_, other) in list(basis.items()):
+            for first_lw, (a1, t1), second_lw, (a2, t2) in (
+                (lw, reducer, other_lw, other),
+                (other_lw, other, lw, reducer),
             ):
                 max_k = min(len(first_lw), len(second_lw)) - 1
                 for k in range(1, max_k + 1):
@@ -491,19 +495,19 @@ def complete_to_degree(p, D):
                         continue
                     tail = second_lw[k:]
                     head = first_lw[:-k]
-                    if gt.word_degree(first_lw + tail) > D:
+                    degree = gt.word_degree(first_lw + tail)
+                    if degree > D:
                         log.skipped_overlaps += 1
                         continue
-                    s = poly_add(
-                        fld,
-                        poly_mul(fld, first_g, NcPoly.monomial(gt, fld, tail)),
-                        poly_scale(
-                            fld,
-                            fld.neg(fld.one()),
-                            poly_mul(fld, NcPoly.monomial(gt, fld, head), second_g),
-                        ),
-                    )
-                    push(s)
+                    s = {}
+                    for t, c in t2:
+                        w = head + t
+                        s[w] = s.get(w, 0) + a1 * c
+                    for t, c in t1:
+                        w = t + tail
+                        s[w] = s.get(w, 0) - a2 * c
+                    # F_p sums are plain ints: canonical form before zero tests
+                    push(NcPoly({w: c for w, v in s.items() if (c := canonical(v))}, degree))
                 if first_lw is second_lw:
                     break
 
@@ -512,12 +516,10 @@ def complete_to_degree(p, D):
     # forms modulo the completed basis are unique, so one pass suffices.
     elements = []
     for lw in sorted(basis, key=lambda w: word_key(gt, w)):
-        g = basis[lw]
+        g = basis[lw][0]
         terms = {lw: g.terms[lw]}
         terms.update(_reduce_terms({w: c for w, c in g.terms.items() if w != lw}, index))
-        g = NcPoly(terms, g.degree)
-        index.insert(lw, g)
-        elements.append(g)
+        elements.append(NcPoly(terms, g.degree))
     log.events.append(f"completed with {len(elements)} elements at D={D}")
     return TruncatedGroebnerBasis(p, D, elements, log)
 
@@ -569,11 +571,8 @@ def _ideal_slice(p, d):
     """
     gt, fld = p.gens, p.field
     index = {w: i for i, w in enumerate(enumerate_words(gt, d))}
-    relations = list(p.relations)
-    for fam in p.relfams:
-        relations.extend(fam.expand(gt, fld, d))
     solver = SpanSolver(fld)
-    for r in relations:
+    for r in p.relations_through(d):
         rd = r.degree
         if rd is None or rd > d:
             continue

@@ -34,11 +34,8 @@ def degree_one_generated(tgb):
     weight 2..D.
     """
     p, D = tgb.presentation, tgb.D
-    relations = list(p.relations)
-    for fam in p.relfams:
-        relations.extend(fam.expand(p.gens, p.field, D))
     span = SpanSolver(p.field)
-    for r in relations:
+    for r in p.relations_through(D):
         if 2 <= r.degree <= D:  # a family member may be a letter of weight 1
             span.add({t[0]: c for t, c in r.terms.items() if len(t) == 1})
     return span.rank == sum(1 for w in p.gens.weights if 2 <= w <= D)

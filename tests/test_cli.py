@@ -1,14 +1,17 @@
 import io
 import json
 import random
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import cohprobe.cli
 from cohprobe.cli import main
 
-ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+ROOT = Path(__file__).resolve().parent.parent
+ALGEBRAS = ROOT / "algebras"
 
 
 def run_cli(argv):
@@ -251,3 +254,34 @@ def test_corpus_exit_codes(monkeypatch):
     code2, out2 = run_cli(["corpus", "-D", "8", "--json"])
     assert code2 == 2
     assert json.loads(out2)["all_ok"] is False
+
+
+def _documented_commands():
+    """Every `cohprobe ...` line of the cli docstring and of the README
+    subcommand block, as an argument list without the program name."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Subcommands (", 1)[1].split("```")[1]
+    out = []
+    for source, text in (("cli", cohprobe.cli.__doc__), ("README", block)):
+        for line in text.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["cohprobe"]:
+                out.append(pytest.param(words[1:], id=f"{source}: {shlex.join(words)}"))
+    return out
+
+
+# the README comment on its --module line gives this module
+DOC_MODULE = {"shifts0": [0], "shifts1": [1], "matrix": [["x"]]}
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_command_runs(argv, tmp_path, monkeypatch):
+    (tmp_path / "mod.json").write_text(json.dumps(DOC_MODULE), encoding="utf-8")
+    monkeypatch.chdir(ROOT)  # the documented paths are relative to the repository
+    swap = {"file.alg": str(ALGEBRAS / "commutative.alg"), "mod.json": str(tmp_path / "mod.json")}
+    argv = [swap.get(a, a) for a in argv] + ["-D", "4"]
+    try:
+        code, _ = run_cli(argv)
+    except SystemExit as exc:  # argparse errors exit 2
+        code = exc.code
+    assert code in ((0, 2) if argv[0] == "corpus" else (0,))

@@ -9,8 +9,6 @@ from cohprobe.freealg import (
     enumerate_words,
     leading_word,
     parse_poly,
-    poly_add,
-    poly_mul,
     poly_scale,
     poly_str,
     word_key,
@@ -101,56 +99,9 @@ def test_deglex_admissible_random():
         assert cmp_uv == cmp_ext
 
 
-def test_poly_mul_words(gt2):
-    x = NcPoly.monomial(gt2, QQ, (0,))
-    y = NcPoly.monomial(gt2, QQ, (1,))
-    assert poly_mul(QQ, x, y).terms == {(0, 1): QQ.one()}
-
-
-def test_poly_cross_terms_survive(gt2):
-    x = NcPoly.monomial(gt2, QQ, (0,))
-    y = NcPoly.monomial(gt2, QQ, (1,))
-    p = poly_add(QQ, x, y)
-    q = poly_add(QQ, x, poly_scale(QQ, QQ.of_fraction(-1, 1), y))
-    prod = poly_mul(QQ, p, q)
-    # xx - xy + yx - yy
-    assert prod.terms == {
-        (0, 0): QQ.one(),
-        (0, 1): QQ.of_fraction(-1, 1),
-        (1, 0): QQ.one(),
-        (1, 1): QQ.of_fraction(-1, 1),
-    }
-
-
 def test_scale_by_zero(gt2):
     x = NcPoly.monomial(gt2, QQ, (0,))
     assert poly_scale(QQ, QQ.of_fraction(0, 1), x).is_zero()
-
-
-def test_add_degree_mismatch(gt2):
-    x = NcPoly.monomial(gt2, QQ, (0,))
-    xx = NcPoly.monomial(gt2, QQ, (0, 0))
-    with pytest.raises(InhomogeneousSum):
-        poly_add(QQ, x, xx)
-
-
-def test_mul_associative_random(gt2):
-    rng = random.Random(13)
-    pool = []
-    for d in range(1, 4):
-        pool.extend(enumerate_words(gt2, d))
-
-    def rand_poly():
-        d = rng.randrange(1, 4)
-        words = [w for w in pool if gt2.word_degree(w) == d]
-        items = [(w, QQ.of_fraction(rng.randrange(-2, 3), 1)) for w in rng.sample(words, min(3, len(words)))]
-        return NcPoly.build(gt2, QQ, items)
-
-    for _ in range(40):
-        p, q, r = rand_poly(), rand_poly(), rand_poly()
-        left = poly_mul(QQ, poly_mul(QQ, p, q), r)
-        right = poly_mul(QQ, p, poly_mul(QQ, q, r))
-        assert left.terms == right.terms
 
 
 def test_parse_round_trip(gt2):

@@ -1,3 +1,4 @@
+import gc
 import random
 from pathlib import Path
 
@@ -381,3 +382,20 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
         for w in enumerate_words(tgb.gt, d):
             row = tgb.normal_form_row(w)
             assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}
+
+
+def test_word_walkers_leave_no_reference_cycles():
+    # a walker recursing through a closure over itself makes a cycle per
+    # call, which keeps its word list (and the lead trie) alive until the
+    # cyclic collector runs
+    p = parse_algebra_file((ALGEBRAS / "example2.alg").read_text(encoding="utf-8"))
+    tgb = complete_to_degree(p, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_words(p.gens, 4)) == 81
+        assert gc.collect() == 0
+        assert len(tgb.normal_words(5)) == 2 ** 6 - 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

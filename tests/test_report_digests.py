@@ -55,16 +55,8 @@ MODULE = {"shifts0": [0, 1, 1], "shifts1": [1, 2, 2],
 MODULE_DIGEST = "8240f48a444c8d9cb9d8bf0febc1bc642240f2b243be9da1b3a1422e522a865f"
 
 
-# (a, b, c) of the Sklyanin algebra a*yz + b*zy + c*x^2 (and cyclic), the
-# extra arguments of `gb ... -D 8`, and the digest
-GB_REQUESTS = [
-    ((-2, 2, -1), [], "226744af14b3e6c2ba2b039d0544a8485ae49c0ddb6cd870289d1e37c8da9955"),
-    ((1, -2, 2), ["--field", "F32003"],
-     "63b223c0f7b03d3df65a2775ebe1cd7aab6611bbfb83bc96f43b98445f3eb7c1"),
-]
-
-
 def _sklyanin_alg(a, b, c):
+    """The Sklyanin algebra a*yz + b*zy + c*x^2 (and cyclic)."""
     return (
         f"label sklyanin({a},{b},{c})\nfield Q\norder deglex x > y > z\n"
         "gen x 1\ngen y 1\ngen z 1\n"
@@ -72,6 +64,27 @@ def _sklyanin_alg(a, b, c):
         f"rel {a}*z*x + {b}*x*z + {c}*y^2\n"
         f"rel {a}*x*y + {b}*y*x + {c}*z^2\n"
     )
+
+
+# a weight-2 letter and non-unit integral leads: completion rescales its
+# integer reducers and adds 10 elements
+WEIGHTED_FRAC = (
+    "label weighted_frac\ngen x 1\ngen y 1\ngen z 2\n"
+    "rel 2*x*z - 3*z*x\nrel y*x*y - 1/2*x*y*x\n"
+)
+
+
+# algebra text, the extra arguments of `gb ... -D 8`, and the digest
+GB_REQUESTS = [
+    (_sklyanin_alg(-2, 2, -1), [],
+     "226744af14b3e6c2ba2b039d0544a8485ae49c0ddb6cd870289d1e37c8da9955"),
+    (_sklyanin_alg(1, -2, 2), ["--field", "F32003"],
+     "63b223c0f7b03d3df65a2775ebe1cd7aab6611bbfb83bc96f43b98445f3eb7c1"),
+    (WEIGHTED_FRAC, [],
+     "8c40c2cd83d66bd103fb590d8c37a9263a444fd21e54e3ef491b0f7dbea1717a"),
+    (WEIGHTED_FRAC, ["--field", "F32003"],
+     "734b985d9cd960059b98a41327f41982051982208032777253c8836d01787333"),
+]
 
 
 def _argv(args):
@@ -108,8 +121,9 @@ def test_module_tor_report_digest(tmp_path, monkeypatch):
     assert _digest(_argv(argv)) == MODULE_DIGEST
 
 
-@pytest.mark.parametrize("abc,extra,digest", GB_REQUESTS, ids=["Q", "F32003"])
-def test_gb_report_digest(tmp_path, abc, extra, digest):
-    path = tmp_path / "sklyanin.alg"
-    path.write_text(_sklyanin_alg(*abc), encoding="utf-8")
+@pytest.mark.parametrize("text,extra,digest", GB_REQUESTS,
+                         ids=["Q", "F32003", "weighted_frac-Q", "weighted_frac-F32003"])
+def test_gb_report_digest(tmp_path, text, extra, digest):
+    path = tmp_path / "algebra.alg"
+    path.write_text(text, encoding="utf-8")
     assert _digest(["gb", str(path), "-D", "8", *extra, "--json"]) == digest
