@@ -32,7 +32,7 @@ from .algfile import parse_algebra_file
 from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
 from .gbasis import AlgebraPresentation, complete_to_degree, opposite
-from .grmod import FreeModule, ModuleMap, kernel_min_generators, letters, min_generators
+from .grmod import FreeModule, ModuleMap, kernel_min_generators, min_generators
 from .linalg import QQ, SpanSolver
 
 STABILITY_MARGIN = 4
@@ -266,7 +266,7 @@ def ideal_tor0_profile(tgb, gens):
     """
     f = ideal_map(tgb, RightIdealSpec(gens))
     profile = [0] * (tgb.D + 1)
-    for g in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns, letters(tgb)):
+    for g in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns):
         profile[g.degree] += 1
     return profile
 

@@ -10,7 +10,6 @@ so all coordinates and witnesses are deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError
@@ -121,49 +120,6 @@ def _shifted(row, off):
     return {off + t: v for t, v in row.items()} if off else row
 
 
-def push_up(tgb, fm, d_from, vectors, word):
-    """Right-multiply coordinate vectors at degree d_from by a word.
-
-    vectors are indexed over free_basis(tgb, fm, d_from); the products are
-    indexed over free_basis at d_from + deg(word).  Coordinate i is the pair
-    (k, u), k found from the block offsets; its product is row u of the
-    right-product table of word, shifted to block k once per call.
-    """
-    if not vectors:
-        return []
-    fld = tgb.field
-    starts = _block_offsets(tgb, fm, d_from)
-    offsets = _block_offsets(tgb, fm, d_from + tgb.gt.word_degree(word))
-    prods = {}
-    out = []
-    for vec in vectors:
-        pushed = {}
-        for i, c in vec.items():
-            prod = prods.get(i)
-            if prod is None:
-                # the last block starting at or before i; empty blocks share
-                # their start with the next one
-                k = bisect_right(starts, i) - 1
-                rows = tgb.products(d_from - fm.shifts[k], word)
-                prod = prods[i] = _shifted(rows[i - starts[k]], offsets[k])
-            fld.axpy(pushed, c, prod)
-        out.append(pushed)
-    return out
-
-
-def pushed_span(tgb, fm, d, lower, words):
-    """Span, at degree d, of lower[d - deg(a)] pushed up by every word a in words.
-
-    lower maps a degree to coordinate vectors over free_basis(tgb, fm, .).
-    """
-    span = SpanSolver(tgb.field)
-    for a in words:
-        e = d - tgb.gt.word_degree(a)
-        for vec in push_up(tgb, fm, e, lower.get(e, ()), a):
-            span.add(vec)
-    return span
-
-
 class ModuleComponents:
     """Cached degreewise bases and canonical coordinates for M = coker(relations).
 
@@ -236,30 +192,35 @@ def _vector_to_element(fm, d, basis, vec):
     )
 
 
-def letters(tgb):
-    """The generators of the algebra as one-letter words."""
-    return [(a,) for a in range(len(tgb.gt))]
+def _generator_map(tgb, src, gens):
+    """The map (+) A(-deg g) -> src sending one generator to each element g."""
+    entries = {(k, col): poly for col, g in enumerate(gens)
+               for k, poly in enumerate(g.element) if not poly.is_zero()}
+    return ModuleMap(tgb, FreeModule(tuple(g.degree for g in gens)), src, entries)
 
 
-def min_generators(tgb, src, degrees, span_at, words):
+def min_generators(tgb, src, degrees, span_at):
     """Minimal generators of a submodule K of the free module src, in the given degrees.
 
-    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d); words
-    are the elements that push a lower degree of K up into the next ones (the
-    letters, or a basis of A_n on a Veronese grading), so that the pushed
-    span at d is the A-span of the generators already emitted.  Degree by
+    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d).  At
+    degree d the A-span of the generators already emitted is the image of
+    their generator map, read off its component columns at d; on a Veronese
+    grading (degrees m, m + n, ...) that image is the A^(n)-span.  Degree by
     degree, emit the spanning vectors that extend it; graded Nakayama makes
     this a minimal generating set on the window.
     """
     gens = []
-    spans = {}
+    image = None
     for d in degrees:
-        spans[d] = span_at(d)
-        old_span = pushed_span(tgb, src, d, spans, words)
-        new = [vec for vec in spans[d] if old_span.add(vec)]
+        span = SpanSolver(tgb.field)
+        if image is not None:
+            for col in image.component_columns(d):
+                span.add(col)
+        new = [vec for vec in span_at(d) if span.add(vec)]
         if new:
             basis = free_basis(tgb, src, d)
             gens.extend(KernelGenerator(d, _vector_to_element(src, d, basis, vec)) for vec in new)
+            image = _generator_map(tgb, src, gens)
     return gens
 
 
@@ -268,7 +229,7 @@ def kernel_min_generators(f):
     tgb, D = f.tgb, f.tgb.D
     return min_generators(
         tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1),
-        lambda d: kernel_basis(tgb.field, f.component_columns(d)), letters(tgb),
+        lambda d: kernel_basis(tgb.field, f.component_columns(d)),
     )
 
 
@@ -350,14 +311,8 @@ def minimal_resolution(relations, length=2):
         gens = min_generators(
             tgb, src, range(min(src.shifts, default=D + 1), D + 1),
             lambda d: _projected_kernel(fld, prev.component_columns(d), rel(d)),
-            letters(tgb),
         )
-        entries = {}
-        for col, g in enumerate(gens):
-            for k, poly in enumerate(g.element):
-                if not poly.is_zero():
-                    entries[(k, col)] = poly
-        prev = ModuleMap(tgb, FreeModule(tuple(g.degree for g in gens)), src, entries)
+        prev = _generator_map(tgb, src, gens)
         rel = lambda d: []
         row = [0] * (D + 1)
         for g in gens:

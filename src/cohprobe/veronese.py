@@ -181,7 +181,6 @@ def pm_module_presentations(tgb, n):
     """
     _require_degree_one(tgb)
     fld, D = tgb.field, tgb.D
-    push_words = tgb.normal_words(n)
     reports = []
     for m in range(n):
         window = (D - m) // n
@@ -195,7 +194,7 @@ def pm_module_presentations(tgb, n):
         syz_profile = [0] * (window + 1)
         syzygies = min_generators(
             tgb, src, range(m, m + window * n + 1, n),
-            lambda d: kernel_basis(fld, onto.component_columns(d)), push_words,
+            lambda d: kernel_basis(fld, onto.component_columns(d)),
         )
         for g in syzygies:
             syz_profile[(g.degree - m) // n] += 1

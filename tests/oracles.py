@@ -8,9 +8,9 @@ code.
 
 import heapq
 
-from cohprobe.freealg import leading_word, word_key, word_str
+from cohprobe.freealg import NcPoly, leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
-from cohprobe.grmod import FreeModule, ModuleComponents, free_dim, pushed_span
+from cohprobe.grmod import FreeModule, ModuleComponents, ModuleMap, free_dim
 
 
 # Generic field arithmetic: a plain + or * on the values, then the field's own
@@ -135,21 +135,26 @@ def hom_dim_oracle(m1, m2):
 
 def degree_one_generated_oracle(tgb):
     """True iff A_1 * A_(d-1) spans A_d for every d <= tgb.D, by definition:
-    the unit vectors of A_1 pushed up by every normal word of degree d - 1
-    through the product tables."""
-    units = {1: [{i: tgb.field.one()} for i in range(tgb.dim(1))]}
+    the degree-d component columns of the map (+) A(-1) -> A that sends one
+    generator to each normal word of degree 1 have rank dim A_d."""
+    ones = tgb.normal_words(1)
+    onto = ModuleMap(tgb, FreeModule((1,) * len(ones)), FreeModule((0,)), {
+        (0, k): NcPoly.monomial(tgb.gt, tgb.field, u) for k, u in enumerate(ones)
+    })
     return all(
-        pushed_span(tgb, FreeModule((0,)), d, units, tgb.normal_words(d - 1)).rank == tgb.dim(d)
+        span_rank(tgb.field, onto.component_columns(d)) == tgb.dim(d)
         for d in range(2, tgb.D + 1)
     )
 
 
-def ideal_syzygy_profile_oracle(tgb, gens, D):
+def ideal_syzygy_profile_oracle(tgb, gens, D, step=1):
     """New minimal kernel generators of (+) A(-deg g) -> A, per module degree.
 
     Kernel components are computed by elimination on the multiplication
     matrix; the A_+-multiples span is taken over every lower degree and
     every complementary word (the full definition, no one-step shortcut).
+    With step n the degrees walk min(deg g), min(deg g) + n, ..., which
+    reads the syzygies of a module over the n-th Veronese grading.
     """
     fld = tgb.field
     shifts = [g.degree for g in gens]
@@ -222,7 +227,8 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
                 kernel.append(cert)
         return kernel
 
-    kernels = {d: kernel_vectors(d) for d in range(min(shifts), D + 1)}
+    degrees = range(min(shifts), D + 1, step)
+    kernels = {d: kernel_vectors(d) for d in degrees}
 
     def push(vec, d_from, word):
         # right-multiply a source-basis vector by a word
@@ -243,10 +249,10 @@ def ideal_syzygy_profile_oracle(tgb, gens, D):
         return out
 
     profile = [0] * (D + 1)
-    for d in range(min(shifts), D + 1):
+    for d in degrees:
         multiples = []
-        for e in range(min(shifts), d):
-            for vec in kernels.get(e, ()):
+        for e in range(min(shifts), d, step):
+            for vec in kernels[e]:
                 for w in tgb.normal_words(d - e):
                     multiples.append(push(vec, e, w))
         total = span_rank(fld, multiples + kernels[d])

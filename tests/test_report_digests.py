@@ -45,6 +45,9 @@ REQUESTS = [
     # the Veronese probe at an affordable depth below D
     (["veronese", "free2.alg", "--n", "2", "-D", "10", "--cross-check", "--field", "F32003"],
      "d011b1fd6d52ef5012a86399abe3f946a00e4ff25c0665934643d34ed729371b"),
+    # P^m syzygies over the 3-Veronese grading
+    (["veronese", "commutative.alg", "--n", "3", "--pm-modules", "-D", "12"],
+     "7910cf358eac61cc842120a8b5cac04f035d9e8f6f0f74460352c5d480613a6f"),
 ]
 
 
@@ -84,6 +87,17 @@ GB_REQUESTS = [
      "8c40c2cd83d66bd103fb590d8c37a9263a444fd21e54e3ef491b0f7dbea1717a"),
     (WEIGHTED_FRAC, ["--field", "F32003"],
      "734b985d9cd960059b98a41327f41982051982208032777253c8836d01787333"),
+]
+
+
+# the arguments after `<command> <WEIGHTED_FRAC file>`, and the digest: the
+# weight-2 letter z makes a minimal generator meet products of two weights
+WEIGHTED_REQUESTS = [
+    (["tor", "-D", "8", "--length", "3"],
+     "33d9b01fbfdd42c665da1df5e2616883193a379ae6d2006f75fa00816fc48c2e"),
+    # its witnesses take 2 kernel_min_generators runs
+    (["probe", "--side", "both", "-D", "8", "--field", "F32003"],
+     "4cbd96c1f3f883d3586ef03615c4ff14de4801a1ac3aa7e1d9106c55cc957d12"),
 ]
 
 
@@ -127,3 +141,10 @@ def test_gb_report_digest(tmp_path, text, extra, digest):
     path = tmp_path / "algebra.alg"
     path.write_text(text, encoding="utf-8")
     assert _digest(["gb", str(path), "-D", "8", *extra, "--json"]) == digest
+
+
+@pytest.mark.parametrize("args,digest", WEIGHTED_REQUESTS, ids=["tor", "probe"])
+def test_weighted_report_digest(tmp_path, args, digest):
+    path = tmp_path / "algebra.alg"
+    path.write_text(WEIGHTED_FRAC, encoding="utf-8")
+    assert _digest([args[0], str(path), *args[1:], "--json"]) == digest

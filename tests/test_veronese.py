@@ -21,7 +21,7 @@ from cohprobe.veronese import (
     veronese_presentation,
 )
 
-from oracles import degree_one_generated_oracle
+from oracles import degree_one_generated_oracle, ideal_syzygy_profile_oracle
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -67,6 +67,23 @@ def test_pm_modules_commutative(tgb_fast):
     assert p1.syzygy_profile[1] > 0  # finitely many syzygies...
     assert all(c == 0 for c in p1.syzygy_profile[2:])  # ...then silence
     assert p1.trailing_silence() >= 3
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_pm_syzygy_profiles_match_the_oracle(field):
+    # P^m is generated by the normal words of degree m, and its syzygy in
+    # internal degree k sits at module degree m + k*n of the map onto A
+    cases = 0
+    for entry in builtin_corpus(field):
+        for n, D in ((2, 8), (3, 9)):
+            tgb = complete_to_degree(entry.presentation, D)
+            for r in pm_module_presentations(tgb, n):
+                gens = [NcPoly.monomial(tgb.gt, field, u) for u in tgb.normal_words(r.m)]
+                oracle = ideal_syzygy_profile_oracle(tgb, gens, D, step=n)
+                want = [oracle[r.m + k * n] for k in range(r.window + 1)]
+                assert r.syzygy_profile == want, (entry.label, n, r.m)
+                cases += 1
+    assert cases == 40
 
 
 def test_degree_one_generation_detector():
