@@ -153,7 +153,14 @@ def _rank_profile(f, c):
 
 
 def _top_window(gens, D):
-    return [g for g in gens if g.degree > D // 2]
+    """(degree, [component strings]) of the generators of the map gens above D//2."""
+    tgb = gens.tgb
+    zero = NcPoly({}, None)
+    return [
+        (s, [poly_str(tgb.gt, tgb.field, gens.entries.get((k, l), zero))
+             for k in range(len(gens.target))])
+        for l, s in enumerate(gens.source.shifts) if s > D // 2
+    ]
 
 
 def probe_ideal(tgb, ideal):
@@ -164,16 +171,14 @@ def probe_ideal(tgb, ideal):
     if c is None:
         gens = kernel_min_generators(f)
         profile = [0] * (D + 1)
-        for g in gens:
-            profile[g.degree] += 1
-        top = _top_window(gens, D)
+        for s in gens.source.shifts:
+            profile[s] += 1
     else:
-        top = None
+        gens = None
         profile = _rank_profile(f, c)
 
     def find_witness():
-        found = top if top is not None else _top_window(kernel_min_generators(f), D)
-        return [(g.degree, g.strings(tgb)) for g in found]
+        return _top_window(gens if gens is not None else kernel_min_generators(f), D)
 
     verdict = classify_profile(profile, D)
     return CoherenceProbeReport(ideal.strings(tgb), D, profile, verdict, find_witness)
@@ -266,8 +271,8 @@ def ideal_tor0_profile(tgb, gens):
     """
     f = ideal_map(tgb, RightIdealSpec(gens))
     profile = [0] * (tgb.D + 1)
-    for g in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns):
-        profile[g.degree] += 1
+    for s in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns).source.shifts:
+        profile[s] += 1
     return profile
 
 

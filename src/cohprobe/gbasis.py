@@ -185,20 +185,18 @@ class TruncatedGroebnerBasis:
         words = self.normal_words(self.gt.word_degree(word))
         return {words[i]: c for i, c in self.normal_form_row(word).items()}
 
-    def products(self, e, word, on_left=False):
-        """The product table of word at degree e; memoized per (e, word, side).
+    def products(self, e, word):
+        """The product table of word at degree e; memoized per (e, word).
 
-        Row i is normal_form_row(u * word), or of word * u with on_left, for u
-        the i-th word of normal_words(e).  The table lists the stored rows, so
-        a product word reached by several splits, or from both sides, is one
-        row.
+        Row i is normal_form_row(word * u) for u the i-th word of
+        normal_words(e).  The table lists the stored rows, so a product word
+        reached by several splits is one row.
         """
-        key = (e, word, on_left)
+        key = (e, word)
         rows = self._products.get(key)
         if rows is None:
             rows = self._products[key] = [
-                self.normal_form_row(word + u if on_left else u + word)
-                for u in self.normal_words(e)
+                self.normal_form_row(word + u) for u in self.normal_words(e)
             ]
         return rows
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError
-from .freealg import NcPoly, poly_str
+from .freealg import NcPoly
 from .linalg import SpanSolver, kernel_basis
 
 
@@ -82,11 +82,31 @@ class ModuleMap:
                 )
             self.entries[(k, l)] = poly
 
+    def __len__(self):
+        """The number of source generators."""
+        return len(self.source)
+
+    def append_generators(self, d, vecs):
+        """Append one source generator of degree d per vector of vecs, sent to it.
+
+        The vectors are coordinates over free_basis(tgb, target, d), so each
+        entry is read off its normal-word coordinates, already in normal form.
+        """
+        basis = free_basis(self.tgb, self.target, d)
+        for l, vec in enumerate(vecs, len(self.source)):
+            polys = {}
+            for i, c in vec.items():
+                k, u = basis[i]
+                polys.setdefault(k, {})[u] = c
+            for k, terms in polys.items():
+                self.entries[(k, l)] = NcPoly(terms, d - self.target.shifts[k])
+        self.source = FreeModule(self.source.shifts + (d,) * len(vecs))
+
     def component_columns(self, d):
         """Columns of the degree-d component matrix over the target basis index.
 
         The column of e_l * u is the sum over the terms c * w of the entries
-        (k, l) of c times row u of the left-product table of w, shifted to
+        (k, l) of c times row u of the product table of w, shifted to
         block k.  A single unit term in the first block is the table itself,
         so such columns share its row dicts: callers only read columns.
         """
@@ -100,7 +120,7 @@ class ModuleMap:
             if e < 0:
                 continue
             terms = [
-                (tgt_off[k], c, tgb.products(e, w, on_left=True))
+                (tgt_off[k], c, tgb.products(e, w))
                 for k in range(len(self.target)) if (k, l) in self.entries
                 for w, c in self.entries[(k, l)].terms.items()
             ]
@@ -172,60 +192,36 @@ class ModuleComponents:
         return out
 
 
-@dataclass
-class KernelGenerator:
-    degree: int
-    element: tuple        # one NcPoly per source generator
+def min_generators(tgb, src, degrees, span_at, modulo=None):
+    """Minimal generators of a submodule K of the free module src, in the given
+    degrees, as their generator map (+) A(-deg g) -> src.
 
-    def strings(self, tgb):
-        return [poly_str(tgb.gt, tgb.field, p) for p in self.element]
-
-
-def _vector_to_element(fm, d, basis, vec):
-    """The element of fm with coordinates vec over basis = free_basis(., fm, d)."""
-    polys = [dict() for _ in fm.shifts]
-    for i, c in vec.items():
-        k, u = basis[i]
-        polys[k][u] = c
-    return tuple(
-        NcPoly(t, d - fm.shifts[k] if t else None) for k, t in enumerate(polys)
-    )
-
-
-def _generator_map(tgb, src, gens):
-    """The map (+) A(-deg g) -> src sending one generator to each element g."""
-    entries = {(k, col): poly for col, g in enumerate(gens)
-               for k, poly in enumerate(g.element) if not poly.is_zero()}
-    return ModuleMap(tgb, FreeModule(tuple(g.degree for g in gens)), src, entries)
-
-
-def min_generators(tgb, src, degrees, span_at):
-    """Minimal generators of a submodule K of the free module src, in the given degrees.
-
-    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d).  At
-    degree d the A-span of the generators already emitted is the image of
-    their generator map, read off its component columns at d; on a Veronese
-    grading (degrees m, m + n, ...) that image is the A^(n)-span.  Degree by
-    degree, emit the spanning vectors that extend it; graded Nakayama makes
+    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d).  With
+    modulo, the generators are minimal modulo the submodule N of src whose
+    degree-d component modulo(d) spans: they generate (K + N) / N.  At degree
+    d the A-span of the generators already emitted is the image of the map,
+    read off its component columns at d; on a Veronese grading (degrees m,
+    m + n, ...) that image is the A^(n)-span.  Degree by degree, the spanning
+    vectors that extend it are appended to the map; graded Nakayama makes
     this a minimal generating set on the window.
     """
-    gens = []
-    image = None
+    gens = ModuleMap(tgb, FreeModule(()), src, {})
     for d in degrees:
         span = SpanSolver(tgb.field)
-        if image is not None:
-            for col in image.component_columns(d):
+        for col in modulo(d) if modulo else ():
+            span.add(col)
+        if len(gens):
+            for col in gens.component_columns(d):
                 span.add(col)
         new = [vec for vec in span_at(d) if span.add(vec)]
         if new:
-            basis = free_basis(tgb, src, d)
-            gens.extend(KernelGenerator(d, _vector_to_element(src, d, basis, vec)) for vec in new)
-            image = _generator_map(tgb, src, gens)
+            gens.append_generators(d, new)
     return gens
 
 
 def kernel_min_generators(f):
-    """Minimal generators of ker(f) up to the bound of its basis, with witnesses."""
+    """Minimal generators of ker(f) up to the bound of its basis, as their
+    generator map into f.source; its entries are the witnesses."""
     tgb, D = f.tgb, f.tgb.D
     return min_generators(
         tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1),
@@ -268,58 +264,46 @@ def minimal_resolution(relations, length=2):
     """Minimal free resolution window of M = coker(relations) up to the bound D.
 
     length <= 2 is what the coherence criterion needs; raising it extends
-    the same syzygy loop.  Requires the presentation shifts to be >= 0
-    (every module in the package is presented that way).
+    the same syzygy loop up to D, since P^i starts in degree i.  Requires
+    the presentation shifts to be >= 0 (every module in the package is
+    presented that way).
     """
     tgb = relations.tgb
     fld, D = tgb.field, tgb.D
     if length < 0:
         raise InputError(f"resolution length {length} < 0")
+    if length > D:
+        raise InputError(f"resolution length {length} > bound {D}: P^i starts in degree i")
     f0 = relations.target
     if f0.shifts and min(f0.shifts) < 0:
         raise InputError("minimal_resolution expects nonnegative shifts")
 
-    # P^0 from M (x) k = F0 / (F0 * A_+ + im r): in degree d, the generator e_k
-    # with s_k == d survives iff it extends the relations at d restricted to
-    # the coordinates (k, empty word)
-    tor0 = [0] * (D + 1)
-    p0_shifts = []
-    p0_entries = {}
-    unit = NcPoly.monomial(tgb.gt, fld, ())
-    for d in range(0, D + 1):
+    def heads(d):
         offsets = _block_offsets(tgb, f0, d)
-        heads = {offsets[k]: k for k, s in enumerate(f0.shifts) if s == d}
-        if not heads:
-            continue
-        span = SpanSolver(fld)
-        for col in relations.component_columns(d):
-            span.add({heads[i]: c for i, c in col.items() if i in heads})
-        for k in heads.values():
-            if span.add({k: fld.one()}):
-                p0_entries[(k, len(p0_shifts))] = unit
-                p0_shifts.append(d)
-                tor0[d] += 1
-    p0_map = ModuleMap(tgb, FreeModule(tuple(p0_shifts)), f0, p0_entries)
+        return [{offsets[k]: fld.one()} for k, s in enumerate(f0.shifts) if s == d]
 
-    tor = [tor0]
-    diffs = []
-    # level i resolves the kernel of prev modulo rel: P^0 -> F0 modulo the
-    # relations at level 1, then the previous differential modulo nothing
-    prev, rel = p0_map, relations.component_columns
+    # P^0 from M (x) k = F0 / (F0 * A_+ + im r): the generators e_k of F0,
+    # minimal modulo the relations
+    maps = [min_generators(tgb, f0, sorted({s for s in f0.shifts if s <= D}), heads,
+                           modulo=relations.component_columns)]
+    # level i resolves the kernel of the previous map modulo rel: P^0 -> F0
+    # modulo the relations at level 1, then the previous differential modulo nothing
+    rel = relations.component_columns
     for _ in range(length):
+        prev = maps[-1]
         src = prev.source
-        gens = min_generators(
+        maps.append(min_generators(
             tgb, src, range(min(src.shifts, default=D + 1), D + 1),
             lambda d: _projected_kernel(fld, prev.component_columns(d), rel(d)),
-        )
-        prev = _generator_map(tgb, src, gens)
+        ))
         rel = lambda d: []
+    tor = []
+    for m in maps:
         row = [0] * (D + 1)
-        for g in gens:
-            row[g.degree] += 1
+        for s in m.source.shifts:
+            row[s] += 1
         tor.append(row)
-        diffs.append(prev)
-    return TruncatedResolution(relations, p0_map, diffs, tor)
+    return TruncatedResolution(relations, maps[0], maps[1:], tor)
 
 
 def audit_resolution(res):

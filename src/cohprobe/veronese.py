@@ -95,7 +95,9 @@ def veronese_presentation(tgb, n):
 
     Generators are the dim A_n normal words; at each internal degree the
     kernel of (normal symbol words) -> A_{in} contributes the new relations.
-    Hilbert agreement with the ambient algebra is a hard invariant.
+    Hilbert agreement with the ambient algebra is a hard invariant; where it
+    fails, the error says whether A is generated in degree 1, without which
+    the words of A_n need not generate A^{(n)}.
     """
     if n < 2:
         raise InputError("Veronese step n must be >= 2")
@@ -128,8 +130,9 @@ def veronese_presentation(tgb, n):
         dim_pres = len(sym_words) - len(new_rels)
         dim_amb = tgb.dim(i * n)
         if dim_pres != dim_amb:
+            why = "" if degree_one_generated(tgb) else f"{label} is not generated in degree 1: "
             raise HilbertMismatch(
-                f"A^({n}) internal degree {i}: presentation gives {dim_pres}, "
+                f"{why}A^({n}) internal degree {i}: presentation gives {dim_pres}, "
                 f"ambient dim A_{i * n} = {dim_amb}"
             )
         hilbert_internal.append(dim_pres)
@@ -196,8 +199,8 @@ def pm_module_presentations(tgb, n):
             tgb, src, range(m, m + window * n + 1, n),
             lambda d: kernel_basis(fld, onto.component_columns(d)),
         )
-        for g in syzygies:
-            syz_profile[(g.degree - m) // n] += 1
+        for s in syzygies.source.shifts:
+            syz_profile[(s - m) // n] += 1
         reports.append(PmModuleReport(m, gen_degrees, syz_profile, window))
     return reports
 

@@ -50,11 +50,11 @@ class ZAlgebraWindow:
         return self.tgb.dim(j - i)
 
     def mult(self, i, j, k):
-        """Tensor A_jk (x) A_ij -> A_ik: [y_idx][x_idx] -> vec over the A_ik basis.
+        """Tensor A_jk (x) A_ij -> A_ik: [x_idx][y_idx] -> vec over the A_ik basis.
 
-        Row x_idx of the product table of y at degree k - j is NF(x * y).
+        Row y_idx of the product table of x at degree j - i is NF(x * y).
         """
-        return [self.tgb.products(k - j, y) for y in self.basis(i, j)]
+        return [self.tgb.products(j - i, x) for x in self.basis(j, k)]
 
     def audit(self):
         """Unit laws and associativity on the window.
@@ -71,10 +71,10 @@ class ZAlgebraWindow:
             t1 = self.mult(lo, lo, j)  # A_ij (x) A_ii -> A_ij
             t2 = self.mult(lo, j, j)  # A_jj (x) A_ij -> A_ij
             for xi in range(self.dim(lo, j)):
-                if t1[0][xi] != {xi: fld.one()}:
+                if t1[xi][0] != {xi: fld.one()}:
                     problems.append(f"right unit fails on A_{lo}{j}")
                     break
-                if t2[xi][0] != {xi: fld.one()}:
+                if t2[0][xi] != {xi: fld.one()}:
                     problems.append(f"left unit fails on A_{lo}{j}")
                     break
         for j in range(lo, hi + 1):
@@ -95,14 +95,14 @@ class ZAlgebraWindow:
         dim_z = self.dim(i, j)
         for xi in range(dim_x):
             for yi in range(dim_y):
-                xy = m_kl_j[yi][xi]
+                xy = m_kl_j[xi][yi]
                 for zi in range(dim_z):
                     left = {}
                     for t, c in xy.items():
-                        fld.axpy(left, c, m_jl_i[zi][t])
+                        fld.axpy(left, c, m_jl_i[t][zi])
                     right = {}
-                    for t, c in m_jk_i[zi][yi].items():
-                        fld.axpy(right, c, m_kl_i2[t][xi])
+                    for t, c in m_jk_i[yi][zi].items():
+                        fld.axpy(right, c, m_kl_i2[xi][t])
                     if left != right:
                         return False
         return True

@@ -426,6 +426,27 @@ def poly_in_ideal_bruteforce(p, q):
     return solver.contains({index[w]: c for w, c in q.terms.items()})
 
 
+def tor0_oracle(relations):
+    """dim Tor_0(M, k)_d for M = coker(relations) and d <= D.
+
+    M (x) k = F0 / (F0 * A_+ + im r), so in degree d it is spanned by the
+    generators e_k of F0 of degree d (the heads), less the span of the
+    relations restricted to the heads.  Only a relation of degree d meets a
+    head, through its scalar entries, so the rule reads the entries directly.
+    """
+    tgb = relations.tgb
+    shifts0, shifts1 = relations.target.shifts, relations.source.shifts
+    out = []
+    for d in range(tgb.D + 1):
+        heads = [k for k, s in enumerate(shifts0) if s == d]
+        restricted = [
+            {k: relations.entries[(k, l)].terms[()] for k in heads if (k, l) in relations.entries}
+            for l, s in enumerate(shifts1) if s == d
+        ]
+        out.append(len(heads) - span_rank(tgb.field, restricted))
+    return out
+
+
 def euler_characteristic_check(res):
     """sum_i (-1)^i dim P^i_d == dim M_d for d <= D; meaningful when the
     window loses no Tor (all syzygies of the last level vanish)."""

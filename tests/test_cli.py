@@ -10,6 +10,8 @@ import pytest
 import cohprobe.cli
 from cohprobe.cli import main
 
+from test_report_digests import WEIGHTED_FRAC
+
 ROOT = Path(__file__).resolve().parent.parent
 ALGEBRAS = ROOT / "algebras"
 
@@ -212,6 +214,9 @@ BAD_INPUTS = {
         "veronese", str(ALGEBRAS / "commutative.alg"), "--n", "2", "-D", "4",
         "--cross-check", "--max-ideals", "-1"],
     "negative tor length": lambda tmp: ["tor", str(ALGEBRAS / "xy_zero.alg"), "--length", "-2"],
+    # P^i starts in degree i, so every level above D is zero in the window
+    "tor length above the bound": lambda tmp: [
+        "tor", str(ALGEBRAS / "free2.alg"), "-D", "4", "--length", "5"],
     "negative hom range": lambda tmp: [
         "zalg", str(ALGEBRAS / "commutative.alg"), "--window=-2..8", "--hom-range", "-1"],
     "zalg window top below 0": lambda tmp: [
@@ -232,6 +237,16 @@ def test_bad_input_exit_code(case, tmp_path):
     assert code == 1
     assert err.getvalue().startswith("error:")
     assert out == ""
+
+
+def test_veronese_names_missing_degree_one_generation(tmp_path):
+    # z of weight 2 is not a product of letters of weight 1, so the words of
+    # A_2 do not generate A^(2) and the discovered Hilbert series falls short
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["veronese", _write(tmp_path, "wf.alg", WEIGHTED_FRAC), "--n", "2"])
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("error: weighted_frac is not generated in degree 1: ")
 
 
 def test_text_mode_runs():

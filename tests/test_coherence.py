@@ -18,7 +18,7 @@ from cohprobe.coherence import (
     probe_ideal,
     worst_verdict,
 )
-from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly
+from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_str
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
 from cohprobe.grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
@@ -272,8 +272,8 @@ def _sides(pres, D):
 
 def _kernel_profile(tgb, ideal):
     profile = [0] * (tgb.D + 1)
-    for g in kernel_min_generators(ideal_map(tgb, ideal)):
-        profile[g.degree] += 1
+    for s in kernel_min_generators(ideal_map(tgb, ideal)).source.shifts:
+        profile[s] += 1
     return profile
 
 
@@ -374,7 +374,12 @@ def test_witness_is_found_only_when_read(tgb_fast, monkeypatch):
     for block in blocks:
         ideal = RightIdealSpec.from_strings(tgb_op, block["gens"])
         gens = real(ideal_map(tgb_op, ideal))
-        assert block["witness"] == [[g.degree, g.strings(tgb_op)] for g in gens if g.degree > 4]
+        zero = NcPoly({}, None)
+        assert block["witness"] == [
+            [s, [poly_str(tgb_op.gt, tgb_op.field, gens.entries.get((k, l), zero))
+                 for k in range(len(ideal.gens))]]
+            for l, s in enumerate(gens.source.shifts) if s > 4
+        ]
 
 
 def test_witness_starts_just_above_half_the_bound(tgb_fast):

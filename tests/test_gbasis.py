@@ -340,18 +340,19 @@ def test_random_presentations_against_references(case):
         assert tor[1] == [0, len(p.gens), 0, 0, 0, 0]
         assert tor[2] == [c[d] + tor[1][d] - (d == 0) for d in range(6)]
         assert not any(tor[3])
-    # product tables: row i of products(e, w) is NF(u * w), or NF(w * u) on
-    # the left, for u the i-th normal word of degree e, indexed by normal words
+    # product tables: row i of products(e, w) is NF(w * u) for u the i-th
+    # normal word of degree e, indexed by normal words; the stored row of
+    # u * w, which a table of u lists when w is normal, is NF(u * w)
     for w in sorted({w for q in polys for w in q.terms}):
         dw = p.gens.word_degree(w)
         for e in range(6 - dw):
             idx = tgb.normal_index(e + dw)
-            for on_left in (False, True):
-                rows = tgb.products(e, w, on_left)
-                assert len(rows) == tgb.dim(e)
-                for u, row in zip(tgb.normal_words(e), rows):
-                    want = reference_normal_form(tgb, {w + u if on_left else u + w: p.field.one()})
-                    assert row == {idx[t]: c for t, c in want.items()}
+            rows = tgb.products(e, w)
+            assert len(rows) == tgb.dim(e)
+            for u, row in zip(tgb.normal_words(e), rows):
+                for word, got in ((w + u, row), (u + w, tgb.normal_form_row(u + w))):
+                    want = reference_normal_form(tgb, {word: p.field.one()})
+                    assert got == {idx[t]: c for t, c in want.items()}
 
 
 def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
@@ -365,16 +366,16 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
     monkeypatch.setattr(gbasis, "_reduce_terms", counted)
     tgb = complete_to_degree(corpus_fast["example2"].presentation, 6)
     seen.clear()
-    # NF(x*x) is one row, read as u*w on the right and as w*u on the left
-    x = (0,)
-    i = tgb.normal_index(1)[x]
-    assert tgb.products(1, x)[i] is tgb.products(1, x, on_left=True)[i]
+    # NF(x*y*x) is one row, read as x * (y*x) and as (x*y) * x
+    x, y = (0,), (1,)
+    row = tgb.normal_form_row(x + y + x)
+    assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] is row
+    assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] is row
     # every product word is reduced once, however often it is reached
     for d in range(1, 4):
         for w in tgb.normal_words(d):
             for e in range(7 - d):
-                for on_left in (False, True):
-                    tgb.products(e, w, on_left)
+                tgb.products(e, w)
     assert seen and len(seen) == len(set(seen))
     # normal_form_word is a row keyed by normal words
     for d in range(7):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cohprobe.freealg import GeneratorTable, parse_poly, poly_scale
+from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_scale
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import (
     FreeModule,
@@ -13,7 +15,7 @@ from cohprobe.grmod import (
 )
 from cohprobe.linalg import QQ, PrimeField
 
-from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy
+from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy, tor0_oracle
 
 
 def make_tgb(names, rels, D=8, field=QQ):
@@ -66,16 +68,17 @@ def test_component_basis_zero_presentation(free2):
 def test_kernel_identity_map_empty(free2):
     f = ModuleMap(free2, FreeModule((0,)), FreeModule((0,)),
                   {(0, 0): parse_poly(free2.gt, QQ, "1")})
-    assert kernel_min_generators(f) == []
+    gens = kernel_min_generators(f)
+    assert gens.source.shifts == () and gens.entries == {}
 
 
 def test_kernel_left_mult_x_over_xy_zero(xy_zero):
     f = ModuleMap(xy_zero, FreeModule((1,)), FreeModule((0,)),
                   {(0, 0): parse_poly(xy_zero.gt, QQ, "x")})
     gens = kernel_min_generators(f)
-    assert len(gens) == 1
-    assert gens[0].degree == 2
-    assert gens[0].strings(xy_zero) == ["y"]
+    assert gens.target == f.source
+    assert gens.source.shifts == (2,)
+    assert gens.entries == {(0, 0): parse_poly(xy_zero.gt, QQ, "y")}
 
 
 def test_kernel_free_algebra_refree(free2):
@@ -85,14 +88,8 @@ def test_kernel_free_algebra_refree(free2):
                   {(0, 0): parse_poly(free2.gt, QQ, "x"),
                    (0, 1): parse_poly(free2.gt, QQ, "y*x + x*y")})
     gens = kernel_min_generators(f)
-    shifts = tuple(g.degree for g in gens)
-    entries = {}
-    for col, g in enumerate(gens):
-        for k, poly in enumerate(g.element):
-            if not poly.is_zero():
-                entries[(k, col)] = poly
-    dmap = ModuleMap(free2, FreeModule(shifts), f.source, entries)
-    assert kernel_min_generators(dmap) == []
+    assert gens.target == f.source
+    assert len(kernel_min_generators(gens)) == 0
 
 
 def test_resolution_simple_module_free(free2):
@@ -126,6 +123,64 @@ def test_resolution_non_minimal_presentation(field, shifts0, shifts1, cells, tor
     audit = audit_resolution(res)
     assert audit["minimal"] and audit["exact"] and audit["surjective"]
     assert all(euler_characteristic_check(res))
+
+
+def random_presentation(tgb, rng):
+    """Random shifts and entries, scalar entries included, so that generators
+    and relations are often redundant."""
+    fld = tgb.field
+    shifts0 = sorted(rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(1, 3)))
+    shifts1 = sorted(rng.choice((0, 1, 1, 2, 3)) for _ in range(rng.randint(0, 4)))
+    entries = {}
+    for k, a in enumerate(shifts0):
+        for l, b in enumerate(shifts1):
+            if b >= a and rng.random() < 0.6:
+                words = tgb.normal_words(b - a)
+                picked = rng.sample(words, min(2, len(words)))
+                terms = {w: fld.of_fraction(rng.choice((-2, -1, 1, 3)), 1) for w in picked}
+                entries[(k, l)] = NcPoly(terms, b - a)
+    return presented(tgb, shifts1, shifts0, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_tor0_of_random_presentations_against_oracle(field):
+    # P^0 comes out of the syzygy loop's generator search modulo the
+    # relations; the oracle reads Tor_0 off the scalar entries instead
+    rng = random.Random(47)
+    redundant = 0
+    for names, rels in [("xy", ["x*y - y*x"]), ("xyz", ["y*z", "x*z - z*x"])]:
+        tgb = make_tgb(names, rels, D=5, field=field)
+        for _ in range(12):
+            relations = random_presentation(tgb, rng)
+            res = minimal_resolution(relations, length=1)
+            assert res.tor[0] == tor0_oracle(relations), relations.entries
+            audit = audit_resolution(res)
+            assert audit["minimal"] and audit["exact"] and audit["surjective"]
+            redundant += sum(res.tor[0]) < len(relations.target)
+    assert redundant >= 5
+
+
+def test_resolution_builds_one_map_per_level(monkeypatch):
+    # each level's generator map is built once and grown degree by degree
+    tgb = make_tgb("xy", ["x*y - y*x"], D=6)
+    relations = presented(tgb, (1, 2), (0, 1), {
+        (0, 0): parse_poly(tgb.gt, QQ, "x"), (1, 0): parse_poly(tgb.gt, QQ, "1"),
+        (0, 1): parse_poly(tgb.gt, QQ, "y^2"), (1, 1): parse_poly(tgb.gt, QQ, "x")})
+    built = []
+    real = ModuleMap.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(ModuleMap, "__init__", counted)
+    for length in (0, 1, 3):
+        built.clear()
+        res = minimal_resolution(relations, length=length)
+        assert len(res.diffs) == length
+        assert built == [res.p0_map, *res.diffs]
+    # e1 = -e0*x, so M = A/(y^2 - x^2)A: one relation of degree 2, no syzygy
+    assert res.tor == [[1] + [0] * 6, [0, 0, 1] + [0] * 4, [0] * 7, [0] * 7]
 
 
 def test_tor_simple_module_xy_zero_matches_bar_oracle():

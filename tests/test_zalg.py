@@ -75,7 +75,7 @@ def test_window_audits(model_tgb, tgb_fast):
 
 
 def test_mult_composes_in_the_graded_order(tgb_fast):
-    # mult(i, j, k)[y][x] is NF(x * y) for x in A_jk and y in A_ij; the
+    # mult(i, j, k)[x][y] is NF(x * y) for x in A_jk and y in A_ij; the
     # opposite product is associative and unital too, so the audit alone
     # cannot tell the two sides apart
     tgb = tgb_fast("example2", 6)
@@ -86,8 +86,8 @@ def test_mult_composes_in_the_graded_order(tgb_fast):
                 idx = tgb.normal_index(k - i)
                 want = [
                     [{idx[t]: c for t, c in tgb.normal_form_word(x + y).items()}
-                     for x in zw.basis(j, k)]
-                    for y in zw.basis(i, j)
+                     for y in zw.basis(i, j)]
+                    for x in zw.basis(j, k)
                 ]
                 assert zw.mult(i, j, k) == want, (i, j, k)
 
