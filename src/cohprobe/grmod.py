@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeBoundExceeded, InputError
+from .errors import InputError
 from .freealg import NcPoly
 from .linalg import SpanSolver, kernel_basis
 
@@ -138,58 +138,6 @@ class ModuleMap:
 def _shifted(row, off):
     """row with every index moved by off; row itself when off is 0."""
     return {off + t: v for t, v in row.items()} if off else row
-
-
-class ModuleComponents:
-    """Cached degreewise bases and canonical coordinates for M = coker(relations).
-
-    The degree-d basis is the deterministic unit-vector complement of the
-    relation image inside the free component: the units that do not depend
-    on the relation columns and the units before them.  The kernel of
-    [relation columns | unit columns] writes every other unit in that basis
-    modulo the relations, so each degree is one reduction table, unit index
-    -> coordinates, and coords() is a sparse sum over it.
-    """
-
-    def __init__(self, relations):
-        self.relations = relations
-        self.tgb = relations.tgb
-        self._data = {}
-
-    def _degree_data(self, d):
-        if d > self.tgb.D:
-            raise DegreeBoundExceeded(f"degree {d} > bound {self.tgb.D}")
-        cached = self._data.get(d)
-        if cached is not None:
-            return cached
-        fld = self.tgb.field
-        one = fld.one()
-        rel = self.relations.component_columns(d)
-        fb = free_basis(self.tgb, self.relations.target, d)
-        # dependent unit i -> its kernel vector modulo the relations, whose 1 sits at i
-        deps = {max(v): v for v in _projected_kernel(fld, [{i: one} for i in range(len(fb))], rel)}
-        pos = {}  # independent unit -> its position in the basis
-        table = []
-        for i in range(len(fb)):
-            if i in deps:
-                table.append({pos[t]: fld.neg(c) for t, c in deps[i].items() if t < i})
-            else:
-                pos[i] = len(pos)
-                table.append({pos[i]: one})
-        self._data[d] = ([fb[i] for i in pos], table)
-        return self._data[d]
-
-    def basis(self, d):
-        """Basis of M_d as pairs (generator k, normal word)."""
-        return self._degree_data(d)[0]
-
-    def coords(self, d, fvec):
-        """Coordinates of a free-component vector in the chosen basis of M_d."""
-        table = self._degree_data(d)[1]
-        out = {}
-        for i, c in fvec.items():
-            self.tgb.field.axpy(out, c, table[i])
-        return out
 
 
 def min_generators(tgb, src, degrees, span_at, modulo=None):

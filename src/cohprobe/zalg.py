@@ -1,9 +1,10 @@
-"""Z-algebra windows, module transport and cohproj Hom.
+"""Z-algebra windows, free module transport and cohproj Hom.
 
 A graded algebra A gives the Z-algebra with components A_ij = A_{j-i}; a
-graded right module M transports to the window module with (M_Z)_i equal
-to M_{-i}.  The multiplication A_jk (x) A_ij -> A_ik composes the graded
-factors as (x, y) -> x*y, and the right action lowers the window index.
+free graded right module F transports to the window module with (F_Z)_i
+equal to F_{-i}.  The multiplication A_jk (x) A_ij -> A_ik composes the
+graded factors as (x, y) -> x*y, and the right action lowers the window
+index.  Both are read off the product tables of the basis.
 
 Hom in cohproj is computed by truncation-stabilization: the dimension of
 the degree-0 homomorphism space Hom(M_{<=n}, N) is tabulated as n walks
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError, WindowTooShallow
 from .gbasis import complete_to_degree  # noqa: F401  (a binding the bench tracer patches)
-from .grmod import FreeModule, ModuleComponents, ModuleMap, free_basis
+from .grmod import FreeModule, _block_offsets, _shifted, free_basis
 from .linalg import SpanSolver
 
 STABLE_RUN = 4
@@ -29,7 +30,7 @@ class ZAlgebraWindow:
     """Components A_ij and multiplication tensors on an index window.
 
     Component bases are the normal words of degree j - i; multiplication
-    tensors are the product tables of the basis, whose rows it memoizes.
+    tensors are the product tables of the basis.
     """
 
     def __init__(self, tgb, lo, hi):
@@ -60,7 +61,15 @@ class ZAlgebraWindow:
         """Unit laws and associativity on the window.
 
         A_ij = A_(j-i), so every check depends only on degree differences
-        and is made once, at i = lo, over all composable lo <= j <= k <= l.
+        and is made once, at i = lo.  Associativity (x*y)*z = x*(y*z), with
+        x in A_kl, y in A_jk and z in A_ij, is checked only where l - k is
+        the weight of a letter, for every lo <= j <= k; the rest follows.
+        The unit laws cover l = k.  A normal word x of positive degree is
+        a*x', with a its first letter and x' normal, since normal words are
+        closed under factors; so the table gives x = NF(a*x').  The letter
+        case gives x*y = a*(x'*y) and x*(y*z) = a*(x'*(y*z)), and then
+        (x*y)*z = a*((x'*y)*z) = a*(x'*(y*z)) = x*(y*z)
+        by the letter case once more and induction on the length of x.
         """
         fld = self.tgb.field
         lo, hi = self.lo, self.hi
@@ -77,9 +86,10 @@ class ZAlgebraWindow:
                 if t2[0][xi] != {xi: fld.one()}:
                     problems.append(f"left unit fails on A_{lo}{j}")
                     break
+        weights = sorted(set(self.tgb.gt.weights))
         for j in range(lo, hi + 1):
             for k in range(j, hi + 1):
-                for l in range(k, hi + 1):
+                for l in (k + w for w in weights if k + w <= hi):
                     if not self._assoc_ok(lo, j, k, l):
                         problems.append(f"associativity fails on ({lo},{j},{k},{l})")
         return {"ok": not problems, "problems": problems}
@@ -130,53 +140,35 @@ class ZModuleWindow:
         return self.act.get((i, j))
 
 
-def _window_from_components(tgb, lo, hi, dims, act_fn):
-    """Assemble a ZModuleWindow by evaluating act_fn on every window pair."""
+def transport_module(tgb, free, lo, hi):
+    """Window module of the free module F: (F_Z)_i = F_{-i}, on free_basis(tgb, F, -i).
+
+    The pair (k, u) of (F_Z)_j times the word a of A_ij is e_k * NF(u * a):
+    row a of the product table of u at degree j - i, moved to block k.  The
+    rows are the table's own, so callers only read them.
+    """
+    bases = {}
+    offsets = {}
+    for i in range(lo, hi + 1):
+        if -i > tgb.D:
+            raise DegreeBoundExceeded(f"window index {i} needs graded degree {-i} > D")
+        bases[i] = free_basis(tgb, free, -i)
+        offsets[i] = _block_offsets(tgb, free, -i)
     act = {}
     for j in range(lo, hi + 1):
-        if dims.get(j, 0) == 0:
+        if not bases[j]:
             continue
         for i in range(lo, j):
-            words = tgb.normal_words(j - i)
-            tensor = []
-            for b in range(dims[j]):
-                row = []
-                for a in words:
-                    row.append(act_fn(i, j, b, a))
-                tensor.append(row)
-            act[(i, j)] = tensor
-    return ZModuleWindow(tgb, lo, hi, dims, act)
-
-
-def transport_module(relations, lo, hi):
-    """Window module of the graded module coker(relations): (M_Z)_i = M_{-i}."""
-    tgb = relations.tgb
-    comps = ModuleComponents(relations)
-    f0 = relations.target
-
-    dims = {}
-    bases = {}
-    positions = {}
-    for i in range(lo, hi + 1):
-        d = -i
-        if d > tgb.D:
-            raise DegreeBoundExceeded(f"window index {i} needs graded degree {d} > D")
-        basis = comps.basis(d)
-        dims[i] = len(basis)
-        bases[i] = basis
-        positions[i] = {pair: n for n, pair in enumerate(free_basis(tgb, f0, d))}
-
-    def act_fn(i, j, b, a):
-        k, u = bases[j][b]
-        pos = positions[i]
-        return comps.coords(-i, {pos[(k, t)]: tc for t, tc in tgb.normal_form_word(u + a).items()})
-
-    return _window_from_components(tgb, lo, hi, dims, act_fn)
+            act[(i, j)] = [
+                [_shifted(row, offsets[i][k]) for row in tgb.products(j - i, u)]
+                for k, u in bases[j]
+            ]
+    return ZModuleWindow(tgb, lo, hi, {i: len(basis) for i, basis in bases.items()}, act)
 
 
 def projective_window(tgb, j, lo, hi):
     """P_j on the window: components A_ij = A_{j-i}."""
-    return transport_module(ModuleMap(tgb, FreeModule(()), FreeModule((-j,)), {}), lo, hi)
+    return transport_module(tgb, FreeModule((-j,)), lo, hi)
 
 
 # --- Hom and cohproj Hom ---------------------------------------------------

@@ -10,7 +10,9 @@ import heapq
 
 from cohprobe.freealg import NcPoly, leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
-from cohprobe.grmod import FreeModule, ModuleComponents, ModuleMap, free_dim
+from cohprobe.grmod import FreeModule, ModuleMap, free_dim
+
+from windows import ModuleComponents
 
 
 # Generic field arithmetic: a plain + or * on the values, then the field's own
@@ -512,4 +514,40 @@ def fold_audit(m):
                         f"action tensor ({i},{j}) differs from fold at b={b}, a={word_str(tgb.gt, a)}"
                     )
                     break
+    return {"ok": not problems, "problems": problems}
+
+
+def all_triples_audit(zw):
+    """Associativity of a Z-algebra window on every composable triple.
+
+    At i = lo over all lo <= j <= k <= l, word by word: for normal words x,
+    y, z of degrees l - k, k - j and j - lo, (x*y)*z and x*(y*z) are
+    recomputed from normal_form_word.  ZAlgebraWindow.audit checks the
+    triples with l - k a letter weight only; both must find the same
+    failures first.
+    """
+    tgb = zw.tgb
+    fld = tgb.field
+    one = fld.one()
+
+    def times(left, right):
+        out = {}
+        for u, a in left.items():
+            for v, b in right.items():
+                reference_axpy(fld, out, field_mul(fld, a, b), tgb.normal_form_word(u + v))
+        return out
+
+    lo, hi = zw.lo, zw.hi
+    problems = []
+    for j in range(lo, hi + 1):
+        for k in range(j, hi + 1):
+            for l in range(k, hi + 1):
+                if any(
+                    times(times({x: one}, {y: one}), {z: one})
+                    != times({x: one}, times({y: one}, {z: one}))
+                    for x in tgb.normal_words(l - k)
+                    for y in tgb.normal_words(k - j)
+                    for z in tgb.normal_words(j - lo)
+                ):
+                    problems.append(f"associativity fails on ({lo},{j},{k},{l})")
     return {"ok": not problems, "problems": problems}

@@ -28,12 +28,13 @@ from cohprobe.gbasis import (
 from cohprobe.grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
-from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window, transport_module
+from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window
 
 from conftest import WITNESS_RIGHT
 from oracles import fold_audit, ideal_syzygy_profile_oracle
 from windows import (
     ProjectivePresentation,
+    coker_transport,
     coker_window,
     gamma_star_presentation,
     tensor_projective_iso_check,
@@ -247,7 +248,7 @@ def test_criterion_08_serre_model_equivalence():
     pps = _six_presentations(tgb)
     direct = [coker_window(pp, tgb, lo, hi) for pp in pps]
     roundtrip = [
-        truncate_below(transport_module(gamma_star_presentation(pp, tgb), lo, hi), hi)
+        truncate_below(coker_transport(gamma_star_presentation(pp, tgb), lo, hi), hi)
         for pp in pps
     ]
     for i in range(len(pps)):

@@ -6,7 +6,6 @@ from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_scale
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import (
     FreeModule,
-    ModuleComponents,
     ModuleMap,
     audit_resolution,
     free_dim,
@@ -16,6 +15,7 @@ from cohprobe.grmod import (
 from cohprobe.linalg import QQ, PrimeField
 
 from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy, tor0_oracle
+from windows import ModuleComponents
 
 
 def make_tgb(names, rels, D=8, field=QQ):
@@ -82,13 +82,17 @@ def test_kernel_left_mult_x_over_xy_zero(xy_zero):
 
 
 def test_kernel_free_algebra_refree(free2):
-    # kernels of maps between frees over T(V) are free: re-resolving the
-    # kernel as a presentation finds no second syzygies
+    # kernels of maps between frees over T(V) are free: e0 -> x, e1 -> x*y
+    # has the one syzygy e1 - e0*y, and re-resolving the kernel as a
+    # presentation finds no second syzygies
     f = ModuleMap(free2, FreeModule((1, 2)), FreeModule((0,)),
                   {(0, 0): parse_poly(free2.gt, QQ, "x"),
-                   (0, 1): parse_poly(free2.gt, QQ, "y*x + x*y")})
+                   (0, 1): parse_poly(free2.gt, QQ, "x*y")})
     gens = kernel_min_generators(f)
     assert gens.target == f.source
+    assert gens.source.shifts == (2,)
+    assert gens.entries == {(0, 0): parse_poly(free2.gt, QQ, "-y"),
+                            (1, 0): parse_poly(free2.gt, QQ, "1")}
     assert len(kernel_min_generators(gens)) == 0
 
 

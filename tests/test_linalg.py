@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cohprobe.errors import InputError
 from cohprobe.freealg import GeneratorTable, NcPoly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.grmod import FreeModule, ModuleComponents, ModuleMap
+from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import (
     PrimeField,
     QQ,
@@ -19,6 +19,7 @@ from cohprobe.linalg import (
 )
 
 from oracles import field_mul, kernel_dim, reference_axpy, reference_scale, span_rank
+from windows import ModuleComponents
 
 
 def columns_of(field, rows):

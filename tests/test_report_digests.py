@@ -98,6 +98,12 @@ WEIGHTED_REQUESTS = [
     # its witnesses take 2 kernel_min_generators runs
     (["probe", "--side", "both", "-D", "8", "--field", "F32003"],
      "4cbd96c1f3f883d3586ef03615c4ff14de4801a1ac3aa7e1d9106c55cc957d12"),
+    # the only Z-algebra pins with a weight-2 letter: the audit checks
+    # associativity on its triples, and z acts in every Hom table
+    (["zalg", "--window=-2..6", "--hom-range", "3"],
+     "c2d1c7b16f1d0ca60ef2485e63002497974621c691f7eef85607ec96e9c6b415"),
+    (["zalg", "--window=-2..6", "--hom-range", "3", "--field", "F32003"],
+     "22a8ee750a33e9604f65d6ea2aeb211b7f29888865fe4641c00257827173c25f"),
 ]
 
 
@@ -143,7 +149,8 @@ def test_gb_report_digest(tmp_path, text, extra, digest):
     assert _digest(["gb", str(path), "-D", "8", *extra, "--json"]) == digest
 
 
-@pytest.mark.parametrize("args,digest", WEIGHTED_REQUESTS, ids=["tor", "probe"])
+@pytest.mark.parametrize("args,digest", WEIGHTED_REQUESTS,
+                         ids=["tor", "probe", "zalg-Q", "zalg-F32003"])
 def test_weighted_report_digest(tmp_path, args, digest):
     path = tmp_path / "algebra.alg"
     path.write_text(WEIGHTED_FRAC, encoding="utf-8")

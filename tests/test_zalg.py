@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from cohprobe.algfile import parse_algebra_file
 from cohprobe.errors import WindowTooShallow
 from cohprobe.freealg import GeneratorTable, make_monic, parse_poly
 from cohprobe.gbasis import (
@@ -9,7 +12,7 @@ from cohprobe.gbasis import (
     complete_to_degree,
 )
 from cohprobe.grmod import FreeModule, ModuleMap
-from cohprobe.linalg import QQ
+from cohprobe.linalg import QQ, PrimeField
 from cohprobe.zalg import (
     ZAlgebraWindow,
     cohproj_hom,
@@ -18,9 +21,11 @@ from cohprobe.zalg import (
     transport_module,
 )
 
-from oracles import fold_audit, hom_dim_oracle
+from oracles import all_triples_audit, fold_audit, hom_dim_oracle
+from test_report_digests import WEIGHTED_FRAC
 from windows import (
     ProjectivePresentation,
+    coker_transport,
     coker_window,
     gamma_star_presentation,
     simple_window,
@@ -28,6 +33,8 @@ from windows import (
     truncate_below,
     window_min_generator_profile,
 )
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +99,9 @@ def test_mult_composes_in_the_graded_order(tgb_fast):
                 assert zw.mult(i, j, k) == want, (i, j, k)
 
 
-def test_window_audit_checks_each_degree_triple_once(tgb_fast, monkeypatch):
-    # A_ij = A_(j-i), so associativity is checked at i = lo only
+def test_window_audit_checks_each_letter_triple_once(tgb_fast, weighted_tgb, monkeypatch):
+    # A_ij = A_(j-i), so associativity is checked at i = lo only, and with
+    # x in A_kl only where l - k is a letter weight
     seen = []
     real = ZAlgebraWindow._assoc_ok
 
@@ -103,24 +111,60 @@ def test_window_audit_checks_each_degree_triple_once(tgb_fast, monkeypatch):
 
     monkeypatch.setattr(ZAlgebraWindow, "_assoc_ok", counted)
     assert ZAlgebraWindow(tgb_fast("free2"), -2, 3).audit()["ok"]
-    assert seen == [(-2, j, k, l) for j in range(-2, 4) for k in range(j, 4) for l in range(k, 4)]
+    assert seen == [(-2, j, k, k + 1) for j in range(-2, 4) for k in range(j, 3)]
+    seen.clear()
+    assert ZAlgebraWindow(weighted_tgb, -2, 3).audit()["ok"]
+    assert seen == [(-2, j, k, k + w) for j in range(-2, 4) for k in range(j, 4)
+                    for w in (1, 2) if k + w <= 3]
+
+
+def _uncompleted(text, D):
+    """The basis of the relations of an .alg text alone, not completed."""
+    pres = parse_algebra_file(text)
+    return TruncatedGroebnerBasis(
+        pres, D, [make_monic(pres.gens, pres.field, r) for r in pres.relations], CompletionLog()
+    )
+
+
+SKLYANIN_121 = (
+    "label sklyanin(1,2,-1)\ngen x 1\ngen y 1\ngen z 1\n"
+    "rel y*z + 2*z*y - x^2\nrel z*x + 2*x*z - y^2\nrel x*y + 2*y*x - z^2\n"
+)
 
 
 def test_window_audit_rejects_uncompleted_relations():
     # the Sklyanin relations alone are not a Groebner basis: rewriting by them
     # gives products that are not associative, and the audit must say where
-    gt = GeneratorTable(["x", "y", "z"])
-    rels = ("y*z + 2*z*y - x^2", "z*x + 2*x*z - y^2", "x*y + 2*y*x - z^2")
-    pres = AlgebraPresentation(
-        QQ, gt, [parse_poly(gt, QQ, r) for r in rels], label="sklyanin(1,2,-1)"
-    )
-    raw = TruncatedGroebnerBasis(
-        pres, 5, [make_monic(gt, QQ, r) for r in pres.relations], CompletionLog()
-    )
+    raw = _uncompleted(SKLYANIN_121, 5)
     audit = ZAlgebraWindow(raw, 0, 4).audit()
     assert not audit["ok"]
     assert audit["problems"][0] == "associativity fails on (0,1,2,3)"
-    assert ZAlgebraWindow(complete_to_degree(pres, 5), 0, 4).audit() == {"ok": True, "problems": []}
+    complete = complete_to_degree(raw.presentation, 5)
+    assert ZAlgebraWindow(complete, 0, 4).audit() == {"ok": True, "problems": []}
+
+
+def test_window_audit_agrees_with_all_triples():
+    # associativity on the letter triples decides it on all of them: the
+    # audit and the all-triples oracle agree on the verdict and on the first
+    # failure, for every bundled algebra and weighted_frac, completed, and
+    # for two uncompleted bases, one with a weight-2 letter
+    cases = {}
+    for path in sorted(ALGEBRAS.glob("*.alg")):
+        pres = parse_algebra_file(path.read_text(encoding="utf-8"), field=PrimeField(32003))
+        cases[path.stem] = ZAlgebraWindow(complete_to_degree(pres, 5), 0, 5)
+    cases["weighted_frac"] = ZAlgebraWindow(
+        complete_to_degree(parse_algebra_file(WEIGHTED_FRAC), 6), 0, 6)
+    cases["raw sklyanin"] = ZAlgebraWindow(_uncompleted(SKLYANIN_121, 5), 0, 4)
+    cases["raw weighted_frac"] = ZAlgebraWindow(_uncompleted(WEIGHTED_FRAC, 6), 0, 6)
+    audits = {}
+    for name, zw in cases.items():
+        audit = audits[name] = zw.audit()
+        oracle = all_triples_audit(zw)
+        assert audit["ok"] == oracle["ok"] == (not name.startswith("raw")), name
+        assert audit["problems"][:1] == oracle["problems"][:1], name
+    # the raw weighted_frac table first fails with x of degree 2: the
+    # weight-2 letter z is what finds it
+    assert audits["raw weighted_frac"]["problems"][0] == "associativity fails on (0,1,3,5)"
 
 
 def test_transport_projective(model_tgb):
@@ -130,11 +174,21 @@ def test_transport_projective(model_tgb):
     assert fold_audit(P3)["ok"]
 
 
-def test_transport_algebra_is_p0(model_tgb):
-    M = transport_module(ModuleMap(model_tgb, FreeModule(()), FreeModule((0,)), {}), -4, 8)
-    P0 = projective_window(model_tgb, 0, -4, 8)
-    assert M.dims == P0.dims
-    assert M.dim(0) == 1 and M.dim(-4) == 5
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_transport_matches_coker_transport(field):
+    # a free module with mixed shifts, so blocks 1 and 2 start at nonzero
+    # offsets: the product-table transport equals the cokernel transport of
+    # the relation-free map into it, tensor by tensor
+    free = FreeModule((-1, 0, -3))
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(ALGEBRAS.glob("*.alg"))}
+    texts["weighted_frac"] = WEIGHTED_FRAC
+    for name, text in texts.items():
+        tgb = complete_to_degree(parse_algebra_file(text, field=field), 7)
+        window = transport_module(tgb, free, -3, 4)
+        oracle = coker_transport(ModuleMap(tgb, FreeModule(()), free, {}), -3, 4)
+        assert window.dims == oracle.dims, name
+        assert window.act == oracle.act, name
+        assert window.dim(-3) == tgb.dim(4) + tgb.dim(3) + tgb.dim(6), name
 
 
 def test_transport_simple(model_tgb):
@@ -143,7 +197,7 @@ def test_transport_simple(model_tgb):
         {(0, 0): parse_poly(model_tgb.gt, model_tgb.field, "x"),
          (0, 1): parse_poly(model_tgb.gt, model_tgb.field, "y")},
     )
-    S = transport_module(relations, -4, 8)
+    S = coker_transport(relations, -4, 8)
     assert S.dim(0) == 1
     assert all(S.dim(i) == 0 for i in range(-4, 9) if i != 0)
 
@@ -288,7 +342,7 @@ def test_gamma_star_simple_vanishes_in_cohproj(model_tgb):
         [-1, -1], [0],
         {(0, 0): parse_poly(gt, fld, "x"), (0, 1): parse_poly(gt, fld, "y")},
     )
-    rt = transport_module(gamma_star_presentation(pp, model_tgb), -6, 8)
+    rt = coker_transport(gamma_star_presentation(pp, model_tgb), -6, 8)
     assert rt.dim(0) == 1 and all(rt.dim(i) == 0 for i in range(-6, 9) if i != 0)
     P1 = projective_window(model_tgb, 1, -6, 8)
     r = cohproj_hom(P1, rt)
@@ -300,7 +354,7 @@ def test_coker_window_matches_transport(model_tgb):
     fld = model_tgb.field
     pp = ProjectivePresentation([0], [1], {(0, 0): parse_poly(gt, fld, "x")})
     direct = coker_window(pp, model_tgb, -2, 10)
-    rt = transport_module(gamma_star_presentation(pp, model_tgb), -2, 10)
+    rt = coker_transport(gamma_star_presentation(pp, model_tgb), -2, 10)
     assert direct.dims == rt.dims
     for c in range(3):
         Pc = projective_window(model_tgb, c, -2, 10)

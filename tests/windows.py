@@ -1,19 +1,118 @@
 """Window-module constructions and paper-level checks used only by the tests.
 
-The CLI reaches window modules through ``projective_window`` alone; the
-cokernel, simple and truncated windows here, the Gamma_* round trip and
-the tensor-algebra projective isomorphism are what the tests compare it
-against.
+The CLI reaches window modules through ``projective_window`` alone, which
+reads the product tables.  The general construction lives here: the
+cokernel transport ``coker_transport`` over ``ModuleComponents`` (per
+degree, a basis of M = coker(relations) and coordinates in it), the direct
+``coker_window``, and the simple and truncated windows.  So do the Gamma_*
+round trip and the tensor-algebra projective isomorphism that the tests
+compare the CLI path against.
 """
 
 from dataclasses import dataclass
 
-from cohprobe.errors import InputError
+from cohprobe.errors import DegreeBoundExceeded, InputError
 from cohprobe.freealg import GeneratorTable
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.grmod import FreeModule, ModuleMap
+from cohprobe.grmod import FreeModule, ModuleMap, _projected_kernel, free_basis
 from cohprobe.linalg import QQ, SpanSolver, kernel_basis
-from cohprobe.zalg import ZModuleWindow, _window_from_components
+from cohprobe.zalg import ZModuleWindow
+
+
+class ModuleComponents:
+    """Cached degreewise bases and canonical coordinates for M = coker(relations).
+
+    The degree-d basis is the deterministic unit-vector complement of the
+    relation image inside the free component: the units that do not depend
+    on the relation columns and the units before them.  The kernel of
+    [relation columns | unit columns] writes every other unit in that basis
+    modulo the relations, so each degree is one reduction table, unit index
+    -> coordinates, and coords() is a sparse sum over it.
+    """
+
+    def __init__(self, relations):
+        self.relations = relations
+        self.tgb = relations.tgb
+        self._data = {}
+
+    def _degree_data(self, d):
+        if d > self.tgb.D:
+            raise DegreeBoundExceeded(f"degree {d} > bound {self.tgb.D}")
+        cached = self._data.get(d)
+        if cached is not None:
+            return cached
+        fld = self.tgb.field
+        one = fld.one()
+        rel = self.relations.component_columns(d)
+        fb = free_basis(self.tgb, self.relations.target, d)
+        # dependent unit i -> its kernel vector modulo the relations, whose 1 sits at i
+        deps = {max(v): v for v in _projected_kernel(fld, [{i: one} for i in range(len(fb))], rel)}
+        pos = {}  # independent unit -> its position in the basis
+        table = []
+        for i in range(len(fb)):
+            if i in deps:
+                table.append({pos[t]: fld.neg(c) for t, c in deps[i].items() if t < i})
+            else:
+                pos[i] = len(pos)
+                table.append({pos[i]: one})
+        self._data[d] = ([fb[i] for i in pos], table)
+        return self._data[d]
+
+    def basis(self, d):
+        """Basis of M_d as pairs (generator k, normal word)."""
+        return self._degree_data(d)[0]
+
+    def coords(self, d, fvec):
+        """Coordinates of a free-component vector in the chosen basis of M_d."""
+        table = self._degree_data(d)[1]
+        out = {}
+        for i, c in fvec.items():
+            self.tgb.field.axpy(out, c, table[i])
+        return out
+
+
+def _window_from_components(tgb, lo, hi, dims, act_fn):
+    """Assemble a ZModuleWindow by evaluating act_fn on every window pair."""
+    act = {}
+    for j in range(lo, hi + 1):
+        if dims.get(j, 0) == 0:
+            continue
+        for i in range(lo, j):
+            words = tgb.normal_words(j - i)
+            tensor = []
+            for b in range(dims[j]):
+                row = []
+                for a in words:
+                    row.append(act_fn(i, j, b, a))
+                tensor.append(row)
+            act[(i, j)] = tensor
+    return ZModuleWindow(tgb, lo, hi, dims, act)
+
+
+def coker_transport(relations, lo, hi):
+    """Window module of the graded module coker(relations): (M_Z)_i = M_{-i}."""
+    tgb = relations.tgb
+    comps = ModuleComponents(relations)
+    f0 = relations.target
+
+    dims = {}
+    bases = {}
+    positions = {}
+    for i in range(lo, hi + 1):
+        d = -i
+        if d > tgb.D:
+            raise DegreeBoundExceeded(f"window index {i} needs graded degree {d} > D")
+        basis = comps.basis(d)
+        dims[i] = len(basis)
+        bases[i] = basis
+        positions[i] = {pair: n for n, pair in enumerate(free_basis(tgb, f0, d))}
+
+    def act_fn(i, j, b, a):
+        k, u = bases[j][b]
+        pos = positions[i]
+        return comps.coords(-i, {pos[(k, t)]: tc for t, tc in tgb.normal_form_word(u + a).items()})
+
+    return _window_from_components(tgb, lo, hi, dims, act_fn)
 
 
 def simple_window(tgb, j, lo, hi):
@@ -134,7 +233,7 @@ def gamma_star_presentation(pp, tgb):
 def coker_window(pp, tgb, lo, hi):
     """Direct windowed realization of coker(pp), built index by index.
 
-    This is an independent construction from transport_module(gamma_star):
+    This is an independent construction from coker_transport(gamma_star):
     each component is the cokernel of the index slice of the presenting
     matrix, with its own deterministic quotient coordinates.
     """
