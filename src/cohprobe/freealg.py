@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from .errors import InhomogeneousSum, InputError, ParseError, ZeroDegreeGenerator
 
-EMPTY_WORD = ()
-
 
 class GeneratorTable:
     """Named weighted generators with a total precedence.

@@ -270,15 +270,18 @@ class TruncatedGroebnerBasis:
         Anick's criterion certifies global dimension <= 2 there, else None.
 
         The relations are those of the presentation and the family members of
-        degree <= D.  The criterion (D. Anick, "Non-commutative graded
-        algebras and their Hilbert series", J. Algebra 78, 1982) asks that every
-        relation term be a word of length >= 2, so that the letters are minimal
-        generators and Tor_1(k, k) = L while Tor_2(k, k) <= R coefficientwise,
-        and that H_A(t) c(t) == 1 mod t^(D+1).  Then 1/H_A - c = (V_2 - R) - V_3
-        + V_4 - ... with V_i = Tor_i(k, k), and V_4 starts above V_3, so at the
-        lowest degree <= D where R - V_2 or V_3 were nonzero the difference
-        would have a negative coefficient.  Hence Tor_2(k, k) = R and
-        Tor_i(k, k) = 0 for i >= 3 in degrees <= D.
+        degree <= D.  The certificate is H_A(t) c(t) == 1 mod t^(D+1) alone
+        (D. Anick, J. Algebra 78, 1982), letter terms included: with rho_d the
+        rank of the letter parts of the relations of degree d, Tietze
+        elimination of one pivot letter per independent letter part gives
+        A = T(V')/I', dim V'_d = L_d - rho_d, I' in T(V')_{>=2} generated by
+        R - rho elements, and the same c(t), as each step removes a letter and
+        a relation of one degree.  So Tor_1(k, k) = L - rho, Tor_2(k, k) <=
+        R - rho and 1/H_A - c = (V_2 - (R - rho)) - V_3 + V_4 - ... with
+        V_i = Tor_i(k, k).  V_4 starts above V_3, so at the lowest degree <= D
+        where R - rho - V_2 or V_3 were nonzero the difference would have a
+        negative coefficient.  Hence Tor_2(k, k) = R - rho and Tor_i(k, k) = 0
+        for i >= 3 in degrees <= D.
         """
         D, p = self.D, self.presentation
         c = [1] + [0] * D
@@ -286,8 +289,6 @@ class TruncatedGroebnerBasis:
             if w <= D:
                 c[w] -= 1
         for r in p.relations_through(D):
-            if any(len(t) < 2 for t in r.terms):
-                return None
             if r.degree <= D:
                 c[r.degree] += 1
         h = hilbert_dims(self, D)

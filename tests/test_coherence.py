@@ -20,11 +20,12 @@ from cohprobe.coherence import (
 )
 from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_str
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
-from cohprobe.grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
+from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
 from conftest import WITNESS_RIGHT
 from oracles import ideal_syzygy_profile_oracle
+from sweep import kernel_profile
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -270,13 +271,6 @@ def _sides(pres, D):
     yield "left", complete_to_degree(opposite(pres), D)
 
 
-def _kernel_profile(tgb, ideal):
-    profile = [0] * (tgb.D + 1)
-    for s in kernel_min_generators(ideal_map(tgb, ideal)).source.shifts:
-        profile[s] += 1
-    return profile
-
-
 def _extra_ideals(tgb):
     """A repeated letter, and a non-monomial ideal of mixed degrees."""
     names = tgb.gt.names
@@ -295,7 +289,7 @@ def test_probe_profile_sources_agree_on_corpus(field):
         for side, tgb in _sides(entry.presentation, 8):
             assert (tgb.anick_series is not None) == (entry.label in ANICK_HOLDS)
             for ideal in enumerate_ideals(tgb, 2, 64) + _extra_ideals(tgb):
-                want = _kernel_profile(tgb, ideal)
+                want = kernel_profile(tgb, ideal)
                 assert probe_ideal(tgb, ideal).profile == want, (entry.label, side)
 
 
@@ -312,6 +306,10 @@ def test_anick_criterion_refusals(corpus_fast):
         _make("xyz", ["-2*y*z + 2*z*y - x^2", "-2*z*x + 2*x*z - y^2",
                       "-2*x*y + 2*y*x - z^2"], "sklyanin(-2,2,-1)"),
         _make("xyz", ["y*z", "x*z - z*x", "y*z"], "example2 with y*z twice"),
+        # a letter term does not hide global dimension 3: w = x*y is eliminated
+        parse_algebra_file("label letter_example1\ngen x 1\ngen y 1\ngen z 1\ngen w 2\n"
+                           "rel x*y\nrel y*z\nrel x*z - z*x\nrel w - x*y\n",
+                           field=PrimeField(32003)),
     ]
     for pres in refused:
         for side, tgb in _sides(pres, 7):

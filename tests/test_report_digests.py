@@ -107,6 +107,18 @@ WEIGHTED_REQUESTS = [
 ]
 
 
+# the relation z - x*y solves for the weight-2 letter z, and the Hilbert
+# identity puts both sides on the rank route; the digests were taken when a
+# letter term forced the kernel route, so the two routes give the same bytes
+LETTER_ONEREL = "label letter_onerel\ngen x 1\ngen y 1\ngen z 2\nrel z - x*y\nrel z*x - x*z\n"
+
+# the extra arguments of `probe <LETTER_ONEREL file> --side both -D 8`, and the digest
+LETTER_REQUESTS = [
+    ([], "6416fa01eeb1fb4782d23678df36b6069e4e127532c8140c8b7f363fb4eddff3"),
+    (["--field", "F32003"], "287bda8865d3969c7df96fda923ec5bb644f6e31a130bcf3c2609a25a86d10a8"),
+]
+
+
 def _argv(args):
     return [str(ALGEBRAS / a) if a.endswith(".alg") else a for a in args] + ["--json"]
 
@@ -155,3 +167,10 @@ def test_weighted_report_digest(tmp_path, args, digest):
     path = tmp_path / "algebra.alg"
     path.write_text(WEIGHTED_FRAC, encoding="utf-8")
     assert _digest([args[0], str(path), *args[1:], "--json"]) == digest
+
+
+@pytest.mark.parametrize("extra,digest", LETTER_REQUESTS, ids=["Q", "F32003"])
+def test_letter_term_report_digest(tmp_path, extra, digest):
+    path = tmp_path / "algebra.alg"
+    path.write_text(LETTER_ONEREL, encoding="utf-8")
+    assert _digest(["probe", str(path), "--side", "both", "-D", "8", *extra, "--json"]) == digest
