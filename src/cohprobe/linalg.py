@@ -6,13 +6,17 @@ span-membership questions over an exact field.  Vectors are sparse dicts
 vectors.  Pivoting is deterministic (leftmost nonzero), so every downstream
 report is reproducible byte for byte.  Each field owns its accumulate loop
 (``axpy``), ``scale`` and ``canonical``, on plain ints mod p for F_p, so
-the inner loops make no per-scalar method calls.
+the inner loops make no per-scalar method calls.  Over Q, elimination is
+fraction-free: echelon rows are primitive integer vectors with a positive
+pivot, and a residue is cleared by integer cross-multiplication (one-step
+fraction-free elimination; E. H. Bareiss, Math. Comp. 22 (1968) gives the
+multistep form), so no ``Fraction`` is built inside the loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -41,7 +45,7 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def axpy(self, target, coeff, source):
         """target += coeff * source for sparse vectors, in place, dropping zeros."""
@@ -160,24 +164,83 @@ def parse_field(spec):
     raise InputError(f"unknown field spec {spec!r}")
 
 
+def _reduce_integral(pivot_rows, vec):
+    """The fraction-free residue over Q of vec against primitive integer rows.
+
+    vec is made integral once; a hit on the pivot column c of a row with
+    pivot a > 0, where the residue holds b, is cleared by
+    residue <- (a/g)*residue - (b/g)*row with g = gcd(a, b).  The residue is
+    a new dict of ints, a nonzero integer multiple of the one over Q.
+    """
+    residue = QQ.integral(vec)[1]
+    while True:
+        hits = residue.keys() & pivot_rows.keys()
+        if not hits:
+            return residue
+        c = min(hits)
+        row = pivot_rows[c]
+        a = row[c]
+        b = residue[c]
+        g = gcd(a, b)
+        if g != a:
+            a //= g
+            residue = {k: a * v for k, v in residue.items()}
+        b //= g
+        get = residue.get
+        for k, v in row.items():
+            nv = get(k, 0) - b * v
+            if nv:
+                residue[k] = nv
+            else:
+                del residue[k]
+
+
+def _primitive(vec, pivot):
+    """The integer vector vec divided by its content, signed so that its
+    pivot entry, of value pivot, turns positive.
+
+    A function of its own, not inline in SpanSolver._insert: the closure
+    cell of the comprehension would cost every F_p insert.
+    """
+    g = gcd(*vec.values())
+    if pivot < 0:
+        g = -g
+    return {k: v // g for k, v in vec.items()}
+
+
 class SpanSolver:
     """Incremental row-space elimination, kept in echelon form.
 
-    Every stored row has a 1 at its pivot, its leftmost nonzero column, and
-    no two rows share a pivot; rows are never reduced against later pivots,
-    since residues and ranks do not depend on that.
+    No two stored rows share a pivot, their leftmost nonzero column.  Over
+    F_p every row has a 1 at its pivot; over Q every row is a primitive
+    integer vector (its entries have gcd 1) with a positive pivot.  Rows are
+    never reduced against later pivots, since residues and ranks do not
+    depend on that.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivot_rows = {}  # pivot col -> row dict (row[pivot] == 1)
+        self.integral = isinstance(field, Rationals)
+        # pivot col -> row dict: row[pivot] == 1 over F_p, a primitive
+        # integer row with row[pivot] > 0 over Q
+        self.pivot_rows = {}
 
     @property
     def rank(self):
         return len(self.pivot_rows)
 
     def reduce(self, vec):
-        """The residue of vec against the stored rows, as a new dict."""
+        """The residue of vec against the stored rows, as a new dict.
+
+        Over Q the residue is defined up to a nonzero scalar: it is an
+        integer vector, a nonzero multiple of the residue over Q.  An empty
+        vec returns at once, before the field is tested; most inputs of a
+        probe over F_p have at most one entry, so that test is felt.
+        """
+        if not vec:
+            return {}
+        if self.integral:
+            return _reduce_integral(self.pivot_rows, vec)
         f = self.field
         residue = dict(vec)
         while True:
@@ -192,12 +255,19 @@ class SpanSolver:
         return self._insert(self.reduce(vec))
 
     def _insert(self, residue):
-        """Store a residue of reduce as a new row; the dict is kept when its pivot is 1."""
+        """Store a residue of reduce as a new row; the dict is kept when its pivot is 1.
+
+        Any other residue is divided by its pivot over F_p, and over Q by its
+        content, signed so that the pivot is positive.
+        """
         if not residue:
             return False
         lead = min(residue)
         c = residue[lead]
-        self.pivot_rows[lead] = residue if c == 1 else self.field.scale(self.field.inv(c), residue)
+        if c != 1:
+            f = self.field
+            residue = _primitive(residue, c) if self.integral else f.scale(f.inv(c), residue)
+        self.pivot_rows[lead] = residue
         return True
 
     def contains(self, vec):
@@ -210,20 +280,30 @@ def kernel_basis(field, columns):
     One vector per column j that depends on the columns before it, in
     ascending j: a 1 in position j and minus the dependency coefficients on
     the independent columns, so the count is len(columns) - rank.  Column j
-    is eliminated with a unit entry appended at n + j, n one past the
-    largest row index, so its residue records the combination it came from:
-    a residue with no entry below n is the kernel vector shifted by n, and
-    any other residue is stored.
+    is eliminated with a unit entry at n + j, n one past the largest row
+    index, so its residue records the combination it came from: a residue
+    with no entry below n is the kernel vector shifted by n, and any other
+    residue is stored.  Over Q the unit is added first, since elimination
+    scales the residue by an integer, and the finished kernel vector is
+    divided once by its entry at n + j; over F_p no stored row reaches
+    column n + j, so the unit is appended to the residue instead.
     """
     n = 1 + max((max(col) for col in columns if col), default=-1)
     solver = SpanSolver(field)
+    integral = solver.integral
     one = field.one()
     out = []
     for j, col in enumerate(columns):
-        residue = solver.reduce(col)
-        residue[n + j] = one
+        if integral:
+            residue = solver.reduce({**col, n + j: one})
+        else:
+            residue = solver.reduce(col)
+            residue[n + j] = one
         if min(residue) < n:
             solver._insert(residue)
+        elif integral:
+            u = residue[n + j]
+            out.append({t - n: Fraction(v, u) for t, v in residue.items()})
         else:
             out.append({t - n: v for t, v in residue.items()})
     return out

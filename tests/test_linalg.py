@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,11 @@ def columns_of(field, rows):
                 col[i] = v
         cols.append(col)
     return cols
+
+
+def columns_of_fractions(rows):
+    """Sparse Q column vectors of a dense matrix of Fractions given by rows."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
 
 
 def solver_rank(field, vectors):
@@ -134,16 +140,89 @@ def test_q_vs_fp_agreement_random():
         assert solver_rank(QQ, columns_of(QQ, data)) == solver_rank(fp, columns_of(fp, data))
 
 
-def test_solver_stores_no_dict_of_its_caller():
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_solver_stores_no_dict_of_its_caller(field):
     # a row whose pivot is already 1 is the residue dict itself, and reduce
-    # builds that dict afresh, so changing the caller's vector later is harmless
-    vec = {0: 1, 2: 3}
-    solver = SpanSolver(PrimeField(7))
+    # builds that dict afresh, so changing the caller's vector later is
+    # harmless; reducing never writes into its argument or a stored row
+    half = field.of_fraction(1, 2)
+    vec = {0: field.one(), 2: half}
+    solver = SpanSolver(field)
     solver.add(vec)
-    vec[1] = 4
-    assert solver.pivot_rows == {0: {0: 1, 2: 3}}
-    probe = {1: 1}
+    vec[1] = field.of_fraction(4, 1)
+    row = {0: 2, 2: 1} if field == QQ else {0: 1, 2: half}
+    assert solver.pivot_rows == {0: row}
+    probe = {1: field.one()}
     assert solver.reduce(probe) == probe and solver.reduce(probe) is not probe
+    hit = {0: field.of_fraction(2, 3), 1: half, 2: field.one()}
+    before = dict(hit)
+    solver.add(hit)
+    assert hit == before
+    assert solver.pivot_rows[0] == row
+    assert solver.rank == 2
+
+
+def test_rationals_inv_is_exact():
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(Fraction(-3, 4))) is Fraction and QQ.inv(Fraction(-3, 4)) == Fraction(-4, 3)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9)),
+             min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5,
+)))
+def test_kernel_basis_over_q_is_exact(rows):
+    # fraction-free elimination divides the unit entry out once: each kernel
+    # vector is made of canonical Fractions, has a 1 at its own column j and
+    # a 0 on every other dependent column, and is a relation among the columns
+    cols = columns_of_fractions(rows)
+    basis = kernel_basis(QQ, cols)
+    assert len(basis) == kernel_dim(QQ, cols, len(rows))
+    dependent = [j for j in range(len(cols))
+                 if span_rank(QQ, cols[: j + 1]) == span_rank(QQ, cols[:j])]
+    assert [max(vec) for vec in basis] == dependent
+    for j, vec in zip(dependent, basis):
+        assert all(type(v) is Fraction and v != 0 for v in vec.values())
+        assert vec[j] == 1
+        assert not (set(vec) & set(dependent)) - {j}
+        image = {}
+        for t, c in vec.items():
+            QQ.axpy(image, c, cols[t])
+        assert image == {}
+
+
+def test_integer_elimination_q_against_fp():
+    # reduction mod p cannot raise the rank, so rank_Q >= rank_Fp; the two
+    # may differ at a bad prime, so equality is not asserted.  A Q kernel
+    # vector whose denominators are prime to p maps mod p into the F_p kernel
+    rng = random.Random(29)
+    primes = [PrimeField(3), PrimeField(32003)]
+    differs = 0
+    for _ in range(60):
+        nrows = rng.randrange(1, 7)
+        ncols = rng.randrange(1, 8)
+        data = [[rng.choice((0, 0, rng.randrange(-9, 10), rng.randrange(-300, 301)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        qcols = columns_of(QQ, data)
+        rank_q = solver_rank(QQ, qcols)
+        kernel_q = kernel_basis(QQ, qcols)
+        assert rank_q + len(kernel_q) == ncols
+        for fp in primes:
+            fcols = columns_of(fp, data)
+            rank_p = solver_rank(fp, fcols)
+            assert rank_q >= rank_p
+            differs += rank_q != rank_p
+            for vec in kernel_q:
+                if any(v.denominator % fp.p == 0 for v in vec.values()):
+                    continue
+                image = {}
+                for t, c in vec.items():
+                    fp.axpy(image, fp.of_fraction(c.numerator, c.denominator), fcols[t])
+                assert image == {}
+    assert differs  # F_3 is a bad prime for some of these matrices
 
 
 def scalar_relations(field, dim, columns):
@@ -203,8 +282,9 @@ def test_solver_certificates():
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
 def test_solver_certificate_identity_random(field):
     # kernel vectors and quotient coordinates are certificates over the vectors
-    # fed in, and every stored row is echelon: a 1 at its pivot, nothing to
-    # the left of it
+    # fed in, and every stored row is echelon with nothing to the left of its
+    # pivot: a 1 at the pivot over F_p, a primitive integer row whose pivot is
+    # positive over Q
     rng = random.Random(17)
     for _ in range(20):
         originals = []
@@ -220,7 +300,12 @@ def test_solver_certificate_identity_random(field):
         assert solver.contains(probe) == any(max(vec) == len(originals) for vec in basis)
         assert_quotient_coordinates(field, originals[:3], probe)
         for pivot, row in solver.pivot_rows.items():
-            assert row[pivot] == field.one()
+            if field == QQ:
+                assert all(type(v) is int for v in row.values())
+                assert gcd(*row.values()) == 1
+                assert row[pivot] > 0
+            else:
+                assert row[pivot] == field.one()
             assert min(row) == pivot
 
 
