@@ -26,12 +26,13 @@ from .algfile import parse_algebra_file, render_algebra_file
 from .coherence import (
     RightIdealSpec,
     builtin_corpus,
+    ideal_map,
     noetherian_chain_profile,
     probe_algebra,
     probe_ideal,
 )
 from .errors import CohprobeError, InputError
-from .freealg import parse_poly
+from .freealg import NcPoly, parse_poly
 from .gbasis import complete_to_degree, component_dim_bruteforce, hilbert_dims, opposite
 from .grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from .linalg import parse_field
@@ -160,14 +161,6 @@ def _module_from_json(tgb, spec):
     return ModuleMap(tgb, FreeModule(tuple(shifts1)), FreeModule(tuple(shifts0)), entries)
 
 
-def _simple_module(tgb):
-    entries = {
-        (0, i): parse_poly(tgb.gt, tgb.field, name)
-        for i, name in enumerate(tgb.gt.names)
-    }
-    return ModuleMap(tgb, FreeModule(tuple(tgb.gt.weights)), FreeModule((0,)), entries)
-
-
 def cmd_tor(args):
     pres = _load_presentation(args)
     D = args.max_degree
@@ -181,7 +174,9 @@ def cmd_tor(args):
         relations = _module_from_json(tgb, spec)
         name = args.module
     else:
-        relations = _simple_module(tgb)
+        # k = A / A_+: its relations are the ideal map of the letters
+        letters = [NcPoly.monomial(tgb.gt, tgb.field, (i,)) for i in range(len(tgb.gt.names))]
+        relations = ideal_map(tgb, RightIdealSpec(letters))
         name = "k (trivial module)"
     res = minimal_resolution(relations, length=args.length)
     audit = audit_resolution(res)

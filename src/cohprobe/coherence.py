@@ -188,8 +188,8 @@ _VERDICT_RANK = {"STABLE": 0, "INCONCLUSIVE": 1, "GROWING": 2}
 
 
 def worst_verdict(verdicts):
-    """The first verdict of the highest rank; STABLE(0) when there are none."""
-    return max(verdicts, key=lambda v: _VERDICT_RANK[v.kind], default=Verdict("STABLE", 0))
+    """The first verdict of the highest rank; there is none over zero verdicts."""
+    return max(verdicts, key=lambda v: _VERDICT_RANK[v.kind])
 
 
 @dataclass

@@ -184,10 +184,7 @@ def _projected_kernel(fld, pcols, rcols):
     restricted to that block.  Those whose 1 lies in the relation block
     vanish on the P block, and each of the rest ends in its 1 at its own
     position, so they are a basis of the projection with no second pass.
-    With no relation columns that is kernel_basis(pcols) itself.
     """
-    if not rcols:
-        return kernel_basis(fld, pcols)
     m = len(rcols)
     return [{i - m: c for i, c in vec.items() if i >= m}
             for vec in kernel_basis(fld, rcols + pcols) if max(vec) >= m]
@@ -211,10 +208,11 @@ class TruncatedResolution:
 def minimal_resolution(relations, length=2):
     """Minimal free resolution window of M = coker(relations) up to the bound D.
 
-    length <= 2 is what the coherence criterion needs; raising it extends
-    the same syzygy loop up to D, since P^i starts in degree i.  Requires
-    the presentation shifts to be >= 0 (every module in the package is
-    presented that way).
+    Level 1 resolves the kernel of P^0 -> M and every later level is
+    kernel_min_generators of the previous map.  length <= 2 is what the
+    coherence criterion needs; it may reach D, since P^i starts in degree
+    i.  Requires the presentation shifts to be >= 0 (every module in the
+    package is presented that way).
     """
     tgb = relations.tgb
     fld, D = tgb.field, tgb.D
@@ -232,19 +230,17 @@ def minimal_resolution(relations, length=2):
 
     # P^0 from M (x) k = F0 / (F0 * A_+ + im r): the generators e_k of F0,
     # minimal modulo the relations
-    maps = [min_generators(tgb, f0, sorted({s for s in f0.shifts if s <= D}), heads,
-                           modulo=relations.component_columns)]
-    # level i resolves the kernel of the previous map modulo rel: P^0 -> F0
-    # modulo the relations at level 1, then the previous differential modulo nothing
-    rel = relations.component_columns
-    for _ in range(length):
-        prev = maps[-1]
-        src = prev.source
+    p0 = min_generators(tgb, f0, sorted({s for s in f0.shifts if s <= D}), heads,
+                        modulo=relations.component_columns)
+    maps = [p0]
+    if length:
         maps.append(min_generators(
-            tgb, src, range(min(src.shifts, default=D + 1), D + 1),
-            lambda d: _projected_kernel(fld, prev.component_columns(d), rel(d)),
+            tgb, p0.source, range(min(p0.source.shifts, default=D + 1), D + 1),
+            lambda d: _projected_kernel(fld, p0.component_columns(d),
+                                        relations.component_columns(d)),
         ))
-        rel = lambda d: []
+    for _ in range(1, length):
+        maps.append(kernel_min_generators(maps[-1]))
     tor = []
     for m in maps:
         row = [0] * (D + 1)

@@ -233,12 +233,8 @@ class SpanSolver:
         """The residue of vec against the stored rows, as a new dict.
 
         Over Q the residue is defined up to a nonzero scalar: it is an
-        integer vector, a nonzero multiple of the residue over Q.  An empty
-        vec returns at once, before the field is tested; most inputs of a
-        probe over F_p have at most one entry, so that test is felt.
+        integer vector, a nonzero multiple of the residue over Q.
         """
-        if not vec:
-            return {}
         if self.integral:
             return _reduce_integral(self.pivot_rows, vec)
         f = self.field
@@ -251,7 +247,12 @@ class SpanSolver:
             f.axpy(residue, f.neg(residue[c]), self.pivot_rows[c])
 
     def add(self, vec):
-        """Insert vec into the span; returns True iff the rank increased."""
+        """Insert vec into the span; returns True iff the rank increased.
+
+        An empty vec returns False at once, without a reduction.
+        """
+        if not vec:
+            return False
         return self._insert(self.reduce(vec))
 
     def _insert(self, residue):
@@ -282,28 +283,21 @@ def kernel_basis(field, columns):
     the independent columns, so the count is len(columns) - rank.  Column j
     is eliminated with a unit entry at n + j, n one past the largest row
     index, so its residue records the combination it came from: a residue
-    with no entry below n is the kernel vector shifted by n, and any other
-    residue is stored.  Over Q the unit is added first, since elimination
-    scales the residue by an integer, and the finished kernel vector is
-    divided once by its entry at n + j; over F_p no stored row reaches
-    column n + j, so the unit is appended to the residue instead.
+    with no entry below n is a multiple of the kernel vector shifted by n,
+    and any other residue is stored.  A kernel vector is divided once by
+    its entry at n + j, which elimination over Q has multiplied by an
+    integer; over F_p that entry stays 1, since no row stored before column
+    j has an entry at n + j.
     """
     n = 1 + max((max(col) for col in columns if col), default=-1)
     solver = SpanSolver(field)
-    integral = solver.integral
-    one = field.one()
+    one, of_fraction = field.one(), field.of_fraction
     out = []
     for j, col in enumerate(columns):
-        if integral:
-            residue = solver.reduce({**col, n + j: one})
-        else:
-            residue = solver.reduce(col)
-            residue[n + j] = one
+        residue = solver.reduce({**col, n + j: one})
         if min(residue) < n:
             solver._insert(residue)
-        elif integral:
-            u = residue[n + j]
-            out.append({t - n: Fraction(v, u) for t, v in residue.items()})
         else:
-            out.append({t - n: v for t, v in residue.items()})
+            u = residue[n + j]
+            out.append({t - n: of_fraction(v, u) for t, v in residue.items()})
     return out

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree, normal_word_counts
-from .grmod import FreeModule, ModuleMap, min_generators
+from .grmod import min_generators
 from .linalg import SpanSolver, kernel_basis
-from .coherence import STABILITY_MARGIN, probe_algebra
+from .coherence import STABILITY_MARGIN, RightIdealSpec, ideal_map, probe_algebra
 
 # cumulative component dimensions the Veronese side of a cross-check may probe
 DIM_BUDGET = 2500
@@ -190,13 +190,10 @@ def pm_module_presentations(tgb, n):
         gens = tgb.normal_words(m)  # generators of P^m in internal degree 0
         gen_degrees = [0] * len(gens)
         # P^m's generators as a map onto A: its kernel holds the syzygies
-        src = FreeModule((m,) * len(gens))
-        onto = ModuleMap(tgb, src, FreeModule((0,)), {
-            (0, k): NcPoly.monomial(tgb.gt, fld, u) for k, u in enumerate(gens)
-        })
+        onto = ideal_map(tgb, RightIdealSpec([NcPoly.monomial(tgb.gt, fld, u) for u in gens]))
         syz_profile = [0] * (window + 1)
         syzygies = min_generators(
-            tgb, src, range(m, m + window * n + 1, n),
+            tgb, onto.source, range(m, m + window * n + 1, n),
             lambda d: kernel_basis(fld, onto.component_columns(d)),
         )
         for s in syzygies.source.shifts:

@@ -62,8 +62,9 @@ class ZAlgebraWindow:
 
         A_ij = A_(j-i), so every check depends only on degree differences
         and is made once, at i = lo.  Associativity (x*y)*z = x*(y*z), with
-        x in A_kl, y in A_jk and z in A_ij, is checked only where l - k is
-        the weight of a letter, for every lo <= j <= k; the rest follows.
+        x in A_kl, y in A_jk and z in A_ij, is checked only for x a normal
+        letter, so where l - k is the weight of a letter, for every
+        lo <= j <= k; the rest follows.
         The unit laws cover l = k.  A normal word x of positive degree is
         a*x', with a its first letter and x' normal, since normal words are
         closed under factors; so the table gives x = NF(a*x').  The letter
@@ -95,15 +96,16 @@ class ZAlgebraWindow:
         return {"ok": not problems, "problems": problems}
 
     def _assoc_ok(self, i, j, k, l):
+        """(x*y)*z == x*(y*z) for x a normal letter of A_kl, y in A_jk, z in A_ij."""
         fld = self.tgb.field
         m_kl_j = self.mult(j, k, l)   # x*y for x in A_kl, y in A_jk -> A_jl
         m_jl_i = self.mult(i, j, l)   # (..) * z -> A_il
         m_jk_i = self.mult(i, j, k)   # y*z -> A_ik
         m_kl_i2 = self.mult(i, k, l)  # x * (..) -> A_il
-        dim_x = self.dim(k, l)
+        letters = [xi for xi, x in enumerate(self.basis(k, l)) if len(x) == 1]
         dim_y = self.dim(j, k)
         dim_z = self.dim(i, j)
-        for xi in range(dim_x):
+        for xi in letters:
             for yi in range(dim_y):
                 xy = m_kl_j[xi][yi]
                 for zi in range(dim_z):

@@ -55,6 +55,9 @@ def test_classify_inconclusive():
 def test_worst_verdict_order():
     assert worst_verdict([Verdict("STABLE", 0), Verdict("GROWING")]).kind == "GROWING"
     assert worst_verdict([Verdict("STABLE", 0), Verdict("INCONCLUSIVE")]).kind == "INCONCLUSIVE"
+    # no verdict is aggregated over zero ideals
+    with pytest.raises(ValueError):
+        worst_verdict([])
 
 
 def test_ideal_spec_rejects_zero_and_units(tgb_fast):

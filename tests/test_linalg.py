@@ -76,7 +76,7 @@ def test_rank_plus_nullity_random():
 
 @settings(deadline=None)
 @given(
-    field=st.sampled_from([QQ, PrimeField(32003)]),
+    field=st.sampled_from([QQ, PrimeField(32003), PrimeField(3)]),
     rows=st.integers(1, 6).flatmap(lambda ncols: st.lists(
         st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols),
         min_size=1, max_size=6,
@@ -98,6 +98,8 @@ def test_kernel_basis_property(field, rows):
         for t, c in vec.items():
             field.axpy(image, c, cols[t])
         assert image == {}
+        if field != QQ:
+            assert all(type(v) is int and 0 < v < field.p for v in vec.values())
 
 
 def test_prime_field_rejects_composite():
@@ -160,6 +162,23 @@ def test_solver_stores_no_dict_of_its_caller(field):
     assert hit == before
     assert solver.pivot_rows[0] == row
     assert solver.rank == 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_solver_empty_vector(field):
+    # an empty vector adds nothing, without a reduction, and is in every
+    # span; its residue is a new empty dict
+    solver = SpanSolver(field)
+    solver.add({0: field.one(), 1: field.one()})
+    reduced = []
+    solver.reduce = lambda vec: reduced.append(vec) or SpanSolver.reduce(solver, vec)
+    assert solver.add({}) is False
+    assert solver.rank == 1 and reduced == []
+    del solver.reduce
+    assert solver.contains({})
+    empty = {}
+    residue = solver.reduce(empty)
+    assert residue == {} and residue is not empty
 
 
 def test_rationals_inv_is_exact():

@@ -118,6 +118,14 @@ LETTER_REQUESTS = [
     (["--field", "F32003"], "287bda8865d3969c7df96fda923ec5bb644f6e31a130bcf3c2609a25a86d10a8"),
 ]
 
+# the extra arguments of `tor <LETTER_ONEREL file> --order z>x>y -D 8 --length 3`, and
+# the digest: under that order the weight-2 letter z is not normal, so the
+# relation map of k holds its normal form
+LETTER_TOR_REQUESTS = [
+    ([], "ee63575fe2841b1d7573902e5a308803201c9fcedc07c8080650ac80727efb44"),
+    (["--field", "F32003"], "3adcde74c471ca8392a07019566b561e64699bdd40577c0c1ad833747e374cf2"),
+]
+
 
 def _argv(args):
     return [str(ALGEBRAS / a) if a.endswith(".alg") else a for a in args] + ["--json"]
@@ -174,3 +182,11 @@ def test_letter_term_report_digest(tmp_path, extra, digest):
     path = tmp_path / "algebra.alg"
     path.write_text(LETTER_ONEREL, encoding="utf-8")
     assert _digest(["probe", str(path), "--side", "both", "-D", "8", *extra, "--json"]) == digest
+
+
+@pytest.mark.parametrize("extra,digest", LETTER_TOR_REQUESTS, ids=["Q", "F32003"])
+def test_letter_term_tor_digest(tmp_path, extra, digest):
+    path = tmp_path / "algebra.alg"
+    path.write_text(LETTER_ONEREL, encoding="utf-8")
+    argv = ["tor", str(path), "--order", "z>x>y", "-D", "8", "--length", "3", *extra, "--json"]
+    assert _digest(argv) == digest

@@ -105,3 +105,24 @@ def test_cli_reaches_every_package_function(tmp_path):
     unreached = sorted(f"{key[0]}:{name}" for key, name in defined_functions().items()
                        if key not in called)
     assert not unreached, unreached
+
+
+def test_no_unused_imports():
+    # every name an import binds in the package is read in that module,
+    # unless its line is marked `# noqa: F401`
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert not unused, unused
