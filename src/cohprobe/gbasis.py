@@ -441,6 +441,26 @@ def complete_to_degree(p, D):
     c*(t tail) over t1, the overlap word cancelling.  Its normal form is
     a nonzero multiple of that of g1*tail - head*g2, so the monic element
     that lands is the same.
+
+    No S-polynomial is built for an overlap whose word w holds a lead word
+    strictly inside it, that is a lead in w[1:-1] (the chain criterion;
+    T. Mora, TCS 134, 1994).  Proof that such an overlap is resolvable
+    relative to the words below w, which is all the diamond lemma asks
+    (G. M. Bergman, Adv. Math. 29, 1978): let the two leads be l1 = AB and
+    l2 = BC with w = ABC, and let a lead l3 occur at position p with
+    0 < p and p + |l3| < |w|.  Leads are never factors of one another, so
+    this occurrence starts inside A and ends inside C.  Then (l1, l3)
+    overlap on the proper prefix w[:p+|l3|] and (l3, l2) on the proper
+    suffix w[p:]; both have degree below deg w <= D, so both are queued
+    (l3 may be l1 or l2).  With r_i(w) the result of rewriting w at its
+    l_i occurrence, r1(w) - r2(w) = (r1 - r3)(prefix) * w[p+|l3|:] +
+    w[:p] * (r3 - r2)(suffix).  Each bracket is an ambiguity on a shorter
+    word; the order is admissible, so multiplying it out keeps every word
+    below w, and the ambiguity at w is resolvable relative to the words
+    below w.  Induction on |w| covers brackets that were skipped
+    themselves.  Leads never leave the trie, so it is enough that l3 is
+    present when the pair is queued.  skipped_overlaps counts only the
+    overlaps beyond D.
     """
     validate_presentation(p)
     gt, fld = p.gens, p.field
@@ -494,10 +514,13 @@ def complete_to_degree(p, D):
                         continue
                     tail = second_lw[k:]
                     head = first_lw[:-k]
-                    degree = gt.word_degree(first_lw + tail)
+                    word = first_lw + tail
+                    degree = gt.word_degree(word)
                     if degree > D:
                         log.skipped_overlaps += 1
                         continue
+                    if index.find(word[1:-1]) is not None:
+                        continue  # a lead strictly inside: resolvable, see the docstring
                     s = {}
                     for t, c in t2:
                         w = head + t

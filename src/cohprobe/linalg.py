@@ -287,13 +287,17 @@ def kernel_basis(field, columns):
     and any other residue is stored.  A kernel vector is divided once by
     its entry at n + j, which elimination over Q has multiplied by an
     integer; over F_p that entry stays 1, since no row stored before column
-    j has an entry at n + j.
+    j has an entry at n + j.  An empty column is not eliminated: its
+    residue would be {n + j: 1}, so its kernel vector is {j: 1}.
     """
     n = 1 + max((max(col) for col in columns if col), default=-1)
     solver = SpanSolver(field)
     one, of_fraction = field.one(), field.of_fraction
     out = []
     for j, col in enumerate(columns):
+        if not col:
+            out.append({j: one})
+            continue
         residue = solver.reduce({**col, n + j: one})
         if min(residue) < n:
             solver._insert(residue)

@@ -420,6 +420,37 @@ def reference_normal_form(tgb, terms):
     )
 
 
+def overlap_failures(tgb):
+    """The ambiguities of degree <= tgb.D between final elements that do not
+    resolve, as (first lead, second lead, shared length) strings; [] certifies
+    that the completion is complete through D (diamond lemma).
+
+    Every overlap head*l2 == l1*tail of leads l1, l2 with a shared part of
+    length k, self-overlaps included, gives g1*tail - head*g2 built with
+    plain field arithmetic, and it fails when its reference_normal_form is
+    nonzero.  A lead that is a factor of another lead fails at once, with
+    k its length.
+    """
+    gt, fld = tgb.gt, tgb.field
+    minus_one = fld.of_fraction(-1, 1)
+    by_lead = {leading_word(gt, g): g for g in tgb.elements}
+    failures = []
+    for l1, g1 in by_lead.items():
+        for l2, g2 in by_lead.items():
+            if l1 != l2 and any(l1[i:i + len(l2)] == l2 for i in range(len(l1) - len(l2) + 1)):
+                failures.append((word_str(gt, l1), word_str(gt, l2), len(l2)))
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] != l2[:k] or gt.word_degree(l1 + l2[k:]) > tgb.D:
+                    continue
+                head, tail = l1[:-k], l2[k:]
+                s = {}
+                reference_axpy(fld, s, fld.one(), {w + tail: c for w, c in g1.terms.items()})
+                reference_axpy(fld, s, minus_one, {head + w: c for w, c in g2.terms.items()})
+                if reference_normal_form(tgb, s):
+                    failures.append((word_str(gt, l1), word_str(gt, l2), k))
+    return failures
+
+
 def poly_in_ideal_bruteforce(p, q):
     """Membership test: is q in the two-sided relation ideal (degree slice)."""
     if q.is_zero():

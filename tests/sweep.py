@@ -9,7 +9,9 @@ the sweep checks dim A_d against `component_dim_bruteforce` for d <= 5, then
 probes the first 12 enumerated right ideals and 3 ideals generated by one
 binomial: the profile of `probe_ideal` (the rank route where Anick's
 criterion holds), the count of `kernel_min_generators` and
-`oracles.ideal_syzygy_profile_oracle` must agree.
+`oracles.ideal_syzygy_profile_oracle` must agree.  The completion at D of
+the algebra and of its opposite must resolve every overlap of degree <= D
+(`oracles.overlap_failures`).
 
 Run a larger sweep from the repository root with
 
@@ -26,11 +28,16 @@ from dataclasses import dataclass, field
 
 from cohprobe.coherence import RightIdealSpec, enumerate_ideals, ideal_map, probe_ideal
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words
-from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, component_dim_bruteforce
+from cohprobe.gbasis import (
+    AlgebraPresentation,
+    complete_to_degree,
+    component_dim_bruteforce,
+    opposite,
+)
 from cohprobe.grmod import kernel_min_generators
 from cohprobe.linalg import QQ, PrimeField
 
-from oracles import ideal_syzygy_profile_oracle
+from oracles import ideal_syzygy_profile_oracle, overlap_failures
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
 COEFFS = (-2, -1, 1, 2, 3)
@@ -99,6 +106,10 @@ class SweepCase:
 def check_algebra(p, D, rng):
     tgb = complete_to_degree(p, D)
     case = SweepCase(p, tgb)
+    for side, t in (("A", tgb), ("A^op", complete_to_degree(opposite(p), D))):
+        failures = overlap_failures(t)
+        if failures:
+            case.disagreements.append(("overlaps", (side, failures)))
     for d in range(min(5, D) + 1):
         if tgb.dim(d) != component_dim_bruteforce(p, d):
             case.disagreements.append(("dim", d))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cohprobe.gbasis as gbasis
 from cohprobe.algfile import parse_algebra_file
-from cohprobe.coherence import RightIdealSpec, probe_ideal
+from cohprobe.coherence import RightIdealSpec, builtin_corpus, probe_ideal
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
 from cohprobe.gbasis import (
@@ -25,9 +25,11 @@ from cohprobe.veronese import degree_one_generated, veronese_presentation
 from oracles import (
     bar_tor_trivial_module,
     ideal_syzygy_profile_oracle,
+    overlap_failures,
     poly_in_ideal_bruteforce,
     reference_normal_form,
 )
+from test_report_digests import FLAG_FP, FLAG_Q, FLAG_WEIGHTED, WEIGHTED_FRAC, _sklyanin_alg
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -400,3 +402,61 @@ def test_word_walkers_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# algebras whose completion at D=8 overlap_failures certifies: the `gb` digest
+# pins with a weight-2 letter or a skipped overlap that reduces to nonzero,
+# and three Sklyanin algebras
+CERTIFIED = {
+    "weighted_frac": WEIGHTED_FRAC,
+    "flag_q": FLAG_Q,
+    "flag_weighted": FLAG_WEIGHTED,
+    "flag_fp": FLAG_FP,
+    **{"sklyanin({},{},{})".format(*abc): _sklyanin_alg(*abc)
+       for abc in ((-2, 2, -1), (1, -2, 2), (2, -1, 1))},
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_corpus_completions_resolve_every_overlap(field):
+    for entry in builtin_corpus(field):
+        for p in (entry.presentation, opposite(entry.presentation)):
+            assert overlap_failures(complete_to_degree(p, 8)) == [], p.label
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_completions_resolve_every_overlap(name):
+    assert overlap_failures(complete_to_degree(parse_algebra_file(CERTIFIED[name]), 8)) == []
+
+
+def test_overlap_failures_sees_a_missing_element():
+    # negative control: without any one element that an overlap landed, that
+    # overlap no longer resolves
+    p = opposite(make("xyz", ["y*z", "x*z - z*x"], label="example2"))
+    tgb = complete_to_degree(p, 6)
+    landed = [g for g in tgb.elements if g.degree > 2]
+    assert landed
+    for g in landed:
+        rest = [h for h in tgb.elements if h is not g]
+        cut = gbasis.TruncatedGroebnerBasis(p, 6, rest, tgb.log)
+        assert overlap_failures(cut), poly_str(p.gens, p.field, g)
+
+
+def test_interior_lead_overlaps_are_not_reduced(monkeypatch):
+    # an overlap word with a lead strictly inside it builds no S-polynomial:
+    # reducing every overlap within D=9 here takes 155 calls, 103 of them
+    # zero, and the basis is the same
+    p = parse_algebra_file(_sklyanin_alg(-2, 2, -1))
+    full = complete_to_degree(p, 10)
+    results = []
+    real = gbasis._reduce_terms
+
+    def counted(terms, index):
+        results.append(real(terms, index))
+        return results[-1]
+
+    monkeypatch.setattr(gbasis, "_reduce_terms", counted)
+    tgb = complete_to_degree(p, 9)
+    assert len(results) == 118 and sum(not nf for nf in results) == 66
+    assert tgb.log.skipped_overlaps == 284
+    assert tgb.elements == full.truncated(9).elements

@@ -181,6 +181,44 @@ def test_solver_empty_vector(field):
     assert residue == {} and residue is not empty
 
 
+def _kernel_basis_eliminating_every_column(field, columns):
+    """kernel_basis with empty columns eliminated like the others."""
+    n = 1 + max((max(col) for col in columns if col), default=-1)
+    solver = SpanSolver(field)
+    out = []
+    for j, col in enumerate(columns):
+        residue = solver.reduce({**col, n + j: field.one()})
+        if min(residue) < n:
+            solver._insert(residue)
+        else:
+            u = residue[n + j]
+            out.append({t - n: field.of_fraction(v, u) for t, v in residue.items()})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_kernel_basis_skips_empty_columns(field, monkeypatch):
+    # an empty column's kernel vector is {j: 1}, the same value and type
+    # that eliminating it gives, and no reduction is made for it
+    rng = random.Random(3)
+    cases = [[{}, {}], [{}, {0: field.one()}, {}]]
+    for _ in range(30):
+        rows, ncols = rng.randrange(1, 5), rng.randrange(2, 7)
+        data = [[rng.randrange(-3, 4) * (j % 3 != 1) for j in range(ncols)] for _ in range(rows)]
+        cases.append(columns_of(field, data))
+    reduced = []
+    reduce = SpanSolver.reduce
+    monkeypatch.setattr(SpanSolver, "reduce", lambda self, vec: reduced.append(vec) or reduce(self, vec))
+    for cols in cases:
+        assert any(not col for col in cols)
+        expected = _kernel_basis_eliminating_every_column(field, cols)
+        del reduced[:]
+        basis = kernel_basis(field, cols)
+        assert [{t: (v, type(v)) for t, v in vec.items()} for vec in basis] == \
+            [{t: (v, type(v)) for t, v in vec.items()} for vec in expected]
+        assert len(reduced) == sum(1 for col in cols if col)
+
+
 def test_rationals_inv_is_exact():
     assert QQ.inv(2) == Fraction(1, 2)
     assert type(QQ.inv(2)) is Fraction

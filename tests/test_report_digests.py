@@ -77,6 +77,24 @@ WEIGHTED_FRAC = (
 )
 
 
+# completion skips an overlap with a lead word strictly inside it; on these
+# three, at D=8, reducing 1 or 2 of the skipped overlaps gives a nonzero
+# polynomial, and another overlap must land the same lead at the same point
+# of the `added` log.  The digests were taken with every overlap reduced
+FLAG_Q = (
+    "label flag_q\nfield Q\ngen x 1\ngen y 1\n"
+    "rel x*y*x*y - 2*y^2*x^2 - y^2*x*y\nrel -2*x^2*y*x - x*y*x^2\n"
+)
+FLAG_WEIGHTED = (
+    "label flag_weighted\nfield Q\ngen x 1\ngen y 1\ngen z 2\n"
+    "rel 3*x^2*y^2\nrel x^3 - x*z + 2*y*x*y\nrel -2*x*y^3\n"
+)
+FLAG_FP = (
+    "label flag_fp\nfield F32003\ngen x 1\ngen y 1\ngen z 2\n"
+    "rel -y*x*y + y^2*x - 2*z*y\nrel -x*y^2*x + 3*y*x*y^2\n"
+)
+
+
 # algebra text, the extra arguments of `gb ... -D 8`, and the digest
 GB_REQUESTS = [
     (_sklyanin_alg(-2, 2, -1), [],
@@ -87,6 +105,14 @@ GB_REQUESTS = [
      "8c40c2cd83d66bd103fb590d8c37a9263a444fd21e54e3ef491b0f7dbea1717a"),
     (WEIGHTED_FRAC, ["--field", "F32003"],
      "734b985d9cd960059b98a41327f41982051982208032777253c8836d01787333"),
+    (FLAG_Q, [],
+     "1f610d8ada6714a1e27ca49eb66eca21a14f353d43b4e907c05c2b3ad2aed281"),
+    (FLAG_Q, ["--field", "F32003"],
+     "0b9597a911bce19555e0508d1bb394eef0d57d4a2c76c31f2c64767177da7615"),
+    (FLAG_WEIGHTED, [],
+     "4d7bf6307332d492631ec285ed60df58021ebaf50240c04a9d7331f7c3f1b648"),
+    (FLAG_FP, [],
+     "3e4e6e1cb8d3db7fa12f7264ca9500065e6b7f5789b9fedf93120eca323563ed"),
 ]
 
 
@@ -162,7 +188,8 @@ def test_module_tor_report_digest(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("text,extra,digest", GB_REQUESTS,
-                         ids=["Q", "F32003", "weighted_frac-Q", "weighted_frac-F32003"])
+                         ids=["Q", "F32003", "weighted_frac-Q", "weighted_frac-F32003",
+                              "flag_q-Q", "flag_q-F32003", "flag_weighted", "flag_fp"])
 def test_gb_report_digest(tmp_path, text, extra, digest):
     path = tmp_path / "algebra.alg"
     path.write_text(text, encoding="utf-8")
