@@ -367,11 +367,12 @@ def cmd_corpus(args):
         ],
         "all_ok": ok_all,
     }
-    if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
+
+    def render(rep):
         _table(rows, header=["algebra", "check", "expected", "got", "status"])
         print("corpus:", "all ok" if ok_all else "MISMATCH")
+
+    _emit(report, args, render)
     return 0 if ok_all else 2
 
 

@@ -146,10 +146,8 @@ def _rank_profile(f, c):
         for col in f.component_columns(e):
             span.add(col)
         h[e] = span.rank
-    profile = [-sum(h[d - j] * c[j] for j in range(d + 1)) for d in range(D + 1)]
-    for s in f.source.shifts:
-        profile[s] += 1
-    return profile
+    counts = f.degree_counts()
+    return [counts[d] - sum(h[d - j] * c[j] for j in range(d + 1)) for d in range(D + 1)]
 
 
 def _top_window(gens, D):
@@ -170,9 +168,7 @@ def probe_ideal(tgb, ideal):
     c = tgb.anick_series
     if c is None:
         gens = kernel_min_generators(f)
-        profile = [0] * (D + 1)
-        for s in gens.source.shifts:
-            profile[s] += 1
+        profile = gens.degree_counts()
     else:
         gens = None
         profile = _rank_profile(f, c)
@@ -270,10 +266,7 @@ def ideal_tor0_profile(tgb, gens):
     Noetherian staircase evidence.
     """
     f = ideal_map(tgb, RightIdealSpec(gens))
-    profile = [0] * (tgb.D + 1)
-    for s in min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns).source.shifts:
-        profile[s] += 1
-    return profile
+    return min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns).degree_counts()
 
 
 # --- built-in corpus ------------------------------------------------------

@@ -86,6 +86,13 @@ class ModuleMap:
         """The number of source generators."""
         return len(self.source)
 
+    def degree_counts(self):
+        """The number of source generators of each degree 0..D."""
+        counts = [0] * (self.tgb.D + 1)
+        for s in self.source.shifts:
+            counts[s] += 1
+        return counts
+
     def append_generators(self, d, vecs):
         """Append one source generator of degree d per vector of vecs, sent to it.
 
@@ -241,12 +248,7 @@ def minimal_resolution(relations, length=2):
         ))
     for _ in range(1, length):
         maps.append(kernel_min_generators(maps[-1]))
-    tor = []
-    for m in maps:
-        row = [0] * (D + 1)
-        for s in m.source.shifts:
-            row[s] += 1
-        tor.append(row)
+    tor = [m.degree_counts() for m in maps]
     return TruncatedResolution(relations, maps[0], maps[1:], tor)
 
 

@@ -191,13 +191,11 @@ def pm_module_presentations(tgb, n):
         gen_degrees = [0] * len(gens)
         # P^m's generators as a map onto A: its kernel holds the syzygies
         onto = ideal_map(tgb, RightIdealSpec([NcPoly.monomial(tgb.gt, fld, u) for u in gens]))
-        syz_profile = [0] * (window + 1)
         syzygies = min_generators(
             tgb, onto.source, range(m, m + window * n + 1, n),
             lambda d: kernel_basis(fld, onto.component_columns(d)),
         )
-        for s in syzygies.source.shifts:
-            syz_profile[(s - m) // n] += 1
+        syz_profile = syzygies.degree_counts()[m::n]
         reports.append(PmModuleReport(m, gen_degrees, syz_profile, window))
     return reports
 

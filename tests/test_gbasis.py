@@ -460,3 +460,28 @@ def test_interior_lead_overlaps_are_not_reduced(monkeypatch):
     assert len(results) == 118 and sum(not nf for nf in results) == 66
     assert tgb.log.skipped_overlaps == 284
     assert tgb.elements == full.truncated(9).elements
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)], ids=["Q", "F32003", "F3"])
+def test_rewriting_leaves_its_input_terms_alone(field):
+    # _reduce_terms and normal_form only read their caller's terms dict,
+    # whatever they rescale; weighted_frac's integer reducers have non-unit
+    # leads
+    rng = random.Random(8)
+    presentations = [entry.presentation for entry in builtin_corpus(field)]
+    presentations.append(parse_algebra_file(WEIGHTED_FRAC, field=field))
+    for p in presentations:
+        tgb = complete_to_degree(p, 6)
+        for d in range(2, 7):
+            words = enumerate_words(p.gens, d)
+            for _ in range(4):
+                terms = {}
+                for w in rng.sample(words, min(5, len(words))):
+                    c = field.of_fraction(rng.randrange(-4, 5), rng.choice((1, 2)))
+                    if c:
+                        terms[w] = c
+                saved = dict(terms)
+                gbasis._reduce_terms(terms, tgb._index)
+                assert terms == saved, p.label
+                tgb.normal_form(NcPoly(terms, d if terms else None))
+                assert terms == saved, p.label

@@ -19,7 +19,7 @@ from cohprobe.linalg import (
     parse_field,
 )
 
-from oracles import field_mul, kernel_dim, reference_axpy, reference_scale, span_rank
+from oracles import field_mul, kernel_dim, reference_axpy, reference_scale, span_contains, span_rank
 from windows import ModuleComponents
 
 
@@ -397,3 +397,49 @@ def test_field_axpy_and_scale_match_reference(case):
     assert scaled == reference_scale(field, coeff, source)
     assert all(v != 0 for v in got.values()) and all(v != 0 for v in scaled.values())
     assert source == before
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)], ids=["Q", "F3", "F32003"])
+def test_reduce_residue_contract(field):
+    # reduce(v) is a new dict of ints with no key among the pivots, with
+    # values in range(1, p) over F_p; it is empty exactly when v lies in the
+    # span, and otherwise extends the span exactly as v does.  Over F_p it is
+    # v minus an element of the span; over Q it may be any nonzero multiple.
+    # Entries divisible by 3 vanish over F3, so pivots cancel there.
+    rng = random.Random(21)
+    entries = (0, 0, 1, -1, 2, 3, -3, 5, 6, -9)
+    checked = {True: 0, False: 0}
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(3, 9)
+        data = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [vec for vec in columns_of(field, list(zip(*data))) if vec]
+        solver = SpanSolver(field)
+        for row in rows:
+            solver.add(row)
+        stored = {c: dict(row) for c, row in solver.pivot_rows.items()}
+        for _ in range(6):
+            v = {}
+            for row in rows:
+                reference_axpy(field, v, field.of_fraction(rng.randrange(-3, 4), rng.choice((1, 2))), row)
+            if rng.random() < 0.5:
+                noise = field.of_fraction(rng.choice(entries[2:]), 1)
+                reference_axpy(field, v, field.one(), {rng.randrange(ncols): noise})
+            saved = dict(v)
+            r = solver.reduce(v)
+            assert v == saved and r is not v
+            assert solver.pivot_rows == stored
+            assert all(type(x) is int for x in r.values())
+            assert not r.keys() & solver.pivot_rows.keys()
+            if field != QQ:
+                assert all(0 < x < field.p for x in r.values())
+            inside = span_contains(field, rows, v)
+            checked[inside] += 1
+            assert (r == {}) == inside
+            if r:
+                assert span_rank(field, rows + [r]) == span_rank(field, rows + [v]) \
+                    == span_rank(field, rows + [v, r])
+            if field != QQ:
+                diff = dict(v)
+                reference_axpy(field, diff, field.of_fraction(-1, 1), r)
+                assert span_contains(field, rows, diff)
+    assert checked[True] > 50 and checked[False] > 50
