@@ -18,9 +18,9 @@ Tor_2(A/J, k) degree for degree.  The profile has two sources:
   of f at degree e: one rank per degree, no kernel;
 - elsewhere, the count of grmod.kernel_min_generators(f).
 
-kernel_min_generators is also the one source of witnesses, the minimal
-syzygies of the top window (D//2, D].  A report computes them only when
-they are read, and only when its profile counts a generator there.
+kernel_min_generators, the one routine that builds a syzygy module, is
+also the one source of witnesses: the minimal syzygies of the top window
+(D//2, D], computed only when read and when the profile counts one there.
 """
 
 from __future__ import annotations

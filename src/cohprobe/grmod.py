@@ -174,16 +174,6 @@ def min_generators(tgb, src, degrees, span_at, modulo=None):
     return gens
 
 
-def kernel_min_generators(f):
-    """Minimal generators of ker(f) up to the bound of its basis, as their
-    generator map into f.source; its entries are the witnesses."""
-    tgb, D = f.tgb, f.tgb.D
-    return min_generators(
-        tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1),
-        lambda d: kernel_basis(tgb.field, f.component_columns(d)),
-    )
-
-
 def _projected_kernel(fld, pcols, rcols):
     """Basis of ker(P -> coker(rel)) at one degree, from the two column lists.
 
@@ -191,10 +181,27 @@ def _projected_kernel(fld, pcols, rcols):
     restricted to that block.  Those whose 1 lies in the relation block
     vanish on the P block, and each of the rest ends in its 1 at its own
     position, so they are a basis of the projection with no second pass.
+    With no relation columns that basis is the kernel basis itself.
     """
     m = len(rcols)
+    if not m:
+        return kernel_basis(fld, pcols)
     return [{i - m: c for i, c in vec.items() if i >= m}
             for vec in kernel_basis(fld, rcols + pcols) if max(vec) >= m]
+
+
+def kernel_min_generators(f, relations=None, step=1):
+    """Minimal generators of ker(f.source -> coker(relations)), ker f with no
+    relations, at the degrees from the lowest source shift to the bound D in
+    steps of step, as their generator map into f.source; its entries are the
+    witnesses.  The one routine that builds a syzygy module: every resolution
+    level, every P^m syzygy module (step n) and every probe kernel."""
+    tgb, D = f.tgb, f.tgb.D
+    rel_columns = relations.component_columns if relations is not None else lambda d: []
+    return min_generators(
+        tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1, step),
+        lambda d: _projected_kernel(tgb.field, f.component_columns(d), rel_columns(d)),
+    )
 
 
 @dataclass
@@ -215,11 +222,11 @@ class TruncatedResolution:
 def minimal_resolution(relations, length=2):
     """Minimal free resolution window of M = coker(relations) up to the bound D.
 
-    Level 1 resolves the kernel of P^0 -> M and every later level is
-    kernel_min_generators of the previous map.  length <= 2 is what the
-    coherence criterion needs; it may reach D, since P^i starts in degree
-    i.  Requires the presentation shifts to be >= 0 (every module in the
-    package is presented that way).
+    Every level i >= 1 is kernel_min_generators of the map before it, level
+    1 modulo the relations: the kernel of P^0 -> M.  length <= 2 is what
+    the coherence criterion needs; it may reach D, since P^i starts in
+    degree i.  Requires the presentation shifts to be >= 0 (every module
+    in the package is presented that way).
     """
     tgb = relations.tgb
     fld, D = tgb.field, tgb.D
@@ -240,14 +247,8 @@ def minimal_resolution(relations, length=2):
     p0 = min_generators(tgb, f0, sorted({s for s in f0.shifts if s <= D}), heads,
                         modulo=relations.component_columns)
     maps = [p0]
-    if length:
-        maps.append(min_generators(
-            tgb, p0.source, range(min(p0.source.shifts, default=D + 1), D + 1),
-            lambda d: _projected_kernel(fld, p0.component_columns(d),
-                                        relations.component_columns(d)),
-        ))
-    for _ in range(1, length):
-        maps.append(kernel_min_generators(maps[-1]))
+    for i in range(length):
+        maps.append(kernel_min_generators(maps[-1], None if i else relations))
     tor = [m.degree_counts() for m in maps]
     return TruncatedResolution(relations, maps[0], maps[1:], tor)
 

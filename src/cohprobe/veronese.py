@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import HilbertMismatch, InputError, NotDegreeOneGenerated
 from .freealg import GeneratorTable, NcPoly, word_str
 from .gbasis import AlgebraPresentation, complete_to_degree, normal_word_counts
-from .grmod import min_generators
+from .grmod import kernel_min_generators
 from .linalg import SpanSolver, kernel_basis
 from .coherence import STABILITY_MARGIN, RightIdealSpec, ideal_map, probe_algebra
 
@@ -179,8 +179,9 @@ def pm_module_presentations(tgb, n):
 
     Everything is computed over the A^{(n)} grading (internal degrees) up to
     the bound of the ambient truncated basis, which supplies all products.
-    P^m is generated by A_m as A is generated in degree 1 (checked); trailing
-    silence in the syzygy profile is the finite-presentation evidence.
+    P^m is generated by A_m as A is generated in degree 1 (checked); its
+    syzygies are kernel_min_generators(onto A, step=n).  Trailing silence
+    in the syzygy profile is the finite-presentation evidence.
     """
     _require_degree_one(tgb)
     fld, D = tgb.field, tgb.D
@@ -191,11 +192,7 @@ def pm_module_presentations(tgb, n):
         gen_degrees = [0] * len(gens)
         # P^m's generators as a map onto A: its kernel holds the syzygies
         onto = ideal_map(tgb, RightIdealSpec([NcPoly.monomial(tgb.gt, fld, u) for u in gens]))
-        syzygies = min_generators(
-            tgb, onto.source, range(m, m + window * n + 1, n),
-            lambda d: kernel_basis(fld, onto.component_columns(d)),
-        )
-        syz_profile = syzygies.degree_counts()[m::n]
+        syz_profile = kernel_min_generators(onto, step=n).degree_counts()[m::n]
         reports.append(PmModuleReport(m, gen_degrees, syz_profile, window))
     return reports
 

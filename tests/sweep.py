@@ -11,7 +11,9 @@ binomial: the profile of `probe_ideal` (the rank route where Anick's
 criterion holds), the count of `kernel_min_generators` and
 `oracles.ideal_syzygy_profile_oracle` must agree.  The completion at D of
 the algebra and of its opposite must resolve every overlap of degree <= D
-(`oracles.overlap_failures`).
+(`oracles.overlap_failures`).  The minimal resolution of k = A/A_+ to
+length 2, at the bound min(D, 5), must pass `audit_resolution`, and its
+Tor_1 and Tor_2 rows must equal those of `oracles.bar_tor_trivial_module`.
 
 Run a larger sweep from the repository root with
 
@@ -34,15 +36,16 @@ from cohprobe.gbasis import (
     component_dim_bruteforce,
     opposite,
 )
-from cohprobe.grmod import kernel_min_generators
+from cohprobe.grmod import audit_resolution, kernel_min_generators, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
-from oracles import ideal_syzygy_profile_oracle, overlap_failures
+from oracles import bar_tor_trivial_module, ideal_syzygy_profile_oracle, overlap_failures
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
 COEFFS = (-2, -1, 1, 2, 3)
 IDEALS = 12
 BINOMIALS = 3
+TOR_BOUND = 5
 
 
 def random_presentation(rng, k):
@@ -88,6 +91,22 @@ def kernel_profile(tgb, ideal):
     return profile
 
 
+def resolution_disagreements(tgb):
+    """Where the resolution of k = A/A_+ to length 2 fails its audit or
+    differs from the bar complex in Tor_1 or Tor_2, at degrees 1..tgb.D."""
+    letters = [NcPoly.monomial(tgb.gt, tgb.field, (i,)) for i in range(len(tgb.gt.names))]
+    res = minimal_resolution(ideal_map(tgb, RightIdealSpec(letters)), length=2)
+    out = []
+    audit = audit_resolution(res)
+    if not (audit["minimal"] and audit["exact"] and audit["surjective"]):
+        out.append(("audit", audit["detail"]))
+    bar = bar_tor_trivial_module(tgb, tgb.D)
+    for i in (1, 2):
+        if res.tor[i][1:] != bar[i][1:]:
+            out.append((f"tor{i}", (res.tor[i], bar[i])))
+    return out
+
+
 @dataclass
 class SweepCase:
     """One random algebra: its completed basis, the ideals it probed and
@@ -122,6 +141,7 @@ def check_algebra(p, D, rng):
         case.ideals += 1
         if profiles[0] != profiles[1] or profiles[1] != profiles[2]:
             case.disagreements.append(("profile", (ideal.strings(tgb), profiles)))
+    case.disagreements += resolution_disagreements(tgb.truncated(min(D, TOR_BOUND)))
     return case
 
 

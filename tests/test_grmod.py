@@ -1,21 +1,30 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from cohprobe import grmod, veronese
+from cohprobe.algfile import parse_algebra_file
+from cohprobe.cli import _module_from_json
 from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_scale
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import (
     FreeModule,
     ModuleMap,
+    _projected_kernel,
     audit_resolution,
     free_dim,
     kernel_min_generators,
+    min_generators,
     minimal_resolution,
 )
 from cohprobe.linalg import QQ, PrimeField
 
 from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy, tor0_oracle
+from test_report_digests import MODULE, _sklyanin_alg
 from windows import ModuleComponents
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def make_tgb(names, rels, D=8, field=QQ):
@@ -94,6 +103,60 @@ def test_kernel_free_algebra_refree(free2):
     assert gens.entries == {(0, 0): parse_poly(free2.gt, QQ, "-y"),
                             (1, 0): parse_poly(free2.gt, QQ, "1")}
     assert len(kernel_min_generators(gens)) == 0
+
+
+def level_one_by_hand(p0, relations):
+    """Level 1 of a resolution as minimal_resolution once spelled it out: the
+    minimal generators of ker(P^0 -> coker(relations)), degree by degree from
+    the lowest shift of P^0."""
+    tgb, D = p0.tgb, p0.tgb.D
+    return min_generators(
+        tgb, p0.source, range(min(p0.source.shifts, default=D + 1), D + 1),
+        lambda d: _projected_kernel(tgb.field, p0.component_columns(d),
+                                    relations.component_columns(d)),
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)],
+                         ids=["Q", "F32003", "F3"])
+def test_kernel_min_generators_relations(field):
+    # the non-minimal module of the digest pins (its scalar entry 2 makes e1
+    # redundant) and k, over example2 and a Sklyanin algebra
+    example2 = complete_to_degree(
+        parse_algebra_file((ALGEBRAS / "example2.alg").read_text(encoding="utf-8"), field=field), 7)
+    sklyanin = complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=field), 6)
+    cases = [_module_from_json(example2, MODULE), simple_module(example2), simple_module(sklyanin)]
+    for relations in cases:
+        p0 = minimal_resolution(relations, length=0).p0_map
+        got = kernel_min_generators(p0, relations)
+        want = level_one_by_hand(p0, relations)
+        assert len(got) > 0
+        assert got.source.shifts == want.source.shifts
+        assert got.entries == want.entries
+
+
+def test_every_syzygy_module_is_kernel_min_generators(monkeypatch, tgb_fast):
+    calls = []
+    real = grmod.kernel_min_generators
+
+    def counted(f, relations=None, step=1):
+        calls.append((f, relations))
+        return real(f, relations, step)
+
+    monkeypatch.setattr(grmod, "kernel_min_generators", counted)
+    monkeypatch.setattr(veronese, "kernel_min_generators", counted)
+    tgb = make_tgb("xy", ["x*y - y*x"], D=6)
+    relations = simple_module(tgb)
+    for length in (0, 1, 2, 4):
+        calls.clear()
+        res = minimal_resolution(relations, length=length)
+        # one call per level, each on the map before it, level 1 modulo the relations
+        maps = [res.p0_map, *res.diffs][:length]
+        assert calls == [(f, None if i else relations) for i, f in enumerate(maps)]
+    for n in (2, 3):
+        calls.clear()
+        veronese.pm_module_presentations(tgb_fast("commutative_model"), n)
+        assert len(calls) == n
 
 
 def test_resolution_simple_module_free(free2):

@@ -1,10 +1,10 @@
 """The tier-1 slice of the seeded random-presentation sweep (sweep.py), its
-negative control, and Tor(k, k) where Anick's criterion holds on algebras
+negative controls, and Tor(k, k) where Anick's criterion holds on algebras
 whose relations have letter terms."""
 
 import pytest
 
-from cohprobe import gbasis
+from cohprobe import gbasis, grmod
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.freealg import NcPoly
 from cohprobe.gbasis import complete_to_degree, opposite
@@ -67,6 +67,17 @@ def test_sweep_fails_without_the_hilbert_identity(monkeypatch):
     cases = list(sweep(**SLICE))
     assert all(c.rank_route for c in cases)
     assert sum(len(c.disagreements) for c in cases) > 0
+
+
+def test_sweep_flags_level_one_without_the_relations(monkeypatch):
+    # negative control: level 1 taken as ker(P^0 -> F0) instead of
+    # ker(P^0 -> M) resolves the wrong module, and the resolution checks
+    # of the sweep must see it on every algebra
+    real = grmod.kernel_min_generators
+    monkeypatch.setattr(grmod, "kernel_min_generators",
+                        lambda f, relations=None, step=1: real(f, step=step))
+    cases = list(sweep(seed=1, algebras=6, D=6))
+    assert all(any(what == "tor1" for what, _ in c.disagreements) for c in cases)
 
 
 def _tor_k(tgb):

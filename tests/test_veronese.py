@@ -9,11 +9,12 @@ import pytest
 import cohprobe.veronese as veronese
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.cli import main
-from cohprobe.coherence import builtin_corpus
+from cohprobe.coherence import RightIdealSpec, builtin_corpus, ideal_map
 from cohprobe.errors import NotDegreeOneGenerated
 from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
-from cohprobe.linalg import QQ, PrimeField
+from cohprobe.grmod import kernel_min_generators, min_generators
+from cohprobe.linalg import QQ, PrimeField, kernel_basis
 from cohprobe.veronese import (
     degree_one_generated,
     pm_module_presentations,
@@ -84,6 +85,52 @@ def test_pm_syzygy_profiles_match_the_oracle(field):
                 assert r.syzygy_profile == want, (entry.label, n, r.m)
                 cases += 1
     assert cases == 40
+
+
+def pm_onto(tgb, m):
+    """The map onto A of the generators of P^m, the normal words of A_m."""
+    words = tgb.normal_words(m)
+    return ideal_map(tgb, RightIdealSpec([NcPoly.monomial(tgb.gt, tgb.field, u) for u in words]))
+
+
+def pm_syzygies_by_hand(tgb, n, m):
+    """The first syzygies of P^m as pm_module_presentations once spelled them
+    out: minimal generators of the kernel of its map onto A, at the degrees
+    m, m + n, ..., m + window*n."""
+    fld, D = tgb.field, tgb.D
+    onto = pm_onto(tgb, m)
+    window = (D - m) // n
+    return min_generators(
+        tgb, onto.source, range(m, m + window * n + 1, n),
+        lambda d: kernel_basis(fld, onto.component_columns(d)),
+    )
+
+
+def test_pm_syzygies_step(tgb_fast):
+    cases = 0
+    for label in ("remark", "commutative_model", "example2"):
+        tgb = tgb_fast(label, 9)
+        for n in (2, 3):
+            reports = pm_module_presentations(tgb, n)
+            for m in range(n):
+                got = kernel_min_generators(pm_onto(tgb, m), step=n)
+                want = pm_syzygies_by_hand(tgb, n, m)
+                assert got.source.shifts == want.source.shifts, (label, n, m)
+                assert got.entries == want.entries, (label, n, m)
+                assert reports[m].syzygy_profile == got.degree_counts()[m::n]
+                cases += bool(len(got))
+    assert cases >= 8
+    # A_m = 0: P^2 of k[x]/(x^2) on the 3-Veronese grading has no generator,
+    # so no syzygy, and its profile is window + 1 zeros
+    pres = parse_algebra_file("gen x 1\nrel x*x\n")
+    tgb = complete_to_degree(pres, 8)
+    onto = pm_onto(tgb, 2)
+    assert len(onto) == 0
+    assert kernel_min_generators(onto, step=3).source.shifts == ()
+    assert len(pm_syzygies_by_hand(tgb, 3, 2)) == 0
+    p2 = pm_module_presentations(tgb, 3)[2]
+    assert p2.window == 2
+    assert p2.syzygy_profile == [0] * (p2.window + 1)
 
 
 def test_degree_one_generation_detector():
