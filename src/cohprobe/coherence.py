@@ -15,7 +15,10 @@ Tor_2(A/J, k) degree for degree.  The profile has two sources:
   (the basis's anick_series holds its c(t)), Tor balance and the Euler
   characteristic of A/J (x) P(k) give profile(t) = S(t) - H_J(t) c(t)
   mod t^(D+1), S counting the generators g_i by degree and H_J(e) the rank
-  of f at degree e: one rank per degree, no kernel;
+  of f at degree e: one rank per degree, no kernel.  Where every column
+  has at most one entry, as for a monomial ideal over a basis of words
+  and binomials (whose normal forms are one scaled word or 0), that rank
+  is a count of distinct row indices;
 - elsewhere, the count of grmod.kernel_min_generators(f).
 
 kernel_min_generators, the one routine that builds a syzygy module, is
@@ -137,13 +140,22 @@ def ideal_map(tgb, ideal):
 
 def _rank_profile(f, c):
     """S(t) - H_J(t) c(t) mod t^(D+1): the profile where c certifies global
-    dimension <= 2, with H_J(e) the rank of f at degree e."""
+    dimension <= 2, with H_J(e) the rank of f at degree e.
+
+    Where every column has at most one entry the rank is the number of
+    distinct row indices: rows store no zeros, so such columns are nonzero
+    multiples of unit vectors and span exactly the unit vectors of their
+    indices.  Other degrees are eliminated."""
     tgb = f.tgb
     D = tgb.D
     h = [0] * (D + 1)
     for e in range(min(f.source.shifts), D + 1):
+        cols = f.component_columns(e)
+        if all(len(col) <= 1 for col in cols):
+            h[e] = len({i for col in cols for i in col})
+            continue
         span = SpanSolver(tgb.field)
-        for col in f.component_columns(e):
+        for col in cols:
             span.add(col)
         h[e] = span.rank
     counts = f.degree_counts()

@@ -160,6 +160,8 @@ class TruncatedGroebnerBasis:
         self._index = _LeadIndex(self.gt, self.field)
         for g in elements:
             self._index.insert(leading_word(self.gt, g), g)
+        # every element a word or a binomial: normal forms are one-term chases
+        self.binomial = all(len(g.terms) <= 2 for g in elements)
         self._rows = {}
         self._products = {}
         self._normal_words = {}
@@ -172,13 +174,46 @@ class TruncatedGroebnerBasis:
 
         This is the one stored copy of a normal form: products and
         normal_form_word read it, so callers only read rows.
+
+        On a binomial basis (every element a word or u - c*v) a missing row
+        is built by a one-term chase.  While find(w) gives a lead at [i, j)
+        with integer reducer (a, tail): an empty tail (a word lead) makes
+        the row {}; otherwise, for the one tail term (t, tc), w becomes
+        w[:i] + t + w[j:], the numerator is multiplied by tc and the
+        denominator by a.  The row is {w: num / den} at the normal word w.
+
+        Proof that this is the row of _reduce_terms({word: 1}): there a
+        rewrite of one word by a binomial leaves one pending word, so the
+        heap pops the chased word each time and rewrites it at the same
+        leftmost lead (the same find).  Its value c over lam follows num
+        over den: a rewrite takes c to c // g * tc and lam to lam * a // g
+        with g = gcd(a, c), so c / lam becomes c * tc / (lam * a).  The
+        value never cancels, as tc and a are nonzero, so both end at the
+        same word with the same coefficient.  Over F_p, a is 1 and
+        field.canonical keeps the numerator a residue.  Other bases use
+        _reduce_terms.
         """
         row = self._rows.get(word)
         if row is None:
-            idx = self.normal_index(self.gt.word_degree(word))
-            nf = _reduce_terms({word: self.field.one()}, self._index)
-            row = self._rows[word] = {idx[t]: c for t, c in nf.items()}
+            row = self._rows[word] = self._new_row(word)
         return row
+
+    def _new_row(self, word):
+        """NF(word) as a row, built as normal_form_row describes."""
+        idx = self.normal_index(self.gt.word_degree(word))
+        if not self.binomial:
+            nf = _reduce_terms({word: self.field.one()}, self._index)
+            return {idx[t]: c for t, c in nf.items()}
+        find, canonical = self._index.find, self.field.canonical
+        num = den = 1
+        while (pos := find(word)) is not None:
+            i, j, (a, tail) = pos
+            if not tail:
+                return {}
+            ((t, tc),) = tail
+            word = word[:i] + t + word[j:]
+            num, den = canonical(num * tc), den * a
+        return {idx[word]: self.field.of_fraction(num, den)}
 
     def normal_form_word(self, word):
         """Normal form of a single word, as a terms dict over normal words."""

@@ -11,6 +11,9 @@ from cohprobe.linalg import QQ, PrimeField
 
 FAST = PrimeField(32003)
 
+# the tier-1 slice of the random-presentation sweep (tests/sweep.py)
+SLICE = {"seed": 1, "algebras": 40, "D": 6}
+
 # corpus label -> the generators of a right ideal that shows the algebra's
 # right verdict; (x*y) for remark is a design choice
 WITNESS_RIGHT = {
@@ -53,3 +56,11 @@ def tgb_fast(corpus_fast):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def slice_cases():
+    """The SweepCases of the tier-1 sweep slice, shared across tests."""
+    from sweep import sweep
+
+    return list(sweep(**SLICE))

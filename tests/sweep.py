@@ -9,11 +9,15 @@ the sweep checks dim A_d against `component_dim_bruteforce` for d <= 5, then
 probes the first 12 enumerated right ideals and 3 ideals generated by one
 binomial: the profile of `probe_ideal` (the rank route where Anick's
 criterion holds), the count of `kernel_min_generators` and
-`oracles.ideal_syzygy_profile_oracle` must agree.  The completion at D of
-the algebra and of its opposite must resolve every overlap of degree <= D
-(`oracles.overlap_failures`).  The minimal resolution of k = A/A_+ to
-length 2, at the bound min(D, 5), must pass `audit_resolution`, and its
-Tor_1 and Tor_2 rows must equal those of `oracles.bar_tor_trivial_module`.
+`oracles.ideal_syzygy_profile_oracle` must agree.  The normal form of
+every normal word and of every product of two normal words of degree <=
+min(D, 5) must equal `oracles.reference_normal_form`; on a basis of words
+and binomials it is the one-term chase of `normal_form_row`.  The
+completion at D of the algebra and of its opposite must resolve every
+overlap of degree <= D (`oracles.overlap_failures`).  The minimal
+resolution of k = A/A_+ to length 2, at the bound min(D, 5), must pass
+`audit_resolution`, and its Tor_1 and Tor_2 rows must equal those of
+`oracles.bar_tor_trivial_module`.
 
 Run a larger sweep from the repository root with
 
@@ -29,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 
 from cohprobe.coherence import RightIdealSpec, enumerate_ideals, ideal_map, probe_ideal
-from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words
+from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, word_str
 from cohprobe.gbasis import (
     AlgebraPresentation,
     complete_to_degree,
@@ -39,13 +43,19 @@ from cohprobe.gbasis import (
 from cohprobe.grmod import audit_resolution, kernel_min_generators, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
-from oracles import bar_tor_trivial_module, ideal_syzygy_profile_oracle, overlap_failures
+from oracles import (
+    bar_tor_trivial_module,
+    ideal_syzygy_profile_oracle,
+    overlap_failures,
+    reference_normal_form,
+)
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
 COEFFS = (-2, -1, 1, 2, 3)
 IDEALS = 12
 BINOMIALS = 3
 TOR_BOUND = 5
+NF_BOUND = 5
 
 
 def random_presentation(rng, k):
@@ -91,6 +101,23 @@ def kernel_profile(tgb, ideal):
     return profile
 
 
+def normal_form_disagreements(tgb):
+    """The normal and product words of degree <= min(tgb.D, NF_BOUND) whose
+    normal form differs from the reference rewriting."""
+    top = min(tgb.D, NF_BOUND)
+    words = {
+        w + u
+        for a in range(top + 1) for w in tgb.normal_words(a)
+        for b in range(top + 1 - a) for u in tgb.normal_words(b)
+    }
+    one = tgb.field.one()
+    return [
+        ("normal form", word_str(tgb.gt, w))
+        for w in sorted(words)
+        if tgb.normal_form_word(w) != reference_normal_form(tgb, {w: one})
+    ]
+
+
 def resolution_disagreements(tgb):
     """Where the resolution of k = A/A_+ to length 2 fails its audit or
     differs from the bar complex in Tor_1 or Tor_2, at degrees 1..tgb.D."""
@@ -121,6 +148,10 @@ class SweepCase:
     def rank_route(self):
         return self.tgb.anick_series is not None
 
+    @property
+    def chase(self):
+        return self.tgb.binomial
+
 
 def check_algebra(p, D, rng):
     tgb = complete_to_degree(p, D)
@@ -132,6 +163,7 @@ def check_algebra(p, D, rng):
     for d in range(min(5, D) + 1):
         if tgb.dim(d) != component_dim_bruteforce(p, d):
             case.disagreements.append(("dim", d))
+    case.disagreements += normal_form_disagreements(tgb)
     for ideal in enumerate_ideals(tgb, 2, IDEALS) + binomial_ideals(tgb, rng):
         profiles = (
             probe_ideal(tgb, ideal).profile,
@@ -158,11 +190,12 @@ def main(argv=None):
     ap.add_argument("-D", type=int, default=6)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    ideals = failed = rank = letter = letter_rank = 0
+    ideals = failed = rank = chase = letter = letter_rank = 0
     for case in sweep(args.seed, args.algebras, args.D):
         ideals += case.ideals
         failed += len(case.disagreements)
         rank += case.rank_route
+        chase += case.chase
         letters = has_letter_terms(case.presentation)
         letter += letters
         letter_rank += letters and case.rank_route
@@ -170,8 +203,8 @@ def main(argv=None):
             print(f"DISAGREE {case.presentation.label} "
                   f"{case.presentation.relation_strings()} {what} {detail}")
     print(f"seed {args.seed}, D={args.D}: {args.algebras} algebras, {ideals} ideals, "
-          f"{failed} disagreements; {rank} on the rank route; {letter} with letter "
-          f"terms, {letter_rank} of them on the rank route")
+          f"{failed} disagreements; {rank} on the rank route; {chase} on the one-term "
+          f"chase; {letter} with letter terms, {letter_rank} of them on the rank route")
     return 1 if failed else 0
 
 

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,11 @@ from cohprobe.coherence import (
 from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_str
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
 from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
-from cohprobe.linalg import QQ, PrimeField
+from cohprobe.linalg import QQ, PrimeField, SpanSolver
 
 from conftest import WITNESS_RIGHT
 from oracles import ideal_syzygy_profile_oracle
-from sweep import kernel_profile
+from sweep import binomial_ideals, kernel_profile
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -392,3 +393,53 @@ def test_witness_starts_just_above_half_the_bound(tgb_fast):
     assert rep.profile == [0] * 6 + [1] + [0] * 4
     assert str(rep.verdict) == "STABLE(6)"
     assert rep.witness == [(6, ["y"])]
+
+
+def _eliminated_rank_profile(f, c):
+    """S(t) - H_J(t) c(t) mod t^(D+1) with every H_J(e) a SpanSolver rank."""
+    D = f.tgb.D
+    h = [0] * (D + 1)
+    for e in range(min(f.source.shifts), D + 1):
+        span = SpanSolver(f.tgb.field)
+        for col in f.component_columns(e):
+            span.add(col)
+        h[e] = span.rank
+    counts = f.degree_counts()
+    return [counts[d] - sum(h[d - j] * c[j] for j in range(d + 1)) for d in range(D + 1)]
+
+
+def test_counted_ranks_are_eliminated_ranks(corpus_fast, slice_cases, monkeypatch):
+    # _rank_profile counts rows where every column has at most one entry and
+    # eliminates elsewhere.  On the corpus bases (words and binomials) every
+    # monomial ideal is counted at every degree; x + y and the sweep's
+    # binomial ideals have two-entry columns, so elimination runs too.  c is
+    # the Anick series, or 1 where there is none, which compares H_J itself
+    solvers = []
+
+    class CountedSpanSolver(SpanSolver):
+        def __init__(self, field):
+            solvers.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(coherence, "SpanSolver", CountedSpanSolver)
+
+    def eliminations(tgb, ideals):
+        c = tgb.anick_series or [1] + [0] * tgb.D
+        before = len(solvers)
+        for ideal in ideals:
+            f = ideal_map(tgb, ideal)
+            assert coherence._rank_profile(f, c) == _eliminated_rank_profile(f, c), \
+                (tgb.presentation.label, ideal.strings(tgb))
+        return len(solvers) - before
+
+    for entry in corpus_fast.values():
+        for p in (entry.presentation, opposite(entry.presentation)):
+            tgb = complete_to_degree(p, 8)
+            assert eliminations(tgb, enumerate_ideals(tgb, 2, 64)) == 0, p.label
+            if len(p.gens) >= 2:
+                one = tgb.field.one()
+                x_plus_y = NcPoly.build(tgb.gt, tgb.field, [((0,), one), ((1,), one)])
+                assert eliminations(tgb, [RightIdealSpec([x_plus_y])]) > 0, p.label
+    binomials = sum(eliminations(c.tgb, binomial_ideals(c.tgb, random.Random(k)))
+                    for k, c in enumerate(slice_cases))
+    assert binomials > 0

@@ -358,33 +358,49 @@ def test_random_presentations_against_references(case):
 
 
 def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
-    seen = []
-    real = gbasis._reduce_terms
+    # every row is built at one seam, by the one-term chase on example2's
+    # binomial basis and by _reduce_terms on Sklyanin's three-term one
+    seen, reduced = [], []
+    real_row, real_reduce = gbasis.TruncatedGroebnerBasis._new_row, gbasis._reduce_terms
 
-    def counted(terms, index):
-        seen.append(tuple(terms))
-        return real(terms, index)
+    def counted_row(self, word):
+        seen.append(word)
+        return real_row(self, word)
 
-    monkeypatch.setattr(gbasis, "_reduce_terms", counted)
-    tgb = complete_to_degree(corpus_fast["example2"].presentation, 6)
-    seen.clear()
-    # NF(x*y*x) is one row, read as x * (y*x) and as (x*y) * x
-    x, y = (0,), (1,)
-    row = tgb.normal_form_row(x + y + x)
-    assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] is row
-    assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] is row
-    # every product word is reduced once, however often it is reached
-    for d in range(1, 4):
-        for w in tgb.normal_words(d):
-            for e in range(7 - d):
-                tgb.products(e, w)
-    assert seen and len(seen) == len(set(seen))
-    # normal_form_word is a row keyed by normal words
-    for d in range(7):
-        words = tgb.normal_words(d)
-        for w in enumerate_words(tgb.gt, d):
-            row = tgb.normal_form_row(w)
-            assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}
+    def counted_reduce(terms, index):
+        reduced.append(tuple(terms))
+        return real_reduce(terms, index)
+
+    monkeypatch.setattr(gbasis.TruncatedGroebnerBasis, "_new_row", counted_row)
+    monkeypatch.setattr(gbasis, "_reduce_terms", counted_reduce)
+    cases = (
+        (corpus_fast["example2"].presentation, True),
+        (parse_algebra_file(_sklyanin_alg(-2, 2, -1)), False),
+    )
+    for p, chased in cases:
+        tgb = complete_to_degree(p, 6)
+        assert tgb.binomial is chased, p.label
+        seen.clear()
+        reduced.clear()
+        # NF(x*y*x) is one row, read as x * (y*x) and as (x*y) * x
+        x, y = (0,), (1,)
+        row = tgb.normal_form_row(x + y + x)
+        assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] is row
+        assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] is row
+        # every product word is reduced once, however often it is reached
+        for d in range(1, 4):
+            for w in tgb.normal_words(d):
+                for e in range(7 - d):
+                    tgb.products(e, w)
+        assert seen and len(seen) == len(set(seen))
+        # example2's rows came from the chase, Sklyanin's from _reduce_terms
+        assert reduced == ([] if chased else [(w,) for w in seen]), p.label
+        # normal_form_word is a row keyed by normal words
+        for d in range(7):
+            words = tgb.normal_words(d)
+            for w in enumerate_words(tgb.gt, d):
+                row = tgb.normal_form_row(w)
+                assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}
 
 
 def test_word_walkers_leave_no_reference_cycles():
@@ -485,3 +501,31 @@ def test_rewriting_leaves_its_input_terms_alone(field):
                 assert terms == saved, p.label
                 tgb.normal_form(NcPoly(terms, d if terms else None))
                 assert terms == saved, p.label
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)], ids=["Q", "F32003", "F3"])
+def test_chase_is_the_general_rewriting(field, slice_cases):
+    # the one-term chase builds the row of _reduce_terms and of the reference
+    # rewriting for every word through D: on the corpus on both sides,
+    # weighted_frac (non-unit integer leads) and the binomial bases of the
+    # sweep slice over the field; Sklyanin's three-term basis falls back
+    D = 6
+    chased = []
+    for entry in builtin_corpus(field):
+        chased += [entry.presentation, opposite(entry.presentation)]
+    chased.append(parse_algebra_file(WEIGHTED_FRAC, field=field))
+    tgbs = [complete_to_degree(p, D) for p in chased]
+    assert all(tgb.binomial for tgb in tgbs)
+    sweep_tgbs = [c.tgb for c in slice_cases if c.tgb.field == field]
+    assert any(not tgb.binomial for tgb in sweep_tgbs)
+    tgbs += [tgb for tgb in sweep_tgbs if tgb.binomial]
+    assert not complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=field), D).binomial
+    one = field.one()
+    for tgb in tgbs:
+        for d in range(tgb.D + 1):
+            idx = tgb.normal_index(d)
+            for w in enumerate_words(tgb.gt, d):
+                row = tgb._new_row(w)
+                general = gbasis._reduce_terms({w: one}, tgb._index)
+                assert row == {idx[t]: c for t, c in general.items()}, tgb.presentation.label
+                assert general == reference_normal_form(tgb, {w: one}), tgb.presentation.label

@@ -2,8 +2,6 @@
 negative controls, and Tor(k, k) where Anick's criterion holds on algebras
 whose relations have letter terms."""
 
-import pytest
-
 from cohprobe import gbasis, grmod
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.freealg import NcPoly
@@ -11,10 +9,9 @@ from cohprobe.gbasis import complete_to_degree, opposite
 from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 
+from conftest import SLICE
 from oracles import bar_tor_trivial_module, span_rank
 from sweep import has_letter_terms, sweep
-
-SLICE = {"seed": 1, "algebras": 40, "D": 6}
 
 # a weight-2 letter z that a relation solves for: k[x, y], and a one-relator
 # algebra on x, y, both of global dimension 2
@@ -22,11 +19,6 @@ LETTER_ALGEBRAS = (
     "label letter_commutative\ngen x 1\ngen y 1\ngen z 2\nrel z - x*y\nrel z - y*x\n",
     "label letter_onerel\ngen x 1\ngen y 1\ngen z 2\nrel z - x*y\nrel z*x - x*z\n",
 )
-
-
-@pytest.fixture(scope="module")
-def slice_cases():
-    return list(sweep(**SLICE))
 
 
 def _letter_rank_cases(cases):
@@ -78,6 +70,33 @@ def test_sweep_flags_level_one_without_the_relations(monkeypatch):
                         lambda f, relations=None, step=1: real(f, step=step))
     cases = list(sweep(seed=1, algebras=6, D=6))
     assert all(any(what == "tor1" for what, _ in c.disagreements) for c in cases)
+
+
+def test_sweep_flags_a_chase_without_the_lead_coefficient(monkeypatch):
+    # negative control: a one-term chase that never divides by the lead
+    # coefficient a of the integer reducer is wrong over Q wherever a monic
+    # binomial has a non-integral coefficient, and the normal-form check of
+    # the sweep must see it
+    real = gbasis.TruncatedGroebnerBasis._new_row
+
+    def chase_without_a(self, word):
+        if not self.binomial:
+            return real(self, word)
+        idx = self.normal_index(self.gt.word_degree(word))
+        num = 1
+        while (pos := self._index.find(word)) is not None:
+            i, j, (_, tail) = pos
+            if not tail:
+                return {}
+            ((t, tc),) = tail
+            word = word[:i] + t + word[j:]
+            num = self.field.canonical(num * tc)
+        return {idx[word]: self.field.of_fraction(num, 1)}
+
+    monkeypatch.setattr(gbasis.TruncatedGroebnerBasis, "_new_row", chase_without_a)
+    cases = list(sweep(seed=1, algebras=6, D=6))
+    flagged = [c for c in cases if any(what == "normal form" for what, _ in c.disagreements)]
+    assert flagged and all(c.chase and c.presentation.field == QQ for c in flagged)
 
 
 def _tor_k(tgb):
