@@ -36,7 +36,7 @@ from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
 from .gbasis import AlgebraPresentation, complete_to_degree, opposite
 from .grmod import FreeModule, ModuleMap, kernel_min_generators, min_generators
-from .linalg import QQ, SpanSolver
+from .linalg import QQ, rank
 
 STABILITY_MARGIN = 4
 
@@ -140,24 +140,13 @@ def ideal_map(tgb, ideal):
 
 def _rank_profile(f, c):
     """S(t) - H_J(t) c(t) mod t^(D+1): the profile where c certifies global
-    dimension <= 2, with H_J(e) the rank of f at degree e.
-
-    Where every column has at most one entry the rank is the number of
-    distinct row indices: rows store no zeros, so such columns are nonzero
-    multiples of unit vectors and span exactly the unit vectors of their
-    indices.  Other degrees are eliminated."""
-    tgb = f.tgb
-    D = tgb.D
+    dimension <= 2, with H_J(e) the rank of f at degree e, a count of
+    distinct row indices where every column has at most one entry
+    (linalg.rank)."""
+    D = f.tgb.D
     h = [0] * (D + 1)
     for e in range(min(f.source.shifts), D + 1):
-        cols = f.component_columns(e)
-        if all(len(col) <= 1 for col in cols):
-            h[e] = len({i for col in cols for i in col})
-            continue
-        span = SpanSolver(tgb.field)
-        for col in cols:
-            span.add(col)
-        h[e] = span.rank
+        h[e] = rank(f.tgb.field, f.component_columns(e))
     counts = f.degree_counts()
     return [counts[d] - sum(h[d - j] * c[j] for j in range(d + 1)) for d in range(D + 1)]
 

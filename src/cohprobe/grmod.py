@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .freealg import NcPoly
-from .linalg import SpanSolver, kernel_basis
+from .linalg import SpanSolver, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,9 @@ class ModuleMap:
     """Degree-0 map of free modules: e_l -> sum_k e_k * entry[(k, l)].
 
     entry (k, l) is homogeneous of degree shifts_src[l] - shifts_tgt[k]
-    (or zero); entries are stored in normal form.
+    (or zero); entries are stored in normal form.  A map that min_generators
+    returns carries ranks[d], the rank of its degree-d component modulo the
+    columns ranks_modulo(d), at each degree it visited; other maps carry none.
     """
 
     def __init__(self, tgb, source, target, entries):
@@ -81,6 +83,8 @@ class ModuleMap:
                     f"entry ({k},{l}) has degree {poly.degree}, expected {want}"
                 )
             self.entries[(k, l)] = poly
+        self.ranks = {}
+        self.ranks_modulo = None
 
     def __len__(self):
         """The number of source generators."""
@@ -147,7 +151,7 @@ def _shifted(row, off):
     return {off + t: v for t, v in row.items()} if off else row
 
 
-def min_generators(tgb, src, degrees, span_at, modulo=None):
+def min_generators(tgb, src, degrees, span_at, modulo=None, dim_at=None):
     """Minimal generators of a submodule K of the free module src, in the given
     degrees, as their generator map (+) A(-deg g) -> src.
 
@@ -159,18 +163,28 @@ def min_generators(tgb, src, degrees, span_at, modulo=None):
     m + n, ...) that image is the A^(n)-span.  Degree by degree, the spanning
     vectors that extend it are appended to the map; graded Nakayama makes
     this a minimal generating set on the window.
+
+    dim_at(d), when given, is dim ((K + N) / N)_d, and span_at(d) is not
+    called where the image modulo N already has that rank: the image lies in
+    K + N, so it is all of it.  The map records in ranks[d] the rank reached
+    at each visited degree, rank [modulo(d) | its columns at d] - rank
+    modulo(d), and modulo in ranks_modulo.
     """
     gens = ModuleMap(tgb, FreeModule(()), src, {})
+    gens.ranks_modulo = modulo
     for d in degrees:
         span = SpanSolver(tgb.field)
         for col in modulo(d) if modulo else ():
             span.add(col)
+        base = span.rank
         if len(gens):
             for col in gens.component_columns(d):
                 span.add(col)
-        new = [vec for vec in span_at(d) if span.add(vec)]
-        if new:
-            gens.append_generators(d, new)
+        if dim_at is None or span.rank - base < dim_at(d):
+            new = [vec for vec in span_at(d) if span.add(vec)]
+            if new:
+                gens.append_generators(d, new)
+        gens.ranks[d] = span.rank - base
     return gens
 
 
@@ -195,12 +209,48 @@ def kernel_min_generators(f, relations=None, step=1):
     relations, at the degrees from the lowest source shift to the bound D in
     steps of step, as their generator map into f.source; its entries are the
     witnesses.  The one routine that builds a syzygy module: every resolution
-    level, every P^m syzygy module (step n) and every probe kernel."""
+    level, every P^m syzygy module (step n) and every probe kernel.
+
+    A kernel is computed only at a degree that can emit a generator.  With P
+    = f.source and r the relations, dim K_d = dim P_d - (rank [r | f]_d -
+    rank r_d).  The generators emitted below d span (gens * A)_d, which lies
+    in K_d; when its rank equals dim K_d it is K_d, no kernel vector extends
+    it, and min_generators skips the kernel there.  Where it is smaller the
+    kernel vectors are offered as before, so the gate changes no generator.
+    The rank of f modulo r is f.ranks[d] where min_generators recorded it
+    modulo the same relations, as each resolution level does for the next;
+    then dim P_d is free_dim and a silent degree builds no column of f.
+    Elsewhere it is linalg.rank of the columns, which the kernel reuses.
+    Columns are built at most once per degree and dropped once the kernel
+    is taken, or when the next degree starts.
+    """
     tgb, D = f.tgb, f.tgb.D
-    rel_columns = relations.component_columns if relations is not None else lambda d: []
+    fld = tgb.field
+    rel_columns = relations.component_columns if relations is not None else None
+    handed = f.ranks if f.ranks_modulo == rel_columns else {}
+    held = {}  # degree -> (f's columns, the relations' columns), the degree in hand only
+
+    def columns(d):
+        if d not in held:
+            held.clear()
+            held[d] = f.component_columns(d), rel_columns(d) if rel_columns else []
+        return held[d]
+
+    def dim_at(d):
+        r = handed.get(d)
+        if r is None:
+            pcols, rcols = columns(d)
+            r = rank(fld, pcols, rcols)
+        return free_dim(tgb, f.source, d) - r
+
+    def kernel(d):
+        vecs = _projected_kernel(fld, *columns(d))
+        held.clear()
+        return vecs
+
     return min_generators(
         tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1, step),
-        lambda d: _projected_kernel(tgb.field, f.component_columns(d), rel_columns(d)),
+        kernel, dim_at=dim_at,
     )
 
 
@@ -310,15 +360,12 @@ def audit_resolution(res):
         # kernel of P0 -> M dimensionwise
         kern = len(pcols) - (both.rank - rank_rel)
         for i, cols in enumerate(dcols):
-            image = SpanSolver(fld)
-            for col in cols:
-                image.add(col)
-            rank = image.rank
-            if rank != kern:
+            image = rank(fld, cols)
+            if image != kern:
                 findings["exact"] = False
                 target = "ker(P0->M)" if i == 0 else f"ker(d{i})"
                 findings["detail"].append(
-                    f"image(d{i+1}) != {target} at degree {d}: {rank} vs {kern}"
+                    f"image(d{i+1}) != {target} at degree {d}: {image} vs {kern}"
                 )
-            kern = len(cols) - rank
+            kern = len(cols) - image
     return findings

@@ -257,6 +257,27 @@ class SpanSolver:
         return not self.reduce(vec)
 
 
+def rank(field, columns, modulo=()):
+    """rank [modulo | columns] - rank modulo: the rank of the columns modulo
+    the span of the modulo columns.
+
+    Where every column has at most one entry the ranks are counts of
+    distinct row indices: vectors store no zeros, so such columns are
+    nonzero multiples of unit vectors and span exactly the unit vectors of
+    their indices.  Otherwise one SpanSolver eliminates the modulo columns,
+    then the columns.
+    """
+    if max(map(len, modulo), default=0) <= 1 and max(map(len, columns), default=0) <= 1:
+        return len(set().union(*modulo, *columns)) - len(set().union(*modulo))
+    solver = SpanSolver(field)
+    for col in modulo:
+        solver.add(col)
+    base = solver.rank
+    for col in columns:
+        solver.add(col)
+    return solver.rank - base
+
+
 def kernel_basis(field, columns):
     """Deterministic basis of the kernel of the map with the given columns.
 

@@ -10,7 +10,7 @@ import heapq
 
 from cohprobe.freealg import NcPoly, leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
-from cohprobe.grmod import FreeModule, ModuleMap, free_dim
+from cohprobe.grmod import FreeModule, ModuleMap, _projected_kernel, free_dim, min_generators
 
 from windows import ModuleComponents
 
@@ -478,6 +478,17 @@ def tor0_oracle(relations):
         ]
         out.append(len(heads) - span_rank(tgb.field, restricted))
     return out
+
+
+def ungated_kernel_min_generators(f, relations=None, step=1):
+    """kernel_min_generators with no dimension gate: the projected kernel is
+    computed and offered to min_generators at every degree of the window."""
+    tgb, D = f.tgb, f.tgb.D
+    rel_columns = relations.component_columns if relations is not None else lambda d: []
+    return min_generators(
+        tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1, step),
+        lambda d: _projected_kernel(tgb.field, f.component_columns(d), rel_columns(d)),
+    )
 
 
 def euler_characteristic_check(res):

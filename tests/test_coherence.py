@@ -5,6 +5,7 @@ import pytest
 
 import cohprobe.coherence as coherence
 import cohprobe.gbasis as gbasis
+import cohprobe.linalg as linalg
 from cohprobe.algfile import parse_algebra_file, render_algebra_file
 from cohprobe.coherence import (
     RightIdealSpec,
@@ -409,11 +410,12 @@ def _eliminated_rank_profile(f, c):
 
 
 def test_counted_ranks_are_eliminated_ranks(corpus_fast, slice_cases, monkeypatch):
-    # _rank_profile counts rows where every column has at most one entry and
-    # eliminates elsewhere.  On the corpus bases (words and binomials) every
-    # monomial ideal is counted at every degree; x + y and the sweep's
-    # binomial ideals have two-entry columns, so elimination runs too.  c is
-    # the Anick series, or 1 where there is none, which compares H_J itself
+    # _rank_profile takes linalg.rank, which counts rows where every column
+    # has at most one entry and eliminates elsewhere.  On the corpus bases
+    # (words and binomials) every monomial ideal is counted at every degree;
+    # x + y and the sweep's binomial ideals have two-entry columns, so
+    # elimination runs too.  c is the Anick series, or 1 where there is none,
+    # which compares H_J itself
     solvers = []
 
     class CountedSpanSolver(SpanSolver):
@@ -421,7 +423,7 @@ def test_counted_ranks_are_eliminated_ranks(corpus_fast, slice_cases, monkeypatc
             solvers.append(field)
             super().__init__(field)
 
-    monkeypatch.setattr(coherence, "SpanSolver", CountedSpanSolver)
+    monkeypatch.setattr(linalg, "SpanSolver", CountedSpanSolver)
 
     def eliminations(tgb, ideals):
         c = tgb.anick_series or [1] + [0] * tgb.D

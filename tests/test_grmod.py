@@ -6,22 +6,35 @@ import pytest
 from cohprobe import grmod, veronese
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.cli import _module_from_json
+from cohprobe.coherence import (
+    RightIdealSpec,
+    builtin_corpus,
+    classify_profile,
+    enumerate_ideals,
+    ideal_map,
+)
 from cohprobe.freealg import GeneratorTable, NcPoly, parse_poly, poly_scale
-from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
+from cohprobe.gbasis import AlgebraPresentation, complete_to_degree, opposite
 from cohprobe.grmod import (
     FreeModule,
     ModuleMap,
-    _projected_kernel,
     audit_resolution,
     free_dim,
     kernel_min_generators,
     min_generators,
     minimal_resolution,
 )
-from cohprobe.linalg import QQ, PrimeField
+from cohprobe.linalg import QQ, PrimeField, SpanSolver
 
-from oracles import bar_tor_trivial_module, euler_characteristic_check, reference_axpy, tor0_oracle
+from oracles import (
+    bar_tor_trivial_module,
+    euler_characteristic_check,
+    reference_axpy,
+    tor0_oracle,
+    ungated_kernel_min_generators,
+)
 from test_report_digests import MODULE, _sklyanin_alg
+from test_veronese import pm_onto
 from windows import ModuleComponents
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
@@ -105,18 +118,6 @@ def test_kernel_free_algebra_refree(free2):
     assert len(kernel_min_generators(gens)) == 0
 
 
-def level_one_by_hand(p0, relations):
-    """Level 1 of a resolution as minimal_resolution once spelled it out: the
-    minimal generators of ker(P^0 -> coker(relations)), degree by degree from
-    the lowest shift of P^0."""
-    tgb, D = p0.tgb, p0.tgb.D
-    return min_generators(
-        tgb, p0.source, range(min(p0.source.shifts, default=D + 1), D + 1),
-        lambda d: _projected_kernel(tgb.field, p0.component_columns(d),
-                                    relations.component_columns(d)),
-    )
-
-
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)],
                          ids=["Q", "F32003", "F3"])
 def test_kernel_min_generators_relations(field):
@@ -129,7 +130,7 @@ def test_kernel_min_generators_relations(field):
     for relations in cases:
         p0 = minimal_resolution(relations, length=0).p0_map
         got = kernel_min_generators(p0, relations)
-        want = level_one_by_hand(p0, relations)
+        want = ungated_kernel_min_generators(p0, relations)
         assert len(got) > 0
         assert got.source.shifts == want.source.shifts
         assert got.entries == want.entries
@@ -157,6 +158,140 @@ def test_every_syzygy_module_is_kernel_min_generators(monkeypatch, tgb_fast):
         calls.clear()
         veronese.pm_module_presentations(tgb_fast("commutative_model"), n)
         assert len(calls) == n
+
+
+def _same_map(got, want, label):
+    assert got.source.shifts == want.source.shifts, label
+    assert got.entries == want.entries, label
+
+
+def _example2(field, D):
+    text = (ALGEBRAS / "example2.alg").read_text(encoding="utf-8")
+    return complete_to_degree(parse_algebra_file(text, field=field), D)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_gated_kernels_are_the_ungated_ones(field):
+    # kernel_min_generators skips a kernel only where the generators already
+    # span it, so every syzygy module equals the one built with a kernel at
+    # every degree: same shifts, same entries
+    corpus = {e.label: e.presentation for e in builtin_corpus(field)}
+    ideals = 0
+    for label in ("example1", "remark"):
+        for p in (corpus[label], opposite(corpus[label])):
+            tgb = complete_to_degree(p, 7)
+            assert tgb.anick_series is None, label
+            for ideal in enumerate_ideals(tgb, 2, 64):
+                f = ideal_map(tgb, ideal)
+                _same_map(kernel_min_generators(f), ungated_kernel_min_generators(f),
+                          (p.label, ideal.strings(tgb)))
+                ideals += 1
+    assert ideals >= 100
+    sklyanin = complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=field), 6)
+    for ideal in enumerate_ideals(sklyanin, 2, 12):
+        f = ideal_map(sklyanin, ideal)
+        _same_map(kernel_min_generators(f), ungated_kernel_min_generators(f), ideal.strings(sklyanin))
+    # every level of a resolution, each built from the level before it with
+    # the ranks that level recorded; the random presentations have P^0
+    # generators in several degrees, whose ranks are recorded modulo the
+    # relations and read by level 1
+    example2 = _example2(field, 8)
+    rng = random.Random(47)
+    small = make_tgb("xyz", ["y*z", "x*z - z*x"], D=5, field=field)
+    cases = [(simple_module(sklyanin), 3), (simple_module(example2), 4),
+             (_module_from_json(example2, MODULE), 4)]
+    cases += [(random_presentation(small, rng), 2) for _ in range(12)]
+    for relations, length in cases:
+        res = minimal_resolution(relations, length=length)
+        maps = [res.p0_map, *res.diffs]
+        for i, level in enumerate(res.diffs):
+            _same_map(level, ungated_kernel_min_generators(maps[i], None if i else relations),
+                      (relations.entries, i + 1))
+    # the P^m syzygies, on the degrees m, m + n, ..., D
+    for label in ("remark", "commutative_model", "example2"):
+        tgb = complete_to_degree(corpus[label], 9)
+        for n in (2, 3):
+            for m in range(n):
+                onto = pm_onto(tgb, m)
+                _same_map(kernel_min_generators(onto, step=n),
+                          ungated_kernel_min_generators(onto, step=n), (label, n, m))
+
+
+def test_gate_computes_kernels_only_where_generators_appear(monkeypatch, corpus_fast, fast_field):
+    # a degree calls kernel_basis iff it emits a generator: dim K_d exceeds
+    # the rank of the span of the generators below d exactly when a kernel
+    # vector extends that span
+    calls = []
+    real = grmod.kernel_basis
+    monkeypatch.setattr(grmod, "kernel_basis",
+                        lambda fld, cols: calls.append(len(cols)) or real(fld, cols))
+    tgb = complete_to_degree(corpus_fast["example1"].presentation, 8)
+    assert tgb.anick_series is None
+    f = ideal_map(tgb, RightIdealSpec.from_strings(tgb, ["y"]))
+    gens = kernel_min_generators(f)
+    assert str(classify_profile(gens.degree_counts(), 8)) == "STABLE(2)"
+    assert len(calls) == len(set(gens.source.shifts)) == 1
+    calls.clear()
+    _same_map(ungated_kernel_min_generators(f), gens, "y")
+    assert len(calls) == 8
+    # a resolution level reads the ranks its predecessor recorded, so it
+    # builds the predecessor's columns only at the degrees where it emits
+    built = []
+    columns = ModuleMap.component_columns
+    monkeypatch.setattr(ModuleMap, "component_columns",
+                        lambda self, d: built.append((self, d)) or columns(self, d))
+    sklyanin = complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=fast_field), 7)
+    res = minimal_resolution(simple_module(sklyanin), length=2)
+    for f in res.diffs:
+        built.clear()
+        calls.clear()
+        nxt = kernel_min_generators(f)
+        emitting = sorted(set(nxt.source.shifts))
+        assert emitting
+        assert [d for m, d in built if m is f] == emitting
+        assert len(calls) == len(emitting)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_recorded_ranks_are_eliminated_ranks(field):
+    # min_generators records, at each degree it visits, rank [modulo | the
+    # finished map's columns] - rank modulo; a SpanSolver elimination of the
+    # same columns must agree, with and without modulo
+    def eliminated(gens, d):
+        span = SpanSolver(field)
+        for col in gens.ranks_modulo(d) if gens.ranks_modulo else ():
+            span.add(col)
+        base = span.rank
+        for col in gens.component_columns(d):
+            span.add(col)
+        return span.rank - base
+
+    example2 = _example2(field, 7)
+    sklyanin = complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=field), 6)
+    checked = []
+    for relations in (simple_module(sklyanin), _module_from_json(example2, MODULE)):
+        D = relations.tgb.D
+        res = minimal_resolution(relations, length=3)
+        p0 = res.p0_map
+        assert p0.ranks_modulo == relations.component_columns
+        assert set(p0.ranks) == {s for s in relations.target.shifts if s <= D}
+        checked.append(p0)
+        maps = [p0, *res.diffs]
+        for i, level in enumerate(res.diffs):
+            assert level.ranks_modulo is None
+            assert set(level.ranks) == set(range(min(maps[i].source.shifts), D + 1))
+            checked.append(level)
+    for ideal in enumerate_ideals(sklyanin, 2, 6):
+        f = ideal_map(sklyanin, ideal)
+        checked.append(kernel_min_generators(f))
+        checked.append(min_generators(sklyanin, f.target, range(7), f.component_columns))
+    checked.append(kernel_min_generators(pm_onto(example2, 1), step=2))
+    for gens in checked:
+        assert gens.ranks
+        for d, r in gens.ranks.items():
+            assert r == eliminated(gens, d), (d, gens.source.shifts)
+    assert sum(gens.ranks_modulo is not None for gens in checked) == 2
+    assert sum(any(gens.ranks.values()) for gens in checked) > len(checked) // 2
 
 
 def test_resolution_simple_module_free(free2):
