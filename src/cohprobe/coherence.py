@@ -35,7 +35,7 @@ from .algfile import parse_algebra_file
 from .errors import InputError
 from .freealg import NcPoly, parse_poly, poly_str
 from .gbasis import AlgebraPresentation, complete_to_degree, opposite
-from .grmod import FreeModule, ModuleMap, kernel_min_generators, min_generators
+from .grmod import FreeModule, ModuleMap, kernel_min_generators, minimal_resolution
 from .linalg import QQ, rank
 
 STABILITY_MARGIN = 4
@@ -259,17 +259,6 @@ def probe_algebra(tgb, gen_degree_bound=2, max_ideals=64, side="right"):
     )
 
 
-def ideal_tor0_profile(tgb, gens):
-    """Minimal-generator degrees of the right ideal (g_1, ..., g_s) up to tgb.D.
-
-    Tor_0(J, k)_d = dim (J / J * A_+)_d: the minimal generators of the image
-    of ideal_map, whose degree-d component columns span J_d; used for the
-    Noetherian staircase evidence.
-    """
-    f = ideal_map(tgb, RightIdealSpec(gens))
-    return min_generators(tgb, f.target, range(tgb.D + 1), f.component_columns).degree_counts()
-
-
 # --- built-in corpus ------------------------------------------------------
 
 
@@ -362,11 +351,12 @@ def noetherian_chain_profile(tgb):
     Stage m adds t^m z^m (degree 2m <= tgb.D); the flag says whether the stage
     generator is a new minimal generator on top of the earlier stages.  The
     profile in degree 2m depends only on the generators of degree <= 2m, so
-    one profile of the whole chain answers every stage.
+    one profile of the whole chain answers every stage.  That profile is
+    Tor_0(J, k) = Tor_1(A/J, k), the level-1 row of a resolution of A/J.
     """
     gt, fld = tgb.gt, tgb.field
     t, z = gt.index("t"), gt.index("z")
     stages = range(1, tgb.D // 2 + 1)
     gens = [NcPoly.monomial(gt, fld, (t,) * m + (z,) * m) for m in stages]
-    profile = ideal_tor0_profile(tgb, gens)
+    profile = minimal_resolution(ideal_map(tgb, RightIdealSpec(gens)), length=1).tor[1]
     return [bool(profile[2 * m]) for m in stages]

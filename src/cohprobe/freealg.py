@@ -294,7 +294,11 @@ def parse_poly(gt, field, text):
             break
         if coeff_den == 0:
             raise ParseError("zero denominator", col=col)
-        coeff = field.of_fraction(sign * coeff_num, coeff_den)
+        try:
+            coeff = field.of_fraction(sign * coeff_num, coeff_den)
+        except ValueError:
+            raise ParseError(f"denominator {coeff_den} is not invertible in {field.name}",
+                             col=col) from None
         items.append((tuple(word), coeff))
         kind, val, col = peek()
         if kind not in (None, "+", "-"):

@@ -96,7 +96,8 @@ class AlgebraPresentation:
 
 
 def validate_presentation(p):
-    """Accept iff all generator weights are >= 1 and relations are homogeneous of degree >= 2."""
+    """Accept iff all generator weights are >= 1, relations are homogeneous of
+    degree >= 2, and every family grows from a first member of degree >= 1."""
     for name, w in zip(p.gens.names, p.gens.weights):
         if w < 1:
             raise ZeroDegreeGenerator(f"generator {name} has weight {w}")
@@ -111,6 +112,9 @@ def validate_presentation(p):
     for fam in p.relfams:
         if fam.degree_slope(p.gens) <= 0:
             raise NonHomogeneousRelation(f"family {fam.raw!r} does not grow in degree")
+        if not fam.member_word(fam.n_min):
+            raise NonHomogeneousRelation(
+                f"family {fam.raw!r} has the empty word, the relation 1 = 0, at n={fam.n_min}")
 
 
 def opposite(p):

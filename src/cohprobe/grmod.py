@@ -62,8 +62,8 @@ class ModuleMap:
 
     entry (k, l) is homogeneous of degree shifts_src[l] - shifts_tgt[k]
     (or zero); entries are stored in normal form.  A map that min_generators
-    returns carries ranks[d], the rank of its degree-d component modulo the
-    columns ranks_modulo(d), at each degree it visited; other maps carry none.
+    returns with no modulo carries ranks[d], the rank of its degree-d
+    component, at each degree it visited; other maps carry none.
     """
 
     def __init__(self, tgb, source, target, entries):
@@ -84,7 +84,6 @@ class ModuleMap:
                 )
             self.entries[(k, l)] = poly
         self.ranks = {}
-        self.ranks_modulo = None
 
     def __len__(self):
         """The number of source generators."""
@@ -151,27 +150,24 @@ def _shifted(row, off):
     return {off + t: v for t, v in row.items()} if off else row
 
 
-def min_generators(tgb, src, degrees, span_at, modulo=None, dim_at=None):
+def min_generators(tgb, src, degrees, span_at, modulo=None):
     """Minimal generators of a submodule K of the free module src, in the given
     degrees, as their generator map (+) A(-deg g) -> src.
 
-    span_at(d) is any spanning set of K_d over free_basis(tgb, src, d).  With
-    modulo, the generators are minimal modulo the submodule N of src whose
-    degree-d component modulo(d) spans: they generate (K + N) / N.  At degree
-    d the A-span of the generators already emitted is the image of the map,
-    read off its component columns at d; on a Veronese grading (degrees m,
-    m + n, ...) that image is the A^(n)-span.  Degree by degree, the spanning
-    vectors that extend it are appended to the map; graded Nakayama makes
-    this a minimal generating set on the window.
-
-    dim_at(d), when given, is dim ((K + N) / N)_d, and span_at(d) is not
-    called where the image modulo N already has that rank: the image lies in
-    K + N, so it is all of it.  The map records in ranks[d] the rank reached
-    at each visited degree, rank [modulo(d) | its columns at d] - rank
-    modulo(d), and modulo in ranks_modulo.
+    span_at(d, have) is any spanning set of K_d over free_basis(tgb, src, d),
+    where have is the rank that the generators already emitted reach at d;
+    it may return [] when K_d has that dimension.  With modulo, the
+    generators are minimal modulo the submodule N of src whose degree-d
+    component modulo(d) spans: they generate (K + N) / N, and have is taken
+    modulo N.  At degree d the A-span of the generators already emitted is
+    the image of the map, read off its component columns at d; on a
+    Veronese grading (degrees m, m + n, ...) that image is the A^(n)-span.
+    Degree by degree, the spanning vectors that extend it are appended to
+    the map; graded Nakayama makes this a minimal generating set on the
+    window.  With no modulo the map records in ranks[d] the rank of its
+    finished degree-d component at each visited degree.
     """
     gens = ModuleMap(tgb, FreeModule(()), src, {})
-    gens.ranks_modulo = modulo
     for d in degrees:
         span = SpanSolver(tgb.field)
         for col in modulo(d) if modulo else ():
@@ -180,11 +176,11 @@ def min_generators(tgb, src, degrees, span_at, modulo=None, dim_at=None):
         if len(gens):
             for col in gens.component_columns(d):
                 span.add(col)
-        if dim_at is None or span.rank - base < dim_at(d):
-            new = [vec for vec in span_at(d) if span.add(vec)]
-            if new:
-                gens.append_generators(d, new)
-        gens.ranks[d] = span.rank - base
+        new = [vec for vec in span_at(d, span.rank - base) if span.add(vec)]
+        if new:
+            gens.append_generators(d, new)
+        if modulo is None:
+            gens.ranks[d] = span.rank
     return gens
 
 
@@ -214,44 +210,30 @@ def kernel_min_generators(f, relations=None, step=1):
     A kernel is computed only at a degree that can emit a generator.  With P
     = f.source and r the relations, dim K_d = dim P_d - (rank [r | f]_d -
     rank r_d).  The generators emitted below d span (gens * A)_d, which lies
-    in K_d; when its rank equals dim K_d it is K_d, no kernel vector extends
-    it, and min_generators skips the kernel there.  Where it is smaller the
-    kernel vectors are offered as before, so the gate changes no generator.
-    The rank of f modulo r is f.ranks[d] where min_generators recorded it
-    modulo the same relations, as each resolution level does for the next;
-    then dim P_d is free_dim and a silent degree builds no column of f.
-    Elsewhere it is linalg.rank of the columns, which the kernel reuses.
-    Columns are built at most once per degree and dropped once the kernel
-    is taken, or when the next degree starts.
+    in K_d and has the rank have; when that equals dim K_d it is K_d, no
+    kernel vector extends it, and the callback returns no vector.  Where it
+    is smaller the kernel vectors are offered as before, so the gate changes
+    no generator.  With no relations the rank of f is f.ranks[d] where
+    min_generators recorded it, as each resolution level does for the next,
+    so a silent degree builds no column of f.  Elsewhere it is linalg.rank
+    of the columns, which the kernel reuses.
     """
     tgb, D = f.tgb, f.tgb.D
     fld = tgb.field
-    rel_columns = relations.component_columns if relations is not None else None
-    handed = f.ranks if f.ranks_modulo == rel_columns else {}
-    held = {}  # degree -> (f's columns, the relations' columns), the degree in hand only
 
-    def columns(d):
-        if d not in held:
-            held.clear()
-            held[d] = f.component_columns(d), rel_columns(d) if rel_columns else []
-        return held[d]
+    def kernel(d, have):
+        dim_p = free_dim(tgb, f.source, d)
+        r = f.ranks.get(d) if relations is None else None
+        if r is not None and dim_p - r == have:
+            return []
+        pcols = f.component_columns(d)
+        rcols = relations.component_columns(d) if relations is not None else []
+        if r is None and dim_p - rank(fld, pcols, rcols) == have:
+            return []
+        return _projected_kernel(fld, pcols, rcols)
 
-    def dim_at(d):
-        r = handed.get(d)
-        if r is None:
-            pcols, rcols = columns(d)
-            r = rank(fld, pcols, rcols)
-        return free_dim(tgb, f.source, d) - r
-
-    def kernel(d):
-        vecs = _projected_kernel(fld, *columns(d))
-        held.clear()
-        return vecs
-
-    return min_generators(
-        tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1, step),
-        kernel, dim_at=dim_at,
-    )
+    degrees = range(min(f.source.shifts, default=D + 1), D + 1, step)
+    return min_generators(tgb, f.source, degrees, kernel)
 
 
 @dataclass
@@ -285,10 +267,10 @@ def minimal_resolution(relations, length=2):
     if length > D:
         raise InputError(f"resolution length {length} > bound {D}: P^i starts in degree i")
     f0 = relations.target
-    if f0.shifts and min(f0.shifts) < 0:
+    if min(f0.shifts + relations.source.shifts, default=0) < 0:
         raise InputError("minimal_resolution expects nonnegative shifts")
 
-    def heads(d):
+    def heads(d, have):
         offsets = _block_offsets(tgb, f0, d)
         return [{offsets[k]: fld.one()} for k, s in enumerate(f0.shifts) if s == d]
 

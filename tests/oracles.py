@@ -487,7 +487,7 @@ def ungated_kernel_min_generators(f, relations=None, step=1):
     rel_columns = relations.component_columns if relations is not None else lambda d: []
     return min_generators(
         tgb, f.source, range(min(f.source.shifts, default=D + 1), D + 1, step),
-        lambda d: _projected_kernel(tgb.field, f.component_columns(d), rel_columns(d)),
+        lambda d, have: _projected_kernel(tgb.field, f.component_columns(d), rel_columns(d)),
     )
 
 

@@ -225,6 +225,16 @@ BAD_INPUTS = {
         tmp, "bad.alg", b"label bad\ngen x 1\nrel x*x \xff\n"), "-D", "3"],
     "module file not UTF-8": lambda tmp: ["tor", str(ALGEBRAS / "free2.alg"), "-D", "4",
         "--module", _write_bytes(tmp, "mod.json", b'{"shifts0": [0], "matrix": [["\xff"]]}')],
+    # 3 has no inverse mod 3, wherever a coefficient is parsed
+    "relation denominator zero in F3": lambda tmp: ["hilbert", _write(
+        tmp, "f3.alg", "gen x 1\ngen y 1\nrel 1/3*x*y - y*x\n"), "-D", "4", "--field", "F3"],
+    "module cell denominator zero in F3": lambda tmp: _tor_module(
+        tmp, json.dumps({"shifts0": [0], "shifts1": [1], "matrix": [["1/3*x"]]})) + ["--field", "F3"],
+    "ideal denominator zero in F3": lambda tmp: [
+        "probe", str(ALGEBRAS / "free2.alg"), "-D", "4", "--ideal", "1/3*x", "--field", "F3"],
+    # the n=0 member is the empty word: the relation 1 = 0
+    "relfam member of degree 0": lambda tmp: ["hilbert", _write(
+        tmp, "fam.alg", "gen x 1\ngen y 1\nrelfam x^{n}  n >= 0\n"), "-D", "4"],
 }
 
 
@@ -237,6 +247,17 @@ def test_bad_input_exit_code(case, tmp_path):
     assert code == 1
     assert err.getvalue().startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("shifts0,shifts1", [([-1], []), ([0], [-2])], ids=["shifts0", "shifts1"])
+def test_negative_module_shift_is_named(shifts0, shifts1, tmp_path):
+    # a negative relation shift is refused up front, not as a degree beyond the bound
+    err = io.StringIO()
+    module = json.dumps({"shifts0": shifts0, "shifts1": shifts1, "matrix": []})
+    with redirect_stderr(err):
+        code, out = run_cli(_tor_module(tmp_path, module))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == "error: minimal_resolution expects nonnegative shifts\n"
 
 
 def test_veronese_names_missing_degree_one_generation(tmp_path):

@@ -14,7 +14,6 @@ from cohprobe.coherence import (
     classify_profile,
     enumerate_ideals,
     ideal_map,
-    ideal_tor0_profile,
     noetherian_chain_profile,
     probe_algebra,
     probe_ideal,
@@ -192,11 +191,11 @@ def test_noetherian_chain(tgb_fast):
     (["x*y", "y"], [0, 1, 1, 0, 0, 0, 0]),   # x*y is not in yA
 ], ids=["x", "x,x*y", "x,y", "x*y,y"])
 def test_ideal_tor0_profile(tgb_fast, texts, profile):
+    # Tor_0(J, k) = Tor_1(A/J, k): the minimal generators of J are level 1 of
+    # a resolution of A/J, as the Noetherian staircase reads them
     tgb = tgb_fast("free2", 6)
-    from cohprobe.freealg import parse_poly
-
-    gens = [parse_poly(tgb.gt, tgb.field, t) for t in texts]
-    assert ideal_tor0_profile(tgb, gens) == profile
+    f = ideal_map(tgb, RightIdealSpec.from_strings(tgb, texts))
+    assert minimal_resolution(f, length=1).tor[1] == profile
 
 
 def test_probe_mixed_degree_ideal(tgb_fast):

@@ -134,6 +134,10 @@ def test_kernel_min_generators_relations(field):
         assert len(got) > 0
         assert got.source.shifts == want.source.shifts
         assert got.entries == want.entries
+        # P^0 is built modulo the relations, so it records no ranks, and its
+        # plain kernel is gated on ranks taken from its own columns
+        assert p0.ranks == {}
+        _same_map(kernel_min_generators(p0), ungated_kernel_min_generators(p0), relations.entries)
 
 
 def test_every_syzygy_module_is_kernel_min_generators(monkeypatch, tgb_fast):
@@ -254,17 +258,14 @@ def test_gate_computes_kernels_only_where_generators_appear(monkeypatch, corpus_
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
 def test_recorded_ranks_are_eliminated_ranks(field):
-    # min_generators records, at each degree it visits, rank [modulo | the
-    # finished map's columns] - rank modulo; a SpanSolver elimination of the
-    # same columns must agree, with and without modulo
+    # min_generators with no modulo records, at each degree it visits, the
+    # rank of the finished map's columns; a SpanSolver elimination of the
+    # same columns must agree.  P^0, built modulo the relations, records none
     def eliminated(gens, d):
         span = SpanSolver(field)
-        for col in gens.ranks_modulo(d) if gens.ranks_modulo else ():
-            span.add(col)
-        base = span.rank
         for col in gens.component_columns(d):
             span.add(col)
-        return span.rank - base
+        return span.rank
 
     example2 = _example2(field, 7)
     sklyanin = complete_to_degree(parse_algebra_file(_sklyanin_alg(-2, 2, -1), field=field), 6)
@@ -272,25 +273,21 @@ def test_recorded_ranks_are_eliminated_ranks(field):
     for relations in (simple_module(sklyanin), _module_from_json(example2, MODULE)):
         D = relations.tgb.D
         res = minimal_resolution(relations, length=3)
-        p0 = res.p0_map
-        assert p0.ranks_modulo == relations.component_columns
-        assert set(p0.ranks) == {s for s in relations.target.shifts if s <= D}
-        checked.append(p0)
-        maps = [p0, *res.diffs]
+        assert res.p0_map.ranks == {}
+        maps = [res.p0_map, *res.diffs]
         for i, level in enumerate(res.diffs):
-            assert level.ranks_modulo is None
             assert set(level.ranks) == set(range(min(maps[i].source.shifts), D + 1))
             checked.append(level)
     for ideal in enumerate_ideals(sklyanin, 2, 6):
         f = ideal_map(sklyanin, ideal)
         checked.append(kernel_min_generators(f))
-        checked.append(min_generators(sklyanin, f.target, range(7), f.component_columns))
+        checked.append(min_generators(sklyanin, f.target, range(7),
+                                      lambda d, have: f.component_columns(d)))
     checked.append(kernel_min_generators(pm_onto(example2, 1), step=2))
     for gens in checked:
         assert gens.ranks
         for d, r in gens.ranks.items():
             assert r == eliminated(gens, d), (d, gens.source.shifts)
-    assert sum(gens.ranks_modulo is not None for gens in checked) == 2
     assert sum(any(gens.ranks.values()) for gens in checked) > len(checked) // 2
 
 

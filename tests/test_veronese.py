@@ -102,7 +102,7 @@ def pm_syzygies_by_hand(tgb, n, m):
     window = (D - m) // n
     return min_generators(
         tgb, onto.source, range(m, m + window * n + 1, n),
-        lambda d: kernel_basis(fld, onto.component_columns(d)),
+        lambda d, have: kernel_basis(fld, onto.component_columns(d)),
     )
 
 
