@@ -196,27 +196,45 @@ class TruncatedGroebnerBasis:
         same word with the same coefficient.  Over F_p, a is 1 and
         field.canonical keeps the numerator a residue.  Other bases use
         _reduce_terms.
+
+        The chase searches only where a lead can start.  Let L be the
+        length of the longest lead.  A lead at [p, q) with p <= s - L ends
+        at q <= p + L <= s, inside w[:s]; so when w[:s] is normal, the
+        leftmost lead of w starts at or after s - L + 1, and
+        find(w, max(0, s - L + 1)) is find(w).  Two such s are known:
+        - the junction (products): in w*u with w and u normal, w[:len w]
+          is normal, so the first search starts at len(w) - L + 1;
+        - the restart: after a rewrite at [i, j) of the leftmost lead, the
+          new word keeps w[:i], which held no lead (none starts left of i,
+          and a lead inside w[:i] would), so the next search starts at
+          i - L + 1.  A lead of the new word may still start left of i,
+          ending inside the rewritten part; the bound keeps it in view.
         """
         row = self._rows.get(word)
         if row is None:
             row = self._rows[word] = self._new_row(word)
         return row
 
-    def _new_row(self, word):
-        """NF(word) as a row, built as normal_form_row describes."""
-        idx = self.normal_index(self.gt.word_degree(word))
+    def _new_row(self, word, d=None, start=0):
+        """NF(word) as a row, built as normal_form_row describes.
+
+        d is deg word when the caller knows it.  No lead of word may start
+        before start, which start=0 always satisfies."""
+        idx = self.normal_index(self.gt.word_degree(word) if d is None else d)
         if not self.binomial:
             nf = _reduce_terms({word: self.field.one()}, self._index)
             return {idx[t]: c for t, c in nf.items()}
         find, canonical = self._index.find, self.field.canonical
+        back = self._index.longest - 1
         num = den = 1
-        while (pos := find(word)) is not None:
+        while (pos := find(word, start)) is not None:
             i, j, (a, tail) = pos
             if not tail:
                 return {}
             ((t, tc),) = tail
             word = word[:i] + t + word[j:]
             num, den = canonical(num * tc), den * a
+            start = max(0, i - back)
         return {idx[word]: self.field.of_fraction(num, den)}
 
     def normal_form_word(self, word):
@@ -229,14 +247,25 @@ class TruncatedGroebnerBasis:
 
         Row i is normal_form_row(word * u) for u the i-th word of
         normal_words(e).  The table lists the stored rows, so a product word
-        reached by several splits is one row.
+        reached by several splits is one row.  When word is normal, a new
+        row's chase starts at the junction (see normal_form_row); otherwise
+        at 0.
         """
         key = (e, word)
         rows = self._products.get(key)
         if rows is None:
-            rows = self._products[key] = [
-                self.normal_form_row(word + u) for u in self.normal_words(e)
-            ]
+            memo, new_row = self._rows, self._new_row
+            d = e + self.gt.word_degree(word)
+            start = 0
+            if self._index.find(word) is None:
+                start = max(0, len(word) - self._index.longest + 1)
+            rows = self._products[key] = []
+            for u in self.normal_words(e):
+                wu = word + u
+                row = memo.get(wu)
+                if row is None:
+                    row = memo[wu] = new_row(wu, d, start)
+                rows.append(row)
         return rows
 
     def normal_form(self, q):
@@ -253,7 +282,18 @@ class TruncatedGroebnerBasis:
     # --- normal word bases --------------------------------------------
 
     def normal_words(self, d):
-        """Ordered basis of A_d: words of degree d with no leading word as factor."""
+        """Ordered basis of A_d: words of degree d with no leading word as
+        factor, ascending by word_key.
+
+        The walk is depth first and pushes the letters greatest prec_value
+        first, so it pops them least first and emits the words in
+        lexicographic order of their prec_value sequences: every word
+        extending prefix + (x,) comes out before any extending prefix + (y,)
+        when prec_value[x] < prec_value[y].  That is word_key's order on one
+        degree: weights are positive, so no word of degree d is a proper
+        prefix of another, and two of them compare at their first differing
+        letter, where the walk forked.
+        """
         if d < 0:
             return []
         if d > self.D:
@@ -263,6 +303,7 @@ class TruncatedGroebnerBasis:
             return cached
         gt = self.gt
         step = self._index.step
+        letters = sorted(enumerate(gt.weights), key=lambda iw: gt.prec_value[iw[0]], reverse=True)
         out = []
         stack = [((), d, [self._index.root])]
         while stack:
@@ -270,12 +311,11 @@ class TruncatedGroebnerBasis:
             if rem == 0:
                 out.append(prefix)
                 continue
-            for i, w in enumerate(gt.weights):
+            for i, w in letters:
                 if w <= rem:
                     nxt = step(live, i)
                     if nxt is not None:
                         stack.append((prefix + (i,), rem - w, nxt))
-        out.sort(key=lambda w: word_key(gt, w))
         self._normal_words[d] = out
         return out
 
@@ -355,12 +395,13 @@ class _LeadIndex:
     integer form from field.integral (over Q the least integer multiple,
     which is primitive as g is monic; over F_p g itself), a is G's lead
     coefficient and tail lists the other terms of -G.  Leads are never
-    factors of one another.
+    factors of one another.  longest is the length of the longest lead.
     """
 
     def __init__(self, gt, field):
         self.field = field
         self.root = {}
+        self.longest = 0
         # heap key of a word: rewriting pops the largest word first
         self.neg_prec = [-v for v in gt.prec_value]
 
@@ -369,17 +410,20 @@ class _LeadIndex:
         node = self.root
         for x in lead:
             node = node.setdefault(x, {})
+        self.longest = max(self.longest, len(lead))
         _, G = self.field.integral(g.terms)
         neg = self.field.neg
         reducer = node[None] = (G[lead], [(t, neg(c)) for t, c in G.items() if t != lead])
         return reducer
 
-    def find(self, word):
-        """(start, end, reducer) of the leftmost lead word in word, the
-        shortest one at that start; None when word is normal."""
+    def find(self, word, start=0):
+        """(i, j, reducer) of the leftmost lead word word[i:j] with
+        i >= start, the shortest one at that i; None when there is none.
+        With start=0, None means word is normal; a caller passing
+        start > 0 must know that no lead starts before it."""
         n = len(word)
         root = self.root
-        for i in range(n):
+        for i in range(start, n):
             node = root
             for j in range(i, n):
                 node = node.get(word[j])

@@ -9,7 +9,15 @@ import cohprobe.gbasis as gbasis
 from cohprobe.algfile import parse_algebra_file
 from cohprobe.coherence import RightIdealSpec, builtin_corpus, probe_ideal
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
-from cohprobe.freealg import GeneratorTable, NcPoly, enumerate_words, parse_poly, poly_str
+from cohprobe.freealg import (
+    GeneratorTable,
+    NcPoly,
+    enumerate_words,
+    leading_word,
+    parse_poly,
+    poly_str,
+    word_key,
+)
 from cohprobe.gbasis import (
     AlgebraPresentation,
     complete_to_degree,
@@ -363,9 +371,9 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
     seen, reduced = [], []
     real_row, real_reduce = gbasis.TruncatedGroebnerBasis._new_row, gbasis._reduce_terms
 
-    def counted_row(self, word):
+    def counted_row(self, word, *hints):
         seen.append(word)
-        return real_row(self, word)
+        return real_row(self, word, *hints)
 
     def counted_reduce(terms, index):
         reduced.append(tuple(terms))
@@ -401,6 +409,71 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
             for w in enumerate_words(tgb.gt, d):
                 row = tgb.normal_form_row(w)
                 assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}
+
+
+@pytest.mark.parametrize("name", ["example2", "weighted_frac", "sklyanin(-2,2,-1)"])
+def test_product_rows_searched_from_the_junction(name):
+    # a chase for w*u with w normal searches from len(w) - L + 1, and after a
+    # rewrite at i from i - L + 1 (L the longest lead); every row of every
+    # table through D=6, for every w through degree 5, normal or not, is the
+    # reference rewriting's.  Each w gets a basis with no stored rows, so
+    # each of its rows is built from the split w * u.  example2 (binomial),
+    # weighted_frac (a weight-2 letter, non-unit integer leads) and
+    # Sklyanin (three-term elements, rows by _reduce_terms)
+    text = {
+        "example2": (ALGEBRAS / "example2.alg").read_text(encoding="utf-8"),
+        "weighted_frac": WEIGHTED_FRAC,
+        "sklyanin(-2,2,-1)": _sklyanin_alg(-2, 2, -1),
+    }[name]
+    D = 6
+    tgb = complete_to_degree(parse_algebra_file(text), D)
+    assert tgb.binomial is (name != "sklyanin(-2,2,-1)")
+    gt, one = tgb.gt, tgb.field.one()
+    if tgb.binomial:
+        # the chase of x*x*z rewrites x*z at 1 and then meets x*z at 0, left
+        # of the rewrite: the case the restart bound must not skip
+        x, z = gt.index("x"), gt.index("z")
+        assert tgb._index.find((x, x, z))[:2] == (1, 3)
+        assert tgb._index.find((x, z, x))[:2] == (0, 2)
+    wanted = {}
+    normal_seen = non_normal_seen = 0
+    for dw in range(6):
+        for w in enumerate_words(gt, dw):
+            if tgb._index.find(w) is None:
+                normal_seen += 1
+            else:
+                non_normal_seen += 1
+            fresh = tgb.truncated(D)
+            for e in range(D - dw + 1):
+                idx = fresh.normal_index(e + dw)
+                for u, row in zip(fresh.normal_words(e), fresh.products(e, w)):
+                    if w + u not in wanted:
+                        want = reference_normal_form(tgb, {w + u: one})
+                        wanted[w + u] = {idx[t]: c for t, c in want.items()}
+                    assert row == wanted[w + u], (name, w, u)
+    assert normal_seen and non_normal_seen
+
+
+def test_normal_words_come_out_in_order():
+    # the depth-first walk follows prec_value, not the letter index: here z
+    # is the greatest letter and y (weight 2) the least
+    gt = GeneratorTable(["x", "y", "z"], weights=[1, 2, 1], precedence=["z", "x", "y"])
+    p = AlgebraPresentation(QQ, gt, [parse_poly(gt, QQ, r) for r in ("z*x - x*z", "y*z - x*x*z")])
+    D = 8
+    tgb = complete_to_degree(p, D)
+    leads = [leading_word(gt, g) for g in tgb.elements]
+
+    def normal(w):
+        return not any(w[i:i + len(lw)] == lw for lw in leads for i in range(len(w)))
+
+    counts = normal_word_counts(tgb)
+    for d in range(D + 1):
+        words = tgb.normal_words(d)
+        assert words == sorted(words, key=lambda w: word_key(gt, w)), d
+        assert words == [w for w in enumerate_words(gt, d) if normal(w)], d
+        assert len(words) == counts[d], d
+    # the letter index order would give another order
+    assert sorted(tgb.normal_words(3)) != tgb.normal_words(3)
 
 
 def test_word_walkers_leave_no_reference_cycles():
