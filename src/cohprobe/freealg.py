@@ -71,9 +71,11 @@ def word_key(gt, word):
 
 
 def enumerate_words(gt, d):
-    """All words of degree exactly d, sorted ascending by the order."""
+    """All words of degree exactly d, ascending by word_key: the walk is
+    depth first by prec_value, as TruncatedGroebnerBasis.normal_words."""
     if d < 0:
         raise InputError("degree must be >= 0")
+    letters = sorted(enumerate(gt.weights), key=lambda iw: gt.prec_value[iw[0]], reverse=True)
     out = []
     stack = [((), d)]
     while stack:
@@ -81,10 +83,9 @@ def enumerate_words(gt, d):
         if rem == 0:
             out.append(prefix)
             continue
-        for i, w in enumerate(gt.weights):
+        for i, w in letters:
             if w <= rem:
                 stack.append((prefix + (i,), rem - w))
-    out.sort(key=lambda w: word_key(gt, w))
     return out
 
 

@@ -392,8 +392,8 @@ class _LeadIndex:
 
     A node maps a letter to the next node; the node where a lead word ends
     also maps None to the reducer (a, tail) of its element g.  G is g's
-    integer form from field.integral (over Q the least integer multiple,
-    which is primitive as g is monic; over F_p g itself), a is G's lead
+    integer form, a new dict from field.integral (over Q the least integer
+    multiple, primitive as g is monic; over F_p a copy of g), a is G's lead
     coefficient and tail lists the other terms of -G.  Leads are never
     factors of one another.  longest is the length of the longest lead.
     """
@@ -470,7 +470,6 @@ def _reduce_terms(terms, index):
     push, pop = heapq.heappush, heapq.heappop
     neg_prec = index.neg_prec.__getitem__
     lam, pending = fld.integral(terms)
-    pending = dict(pending)
     heap = [(tuple(map(neg_prec, w)), w) for w in pending]
     heapq.heapify(heap)
     result = {}
@@ -675,7 +674,8 @@ def _ideal_slice(p, d):
     family member, eliminated directly with no Groebner machinery.
     """
     gt, fld = p.gens, p.field
-    index = {w: i for i, w in enumerate(enumerate_words(gt, d))}
+    words = [enumerate_words(gt, e) for e in range(d + 1)]
+    index = {w: i for i, w in enumerate(words[d])}
     solver = SpanSolver(fld)
     for r in p.relations_through(d):
         rd = r.degree
@@ -683,8 +683,8 @@ def _ideal_slice(p, d):
             continue
         rest = d - rd
         for a in range(rest + 1):
-            for u in enumerate_words(gt, a):
-                for v in enumerate_words(gt, rest - a):
+            for u in words[a]:
+                for v in words[rest - a]:
                     solver.add({index[u + t + v]: c for t, c in r.terms.items()})
     return index, solver
 

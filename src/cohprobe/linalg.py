@@ -11,8 +11,8 @@ fraction-free on both fields, in one loop: echelon rows are integer
 vectors, and a residue is cleared by integer cross-multiplication (one-step
 fraction-free elimination; E. H. Bareiss, Math. Comp. 22 (1968) gives the
 multistep form), so no ``Fraction`` is built inside the loop.  A field
-supplies two hooks: ``integral_copy``, the integer vector elimination
-starts from, and ``normalized``, the canonical form of a new row.
+supplies two hooks: ``integral``, an integer multiple of a vector as a new
+dict the caller owns, and ``normalized``, the canonical form of a new row.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class Rationals:
         """(m, {k: m * v}) for the least integer m > 0 making every value integral."""
         m = lcm(*(v.denominator for v in terms.values()))
         return m, {k: v.numerator * (m // v.denominator) for k, v in terms.items()}
-
-    def integral_copy(self, vec):
-        """The least positive integer multiple of vec, as a new dict of ints."""
-        return self.integral(vec)[1]
 
     def normalized(self, vec, pivot):
         """The integer vector vec divided by its content, signed so that its
@@ -115,8 +111,6 @@ class PrimeField:
             raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        # residues already are integers, so the copy is dict itself, a C call
-        self.integral_copy = dict
 
     def one(self):
         return 1
@@ -125,8 +119,8 @@ class PrimeField:
         return num * pow(den, -1, self.p) % self.p
 
     def integral(self, terms):
-        """(1, terms): residues already are integers; the dict is not copied."""
-        return 1, terms
+        """(1, a new dict of terms): residues already are integers."""
+        return 1, dict(terms)
 
     def normalized(self, vec, pivot):
         """vec divided by its pivot entry, of value pivot: a row with pivot 1."""
@@ -205,19 +199,19 @@ class SpanSolver:
     def reduce(self, vec):
         """The residue of vec against the stored rows, as a new dict of ints.
 
-        Elimination starts from field.integral_copy(vec).  A hit on the
+        Elimination runs on field.integral(vec), a new dict.  A hit on the
         pivot column c of a row with pivot a, where the residue holds b, is
         cleared by residue <- (a/g)*residue - (b/g)*row with g = gcd(a, b).
         So the residue is a nonzero integer multiple of the residue over the
         field.  Over F_p every pivot is 1, the multiple is 1, and the step is
         the F_p axpy with coefficient -b.
         """
+        return self._clear(self.field.integral(vec)[1])
+
+    def _clear(self, residue):
+        """reduce's elimination on residue, an integer vector that the
+        caller owns and hands over; returns the residue."""
         field, pivot_rows = self.field, self.pivot_rows
-        # read, then called: looked up as a method, PrimeField's instance
-        # attribute takes CPython 3.11's unspecialized path, about 25 ns on
-        # each of the many short reductions over F_p
-        integral_copy = field.integral_copy
-        residue = integral_copy(vec)
         while True:
             hits = residue.keys() & pivot_rows.keys()
             if not hits:
@@ -284,14 +278,14 @@ def kernel_basis(field, columns):
     One vector per column j that depends on the columns before it, in
     ascending j: a 1 in position j and minus the dependency coefficients on
     the independent columns, so the count is len(columns) - rank.  Column j
-    is eliminated with a unit entry at n + j, n one past the largest row
-    index, so its residue records the combination it came from: a residue
-    with no entry below n is a multiple of the kernel vector shifted by n,
-    and any other residue is stored.  A kernel vector is divided once by
-    its entry at n + j, which elimination over Q has multiplied by an
-    integer; over F_p that entry stays 1, since no row stored before column
-    j has an entry at n + j.  An empty column is not eliminated: its
-    residue would be {n + j: 1}, so its kernel vector is {j: 1}.
+    is eliminated as m * col, its copy from field.integral, with m at n + j,
+    n one past the largest row index, so its residue records the
+    combination it came from: a residue with no entry below n is a multiple
+    of the kernel vector shifted by n, and any other residue is stored.  A
+    kernel vector is divided once by its entry at n + j, a nonzero integer
+    over Q; over F_p m = 1 and that entry stays 1, since no row
+    stored before column j has an entry at n + j.  An empty column is not
+    eliminated: its residue would be {n + j: 1}, so its vector is {j: 1}.
     """
     n = 1 + max((max(col) for col in columns if col), default=-1)
     solver = SpanSolver(field)
@@ -301,7 +295,9 @@ def kernel_basis(field, columns):
         if not col:
             out.append({j: one})
             continue
-        residue = solver.reduce({**col, n + j: one})
+        m, residue = field.integral(col)
+        residue[n + j] = m
+        residue = solver._clear(residue)
         if min(residue) < n:
             solver._insert(residue)
         else:

@@ -470,6 +470,8 @@ def test_normal_words_come_out_in_order():
     for d in range(D + 1):
         words = tgb.normal_words(d)
         assert words == sorted(words, key=lambda w: word_key(gt, w)), d
+        free = enumerate_words(gt, d)
+        assert all(word_key(gt, a) < word_key(gt, b) for a, b in zip(free, free[1:])), d
         assert words == [w for w in enumerate_words(gt, d) if normal(w)], d
         assert len(words) == counts[d], d
     # the letter index order would give another order

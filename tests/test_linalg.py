@@ -1,11 +1,14 @@
+import copy
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohprobe.algfile import parse_algebra_file
 from cohprobe.errors import InputError
 from cohprobe.freealg import GeneratorTable, NcPoly
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
@@ -17,10 +20,22 @@ from cohprobe.linalg import (
     _is_prime,
     kernel_basis,
     parse_field,
+    rank,
 )
 
-from oracles import field_mul, kernel_dim, reference_axpy, reference_scale, span_contains, span_rank
+from oracles import (
+    field_mul,
+    kernel_dim,
+    reference_axpy,
+    reference_normal_form,
+    reference_scale,
+    span_contains,
+    span_rank,
+)
+from test_report_digests import _sklyanin_alg
 from windows import ModuleComponents
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def columns_of(field, rows):
@@ -207,8 +222,8 @@ def test_kernel_basis_skips_empty_columns(field, monkeypatch):
         data = [[rng.randrange(-3, 4) * (j % 3 != 1) for j in range(ncols)] for _ in range(rows)]
         cases.append(columns_of(field, data))
     reduced = []
-    reduce = SpanSolver.reduce
-    monkeypatch.setattr(SpanSolver, "reduce", lambda self, vec: reduced.append(vec) or reduce(self, vec))
+    clear = SpanSolver._clear
+    monkeypatch.setattr(SpanSolver, "_clear", lambda self, vec: reduced.append(vec) or clear(self, vec))
     for cols in cases:
         assert any(not col for col in cols)
         expected = _kernel_basis_eliminating_every_column(field, cols)
@@ -443,3 +458,47 @@ def test_reduce_residue_contract(field):
                 reference_axpy(field, diff, field.of_fraction(-1, 1), r)
                 assert span_contains(field, rows, diff)
     assert checked[True] > 50 and checked[False] > 50
+
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_elimination_never_mutates_its_inputs(field):
+    # product-table rows are shared across tables, so an elimination that
+    # wrote into a column it was handed would corrupt them silently.  add,
+    # rank (counted and eliminated) and kernel_basis leave every column as
+    # it was: the product tables of example2 (one-term rows) and of a
+    # Sklyanin basis (dense rows), and random columns with non-integral
+    # entries over Q, some shared between positions
+    texts = [(ALGEBRAS / "example2.alg").read_text(encoding="utf-8"), _sklyanin_alg(-2, 2, -1)]
+    rng = random.Random(64)
+    matrices = []
+    tables = []
+    for text in texts:
+        tgb = complete_to_degree(parse_algebra_file(text, field=field), 5)
+        for dw in (1, 2):
+            for w in tgb.normal_words(dw):
+                for e in range(1, 6 - dw):
+                    rows = tgb.products(e, w)
+                    tables.append((tgb, w, e, rows))
+                    matrices.append(rows)
+    for _ in range(20):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(2, 7)
+        cols = [{i: field.of_fraction(rng.choice((-3, -1, 1, 2, 4)), rng.randrange(1, 4)) for i in range(nrows)
+                 if rng.random() < 0.7} for _ in range(ncols)]
+        matrices.append(cols + [cols[0]])
+    assert any(max(map(len, cols)) > 1 for cols in matrices)
+    assert any(max(map(len, cols), default=0) <= 1 and any(cols) for cols in matrices)
+    for k, cols in enumerate(matrices):
+        before = copy.deepcopy(cols)
+        solver = SpanSolver(field)
+        for col in cols:
+            solver.add(col)
+        rank(field, cols)
+        rank(field, cols[1:], cols[:1])
+        kernel_basis(field, cols)
+        assert cols == before, k
+    one = field.one()
+    for tgb, w, e, rows in tables:
+        idx = tgb.normal_index(e + tgb.gt.word_degree(w))
+        for u, row in zip(tgb.normal_words(e), rows):
+            assert row == {idx[t]: c for t, c in reference_normal_form(tgb, {w + u: one}).items()}
