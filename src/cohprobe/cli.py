@@ -37,7 +37,7 @@ from .gbasis import complete_to_degree, component_dim_bruteforce, hilbert_dims, 
 from .grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from .linalg import parse_field
 from .veronese import pm_module_presentations, veronese_cross_check, veronese_presentation
-from .zalg import ZAlgebraWindow, cohproj_hom, projective_window
+from .zalg import ZAlgebraWindow, cohproj_hom, transport_module
 
 
 def _presentation_hash(pres):
@@ -286,7 +286,7 @@ def cmd_zalg(args):
     audit = zw.audit()
     report = _base_report(pres, args)
     hom_top = min(hi, args.hom_range)
-    projectives = [projective_window(tgb, a, lo, hi) for a in range(0, hom_top + 1)]
+    projectives = [transport_module(zw, a) for a in range(0, hom_top + 1)]
     homtables = {}
     for a in range(0, hom_top + 1):
         for b in range(a, hom_top + 1):

@@ -203,6 +203,11 @@ def poly_str(gt, field, p):
 # terms joined by + / -, products with *, powers with ^, optional integer
 # (or integer/integer) coefficients: "x*z - z*x", "x*y^3*x", "2*x - 1/2*y".
 
+# the largest power parse_poly accepts: a power is written out letter by
+# letter, so a larger one is refused before its word is built
+MAX_EXPONENT = 10**6
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -284,6 +289,8 @@ def parse_poly(gt, field, text):
                     if ek != "int":
                         raise ParseError("expected integer exponent after '^'", col=ecol)
                     exp = int(ev)
+                    if exp > MAX_EXPONENT:
+                        raise ParseError(f"exponent {exp} > {MAX_EXPONENT}", col=ecol)
                     pos += 1
                 word.extend([idx] * exp)
             else:

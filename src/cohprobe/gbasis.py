@@ -45,27 +45,27 @@ class RelationFamily:
     n_min: int
     raw: str = ""
 
-    def member_word(self, n):
-        word = []
-        for idx, (a, b) in self.factors:
-            exp = a * n + b
-            if exp < 0:
-                raise InputError(f"negative exponent at n={n} in {self.raw!r}")
-            word.extend([idx] * exp)
-        return tuple(word)
+    def member_exponents(self, n):
+        """[(generator index, exponent)] of the member at n."""
+        out = [(idx, a * n + b) for idx, (a, b) in self.factors]
+        if any(exp < 0 for _, exp in out):
+            raise InputError(f"negative exponent at n={n} in {self.raw!r}")
+        return out
+
+    def member_degree(self, gt, n):
+        return sum(gt.weights[idx] * exp for idx, exp in self.member_exponents(n))
 
     def degree_slope(self, gt):
         return sum(gt.weights[idx] * a for idx, (a, _) in self.factors)
 
     def expand(self, gt, field, bound):
+        """The members of degree <= bound; a word is built only for those."""
         if self.degree_slope(gt) <= 0:
             raise InputError(f"relation family {self.raw!r} does not grow in degree")
         out = []
         n = self.n_min
-        while True:
-            word = self.member_word(n)
-            if gt.word_degree(word) > bound:
-                break
+        while self.member_degree(gt, n) <= bound:
+            word = tuple(idx for idx, exp in self.member_exponents(n) for _ in range(exp))
             out.append(NcPoly.monomial(gt, field, word))
             n += 1
         return out
@@ -112,7 +112,7 @@ def validate_presentation(p):
     for fam in p.relfams:
         if fam.degree_slope(p.gens) <= 0:
             raise NonHomogeneousRelation(f"family {fam.raw!r} does not grow in degree")
-        if not fam.member_word(fam.n_min):
+        if fam.member_degree(p.gens, fam.n_min) == 0:
             raise NonHomogeneousRelation(
                 f"family {fam.raw!r} has the empty word, the relation 1 = 0, at n={fam.n_min}")
 
@@ -196,45 +196,28 @@ class TruncatedGroebnerBasis:
         same word with the same coefficient.  Over F_p, a is 1 and
         field.canonical keeps the numerator a residue.  Other bases use
         _reduce_terms.
-
-        The chase searches only where a lead can start.  Let L be the
-        length of the longest lead.  A lead at [p, q) with p <= s - L ends
-        at q <= p + L <= s, inside w[:s]; so when w[:s] is normal, the
-        leftmost lead of w starts at or after s - L + 1, and
-        find(w, max(0, s - L + 1)) is find(w).  Two such s are known:
-        - the junction (products): in w*u with w and u normal, w[:len w]
-          is normal, so the first search starts at len(w) - L + 1;
-        - the restart: after a rewrite at [i, j) of the leftmost lead, the
-          new word keeps w[:i], which held no lead (none starts left of i,
-          and a lead inside w[:i] would), so the next search starts at
-          i - L + 1.  A lead of the new word may still start left of i,
-          ending inside the rewritten part; the bound keeps it in view.
         """
         row = self._rows.get(word)
         if row is None:
             row = self._rows[word] = self._new_row(word)
         return row
 
-    def _new_row(self, word, d=None, start=0):
-        """NF(word) as a row, built as normal_form_row describes.
-
-        d is deg word when the caller knows it.  No lead of word may start
-        before start, which start=0 always satisfies."""
+    def _new_row(self, word, d=None):
+        """NF(word) as a row, built as normal_form_row describes; d is deg
+        word when the caller knows it."""
         idx = self.normal_index(self.gt.word_degree(word) if d is None else d)
         if not self.binomial:
             nf = _reduce_terms({word: self.field.one()}, self._index)
             return {idx[t]: c for t, c in nf.items()}
         find, canonical = self._index.find, self.field.canonical
-        back = self._index.longest - 1
         num = den = 1
-        while (pos := find(word, start)) is not None:
+        while (pos := find(word)) is not None:
             i, j, (a, tail) = pos
             if not tail:
                 return {}
             ((t, tc),) = tail
             word = word[:i] + t + word[j:]
             num, den = canonical(num * tc), den * a
-            start = max(0, i - back)
         return {idx[word]: self.field.of_fraction(num, den)}
 
     def normal_form_word(self, word):
@@ -247,24 +230,19 @@ class TruncatedGroebnerBasis:
 
         Row i is normal_form_row(word * u) for u the i-th word of
         normal_words(e).  The table lists the stored rows, so a product word
-        reached by several splits is one row.  When word is normal, a new
-        row's chase starts at the junction (see normal_form_row); otherwise
-        at 0.
+        reached by several splits is one row.
         """
         key = (e, word)
         rows = self._products.get(key)
         if rows is None:
             memo, new_row = self._rows, self._new_row
             d = e + self.gt.word_degree(word)
-            start = 0
-            if self._index.find(word) is None:
-                start = max(0, len(word) - self._index.longest + 1)
             rows = self._products[key] = []
             for u in self.normal_words(e):
                 wu = word + u
                 row = memo.get(wu)
                 if row is None:
-                    row = memo[wu] = new_row(wu, d, start)
+                    row = memo[wu] = new_row(wu, d)
                 rows.append(row)
         return rows
 
@@ -395,13 +373,12 @@ class _LeadIndex:
     integer form, a new dict from field.integral (over Q the least integer
     multiple, primitive as g is monic; over F_p a copy of g), a is G's lead
     coefficient and tail lists the other terms of -G.  Leads are never
-    factors of one another.  longest is the length of the longest lead.
+    factors of one another.
     """
 
     def __init__(self, gt, field):
         self.field = field
         self.root = {}
-        self.longest = 0
         # heap key of a word: rewriting pops the largest word first
         self.neg_prec = [-v for v in gt.prec_value]
 
@@ -410,20 +387,17 @@ class _LeadIndex:
         node = self.root
         for x in lead:
             node = node.setdefault(x, {})
-        self.longest = max(self.longest, len(lead))
         _, G = self.field.integral(g.terms)
         neg = self.field.neg
         reducer = node[None] = (G[lead], [(t, neg(c)) for t, c in G.items() if t != lead])
         return reducer
 
-    def find(self, word, start=0):
-        """(i, j, reducer) of the leftmost lead word word[i:j] with
-        i >= start, the shortest one at that i; None when there is none.
-        With start=0, None means word is normal; a caller passing
-        start > 0 must know that no lead starts before it."""
+    def find(self, word):
+        """(i, j, reducer) of the leftmost lead word word[i:j], the shortest
+        one at that i; None when word is normal."""
         n = len(word)
         root = self.root
-        for i in range(start, n):
+        for i in range(n):
             node = root
             for j in range(i, n):
                 node = node.get(word[j])

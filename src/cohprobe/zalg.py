@@ -1,10 +1,12 @@
-"""Z-algebra windows, free module transport and cohproj Hom.
+"""Z-algebra windows, the projectives P_j and cohproj Hom.
 
-A graded algebra A gives the Z-algebra with components A_ij = A_{j-i}; a
-free graded right module F transports to the window module with (F_Z)_i
-equal to F_{-i}.  The multiplication A_jk (x) A_ij -> A_ik composes the
-graded factors as (x, y) -> x*y, and the right action lowers the window
-index.  Both are read off the product tables of the basis.
+A graded algebra A gives the Z-algebra with components A_ij = A_{j-i}.  The
+multiplication A_jk (x) A_ij -> A_ik composes the graded factors as
+(x, y) -> x*y and is read off the product tables of the basis.  The
+projective P_j = (+)_i A_ij is column j of the window: its component i is
+A_ij, and A_ik acts on (P_j)_k = A_kj by that same multiplication, so its
+action tensors are the window's own and the right action lowers the window
+index.
 
 Hom in cohproj is computed by truncation-stabilization: the dimension of
 the degree-0 homomorphism space Hom(M_{<=n}, N) is tabulated as n walks
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeBoundExceeded, InputError, WindowTooShallow
 from .gbasis import complete_to_degree  # noqa: F401  (a binding the bench tracer patches)
-from .grmod import FreeModule, _block_offsets, _shifted, free_basis
+from .grmod import free_basis  # noqa: F401  (a binding the bench tracer patches)
 from .linalg import SpanSolver
 
 STABLE_RUN = 4
@@ -142,35 +144,17 @@ class ZModuleWindow:
         return self.act.get((i, j))
 
 
-def transport_module(tgb, free, lo, hi):
-    """Window module of the free module F: (F_Z)_i = F_{-i}, on free_basis(tgb, F, -i).
+def transport_module(zw, j):
+    """P_j on the window of zw: (P_j)_i = A_ij, acted on by A_ik through zw.mult.
 
-    The pair (k, u) of (F_Z)_j times the word a of A_ij is e_k * NF(u * a):
-    row a of the product table of u at degree j - i, moved to block k.  The
-    rows are the table's own, so callers only read them.
+    Entry [b][a] of the action of A_ik on (P_j)_k is NF(x_b * y_a), row a of
+    the product table of the normal word x_b at degree k - i.  The rows are
+    the tables' own, so callers only read them.
     """
-    bases = {}
-    offsets = {}
-    for i in range(lo, hi + 1):
-        if -i > tgb.D:
-            raise DegreeBoundExceeded(f"window index {i} needs graded degree {-i} > D")
-        bases[i] = free_basis(tgb, free, -i)
-        offsets[i] = _block_offsets(tgb, free, -i)
-    act = {}
-    for j in range(lo, hi + 1):
-        if not bases[j]:
-            continue
-        for i in range(lo, j):
-            act[(i, j)] = [
-                [_shifted(row, offsets[i][k]) for row in tgb.products(j - i, u)]
-                for k, u in bases[j]
-            ]
-    return ZModuleWindow(tgb, lo, hi, {i: len(basis) for i, basis in bases.items()}, act)
-
-
-def projective_window(tgb, j, lo, hi):
-    """P_j on the window: components A_ij = A_{j-i}."""
-    return transport_module(tgb, FreeModule((-j,)), lo, hi)
+    lo, hi = zw.lo, zw.hi
+    dims = {i: zw.dim(i, j) for i in range(lo, hi + 1)}
+    act = {(i, k): zw.mult(i, k, j) for k in range(lo, hi + 1) if dims[k] for i in range(lo, k)}
+    return ZModuleWindow(zw.tgb, lo, hi, dims, act)
 
 
 # --- Hom and cohproj Hom ---------------------------------------------------

@@ -28,7 +28,7 @@ from cohprobe.gbasis import (
 from cohprobe.grmod import FreeModule, ModuleMap, audit_resolution, minimal_resolution
 from cohprobe.linalg import QQ, PrimeField
 from cohprobe.veronese import veronese_cross_check, veronese_presentation
-from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, projective_window
+from cohprobe.zalg import ZAlgebraWindow, cohproj_hom
 
 from conftest import WITNESS_RIGHT
 from oracles import fold_audit, ideal_syzygy_profile_oracle
@@ -37,6 +37,7 @@ from windows import (
     coker_transport,
     coker_window,
     gamma_star_presentation,
+    projective_window,
     tensor_projective_iso_check,
     truncate_below,
 )

@@ -235,6 +235,9 @@ BAD_INPUTS = {
     # the n=0 member is the empty word: the relation 1 = 0
     "relfam member of degree 0": lambda tmp: ["hilbert", _write(
         tmp, "fam.alg", "gen x 1\ngen y 1\nrelfam x^{n}  n >= 0\n"), "-D", "4"],
+    # a power is written out letter by letter, so one above MAX_EXPONENT is refused
+    "relation exponent beyond any index": lambda tmp: ["hilbert", _write(
+        tmp, "huge.alg", "gen x 1\ngen y 1\nrel x^10000000000000000000\n"), "-D", "4"],
 }
 
 
@@ -247,6 +250,15 @@ def test_bad_input_exit_code(case, tmp_path):
     assert code == 1
     assert err.getvalue().startswith("error:")
     assert out == ""
+
+
+def test_huge_relfam_exponent_is_sized_by_degree(tmp_path):
+    # the n=1 member has degree 10^19 + 1 > D: no word is built, and the
+    # algebra is free through D
+    alg = _write(tmp_path, "fam.alg", "gen x 1\ngen y 1\nrelfam x^{10000000000000000000*n}*y  n >= 1\n")
+    code, out = run_cli(["hilbert", alg, "-D", "4", "--json"])
+    assert code == 0
+    assert json.loads(out)["hilbert"]["dims"] == [1, 2, 4, 8, 16]
 
 
 @pytest.mark.parametrize("shifts0,shifts1", [([-1], []), ([0], [-2])], ids=["shifts0", "shifts1"])

@@ -8,6 +8,7 @@ from cohprobe.freealg import (
     NcPoly,
     enumerate_words,
     leading_word,
+    MAX_EXPONENT,
     parse_poly,
     poly_scale,
     poly_str,
@@ -120,6 +121,13 @@ def test_parse_errors(gt2):
         parse_poly(gt2, QQ, "")
     with pytest.raises(InhomogeneousSum):
         parse_poly(gt2, QQ, "x*y - x")
+
+
+def test_parse_exponent_cap(gt2):
+    # MAX_EXPONENT = 10^6 itself is written out; one more is refused
+    assert parse_poly(gt2, QQ, f"x^{MAX_EXPONENT}").degree == 10**6
+    with pytest.raises(ParseError, match="exponent 1000001 > 1000000"):
+        parse_poly(gt2, QQ, f"x^{MAX_EXPONENT + 1}")
 
 
 def test_leading_word(gt2):

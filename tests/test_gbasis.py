@@ -412,12 +412,11 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["example2", "weighted_frac", "sklyanin(-2,2,-1)"])
-def test_product_rows_searched_from_the_junction(name):
-    # a chase for w*u with w normal searches from len(w) - L + 1, and after a
-    # rewrite at i from i - L + 1 (L the longest lead); every row of every
-    # table through D=6, for every w through degree 5, normal or not, is the
-    # reference rewriting's.  Each w gets a basis with no stored rows, so
-    # each of its rows is built from the split w * u.  example2 (binomial),
+def test_product_rows_are_the_reference_rewriting(name):
+    # every row of every table through D=6, for every w through degree 5,
+    # normal or not, is the reference rewriting's.  Each w gets a basis with
+    # no stored rows, so each of its rows is built from the split w * u.
+    # example2 (binomial),
     # weighted_frac (a weight-2 letter, non-unit integer leads) and
     # Sklyanin (three-term elements, rows by _reduce_terms)
     text = {
@@ -431,7 +430,7 @@ def test_product_rows_searched_from_the_junction(name):
     gt, one = tgb.gt, tgb.field.one()
     if tgb.binomial:
         # the chase of x*x*z rewrites x*z at 1 and then meets x*z at 0, left
-        # of the rewrite: the case the restart bound must not skip
+        # of the rewrite: every search starts from 0
         x, z = gt.index("x"), gt.index("z")
         assert tgb._index.find((x, x, z))[:2] == (1, 3)
         assert tgb._index.find((x, z, x))[:2] == (0, 2)

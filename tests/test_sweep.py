@@ -76,8 +76,7 @@ def test_sweep_flags_a_chase_without_the_lead_coefficient(monkeypatch):
     # negative control: a one-term chase that never divides by the lead
     # coefficient a of the integer reducer is wrong over Q wherever a monic
     # binomial has a non-integral coefficient, and the normal-form check of
-    # the sweep must see it.  It ignores the degree and start hints of
-    # products: a search from 0 finds the same leftmost lead
+    # the sweep must see it.  It ignores the degree hint of products
     real = gbasis.TruncatedGroebnerBasis._new_row
 
     def chase_without_a(self, word, *hints):

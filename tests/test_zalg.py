@@ -13,13 +13,7 @@ from cohprobe.gbasis import (
 )
 from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import QQ, PrimeField
-from cohprobe.zalg import (
-    ZAlgebraWindow,
-    cohproj_hom,
-    hom_dim_window,
-    projective_window,
-    transport_module,
-)
+from cohprobe.zalg import ZAlgebraWindow, cohproj_hom, hom_dim_window, transport_module
 
 from oracles import all_triples_audit, fold_audit, hom_dim_oracle
 from test_report_digests import WEIGHTED_FRAC
@@ -28,6 +22,7 @@ from windows import (
     coker_transport,
     coker_window,
     gamma_star_presentation,
+    projective_window,
     simple_window,
     tensor_projective_iso_check,
     truncate_below,
@@ -211,19 +206,20 @@ def test_transport_projective(model_tgb):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
 def test_transport_matches_coker_transport(field):
-    # a free module with mixed shifts, so blocks 1 and 2 start at nonzero
-    # offsets: the product-table transport equals the cokernel transport of
-    # the relation-free map into it, tensor by tensor
-    free = FreeModule((-1, 0, -3))
+    # P_j as column j of the Z-algebra window equals the cokernel transport
+    # of the relation-free map into A(-j), tensor by tensor, for every j of
+    # the window: j = lo leaves P_j one component, j = hi gives it all
     texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(ALGEBRAS.glob("*.alg"))}
     texts["weighted_frac"] = WEIGHTED_FRAC
     for name, text in texts.items():
         tgb = complete_to_degree(parse_algebra_file(text, field=field), 7)
-        window = transport_module(tgb, free, -3, 4)
-        oracle = coker_transport(ModuleMap(tgb, FreeModule(()), free, {}), -3, 4)
-        assert window.dims == oracle.dims, name
-        assert window.act == oracle.act, name
-        assert window.dim(-3) == tgb.dim(4) + tgb.dim(3) + tgb.dim(6), name
+        zw = ZAlgebraWindow(tgb, -3, 4)
+        for j in range(-3, 5):
+            window = transport_module(zw, j)
+            oracle = coker_transport(ModuleMap(tgb, FreeModule(()), FreeModule((-j,)), {}), -3, 4)
+            assert window.dims == oracle.dims, (name, j)
+            assert window.act == oracle.act, (name, j)
+            assert window.dim(-3) == tgb.dim(j + 3), (name, j)
 
 
 def test_transport_simple(model_tgb):

@@ -1,7 +1,8 @@
 """Window-module constructions and paper-level checks used only by the tests.
 
-The CLI reaches window modules through ``projective_window`` alone, which
-reads the product tables.  The general construction lives here: the
+The CLI builds one kind of window module, P_j, as column j of the
+Z-algebra window (``transport_module``); ``projective_window`` builds it
+from a basis and a window.  The general construction lives here: the
 cokernel transport ``coker_transport`` over ``ModuleComponents`` (per
 degree, a basis of M = coker(relations) and coordinates in it), the direct
 ``coker_window``, and the simple and truncated windows.  So do the Gamma_*
@@ -16,7 +17,7 @@ from cohprobe.freealg import GeneratorTable
 from cohprobe.gbasis import AlgebraPresentation, complete_to_degree
 from cohprobe.grmod import FreeModule, ModuleMap, _projected_kernel, free_basis
 from cohprobe.linalg import QQ, SpanSolver, kernel_basis
-from cohprobe.zalg import ZModuleWindow
+from cohprobe.zalg import ZAlgebraWindow, ZModuleWindow, transport_module
 
 
 class ModuleComponents:
@@ -113,6 +114,11 @@ def coker_transport(relations, lo, hi):
         return comps.coords(-i, {pos[(k, t)]: tc for t, tc in tgb.normal_form_word(u + a).items()})
 
     return _window_from_components(tgb, lo, hi, dims, act_fn)
+
+
+def projective_window(tgb, j, lo, hi):
+    """P_j on the window [lo, hi]: components A_ij = A_{j-i}."""
+    return transport_module(ZAlgebraWindow(tgb, lo, hi), j)
 
 
 def simple_window(tgb, j, lo, hi):
