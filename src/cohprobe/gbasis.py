@@ -168,6 +168,8 @@ class TruncatedGroebnerBasis:
         self.binomial = all(len(g.terms) <= 2 for g in elements)
         self._rows = {}
         self._products = {}
+        self._letters = {}
+        self._parents = {}
         self._normal_words = {}
         self._normal_index = {}
 
@@ -176,8 +178,11 @@ class TruncatedGroebnerBasis:
     def normal_form_row(self, word):
         """NF(word) as {index: coeff} over normal_index(deg word); memoized per word.
 
-        This is the one stored copy of a normal form: products and
-        normal_form_word read it, so callers only read rows.
+        This is the one stored copy of NF(word) for a word that a caller
+        names: normal_form_word and the degree-0 product tables read it, so
+        callers only read rows.  On a binomial basis the product tables of
+        degree >= 1 are walks over the letter tables instead (see products),
+        and no product word keys this memo.
 
         On a binomial basis (every element a word or u - c*v) a missing row
         is built by a one-term chase.  While find(w) gives a lead at [i, j)
@@ -228,23 +233,97 @@ class TruncatedGroebnerBasis:
     def products(self, e, word):
         """The product table of word at degree e; memoized per (e, word).
 
-        Row i is normal_form_row(word * u) for u the i-th word of
-        normal_words(e).  The table lists the stored rows, so a product word
-        reached by several splits is one row.
+        Row j is NF(word * u) over normal_index(e + deg word), for u the j-th
+        word of normal_words(e).  Callers only read the rows, which may be
+        shared with other tables.
+
+        On a binomial basis with e >= 1 the table is a walk over the letter
+        tables, and no product word is rewritten.  Proof: let u = u' * x
+        with x its last letter.  Normal words are closed under taking
+        factors, so u' is the i-th normal word of degree e - w_x, for i the
+        j-th entry of _parent_list(e).  word * u' - NF(word * u') lies in
+        the ideal, and so does that difference times x, hence NF(word * u) =
+        NF(NF(word * u') * x).  On a binomial basis NF(word * u') is 0 or
+        c * v for one normal word v, row {k: c} of products(e - w_x, word),
+        so NF(word * u) is 0 or c times NF(v * x), row k of
+        _letter_table(e - w_x + deg word, x).  A row costs a lookup, and a
+        field.scale when c != 1.
+
+        Other bases, and e = 0, list the rows of normal_form_row(word * u):
+        a product word reached by several splits is one row.
         """
         key = (e, word)
         rows = self._products.get(key)
-        if rows is None:
+        if rows is not None:
+            return rows
+        d = e + self.gt.word_degree(word)
+        if self.binomial and e:
+            weights, letter_table = self.gt.weights, self._letter_table
+            scale, one = self.field.scale, self.field.one()
+            below = [None] * len(weights)  # x -> (products(e - w_x, word), its letter table)
+            rows = []
+            for u, i in zip(self.normal_words(e), self._parent_list(e)):
+                x = u[-1]
+                tables = below[x]
+                if tables is None:
+                    wx = weights[x]
+                    tables = below[x] = (self.products(e - wx, word), letter_table(d - wx, x))
+                row = tables[0][i]
+                if row:
+                    ((k, c),) = row.items()
+                    row = tables[1][k]
+                    if c != one and row:
+                        row = scale(c, row)
+                rows.append(row)
+        else:
             memo, new_row = self._rows, self._new_row
-            d = e + self.gt.word_degree(word)
-            rows = self._products[key] = []
+            rows = []
             for u in self.normal_words(e):
                 wu = word + u
                 row = memo.get(wu)
                 if row is None:
                     row = memo[wu] = new_row(wu, d)
                 rows.append(row)
+        self._products[key] = rows
         return rows
+
+    def _parent_list(self, e):
+        """Entry j is the i for which u[:-1] is the i-th word of
+        normal_words(e - w_x), for u the j-th word of normal_words(e), e >= 1,
+        and x = u[-1].  u[:-1] is normal as a factor of u, and normal_index
+        finds it whatever the letter weights."""
+        parents = self._parents.get(e)
+        if parents is None:
+            weights = self.gt.weights
+            index = [self.normal_index(e - w) if w <= e else None for w in weights]
+            parents = self._parents[e] = [index[u[-1]][u[:-1]] for u in self.normal_words(e)]
+        return parents
+
+    def _letter_table(self, d, x):
+        """Row i is NF(v * x) over normal_index(d + w_x), for v the i-th word
+        of normal_words(d); memoized per (d, x).
+
+        v * x is normal unless some lead is a suffix of it, as v is normal.
+        The normal extensions are read off _parent_list(d + w_x): entry i at
+        the j-th normal word, when that word ends in x, says that it is
+        v_i * x, and the row is {j: 1}.  Only the dead extensions, where a
+        lead is a suffix of v * x, are rewritten, by _new_row.
+        """
+        key = (d, x)
+        table = self._letters.get(key)
+        if table is None:
+            t = d + self.gt.weights[x]
+            one = self.field.one()
+            table = [None] * self.dim(d)
+            for j, (u, i) in enumerate(zip(self.normal_words(t), self._parent_list(t))):
+                if u[-1] == x:
+                    table[i] = {j: one}
+            words = self.normal_words(d)
+            for i, row in enumerate(table):
+                if row is None:
+                    table[i] = self._new_row(words[i] + (x,), t)
+            self._letters[key] = table
+        return table
 
     def normal_form(self, q):
         """Normal form of a homogeneous polynomial of degree <= D; linear, idempotent."""

@@ -366,8 +366,10 @@ def test_random_presentations_against_references(case):
 
 
 def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
-    # every row is built at one seam, by the one-term chase on example2's
-    # binomial basis and by _reduce_terms on Sklyanin's three-term one
+    # every row is built once, at one seam: on example2's binomial basis the
+    # one-term chase runs once per dead letter extension v * x and for no
+    # product word beyond those; on Sklyanin's three-term basis every row
+    # comes from _reduce_terms
     seen, reduced = [], []
     real_row, real_reduce = gbasis.TruncatedGroebnerBasis._new_row, gbasis._reduce_terms
 
@@ -390,19 +392,34 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
         assert tgb.binomial is chased, p.label
         seen.clear()
         reduced.clear()
-        # NF(x*y*x) is one row, read as x * (y*x) and as (x*y) * x
+        named = [w for d in range(1, 4) for w in tgb.normal_words(d)]
+        tables = {(e, w): tgb.products(e, w) for w in named for e in range(7 - len(w))}
+        built = list(seen)
+        if chased:
+            # the chase ran for each w's degree-0 table and once for each
+            # dead letter extension v * x, and for no other product word
+            dead = [
+                v + (a,)
+                for (d, a) in tgb._letters
+                for v in tgb.normal_words(d)
+                if tgb._index.find(v + (a,)) is not None
+            ]
+            assert dead and sorted(built) == sorted(named + dead), p.label
+            assert reduced == [], p.label
+        else:
+            # every product word is reduced once, by _reduce_terms
+            assert not tgb._letters
+            assert built and len(built) == len(set(built))
+            assert reduced == [(w,) for w in built], p.label
+        # every product row is the stored row of its product word, so NF(x*y*x)
+        # reads the same as x * (y*x) and as (x*y) * x
+        for (e, w), rows in tables.items():
+            for u, got in zip(tgb.normal_words(e), rows):
+                assert got == tgb.normal_form_row(w + u), (p.label, w, u)
         x, y = (0,), (1,)
         row = tgb.normal_form_row(x + y + x)
-        assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] is row
-        assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] is row
-        # every product word is reduced once, however often it is reached
-        for d in range(1, 4):
-            for w in tgb.normal_words(d):
-                for e in range(7 - d):
-                    tgb.products(e, w)
-        assert seen and len(seen) == len(set(seen))
-        # example2's rows came from the chase, Sklyanin's from _reduce_terms
-        assert reduced == ([] if chased else [(w,) for w in seen]), p.label
+        assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] == row
+        assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] == row
         # normal_form_word is a row keyed by normal words
         for d in range(7):
             words = tgb.normal_words(d)
@@ -415,7 +432,9 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
 def test_product_rows_are_the_reference_rewriting(name):
     # every row of every table through D=6, for every w through degree 5,
     # normal or not, is the reference rewriting's.  Each w gets a basis with
-    # no stored rows, so each of its rows is built from the split w * u.
+    # no stored rows or tables, so its tables are built for w alone: walks
+    # over new letter tables on the binomial bases, the split w * u on
+    # Sklyanin.
     # example2 (binomial),
     # weighted_frac (a weight-2 letter, non-unit integer leads) and
     # Sklyanin (three-term elements, rows by _reduce_terms)
@@ -451,6 +470,55 @@ def test_product_rows_are_the_reference_rewriting(name):
                         wanted[w + u] = {idx[t]: c for t, c in want.items()}
                     assert row == wanted[w + u], (name, w, u)
     assert normal_seen and non_normal_seen
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", ["example2", "weighted_frac", "commutative", "remark", "free2"])
+def test_letter_tables_are_the_reference_rewriting(name, field):
+    # row i of the letter table of (d, x) is NF(v_i * x) for v_i the i-th
+    # normal word of degree d, for every d + w_x <= 7: on example2,
+    # weighted_frac (a weight-2 letter, non-unit integer leads), commutative,
+    # remark (a relation family) and free2 (no relations)
+    text = WEIGHTED_FRAC if name == "weighted_frac" else (ALGEBRAS / f"{name}.alg").read_text(
+        encoding="utf-8")
+    D = 7
+    tgb = complete_to_degree(parse_algebra_file(text, field=field), D)
+    assert tgb.binomial
+    one = field.one()
+    for x, wx in enumerate(tgb.gt.weights):
+        for d in range(D - wx + 1):
+            idx = tgb.normal_index(d + wx)
+            table = tgb._letter_table(d, x)
+            assert len(table) == tgb.dim(d)
+            for v, row in zip(tgb.normal_words(d), table):
+                want = reference_normal_form(tgb, {v + (x,): one})
+                assert row == {idx[t]: c for t, c in want.items()}, (name, v, x)
+
+
+def test_free_algebra_tables_rewrite_nothing(corpus_fast, monkeypatch):
+    # with no relations every letter extension is normal, so building every
+    # letter table and every product table of degree >= 1 through D=8
+    # rewrites no word: the chase runs only for the degree-0 rows
+    chased = []
+    real_row = gbasis.TruncatedGroebnerBasis._new_row
+
+    def counted_row(self, word, *hints):
+        chased.append(word)
+        return real_row(self, word, *hints)
+
+    monkeypatch.setattr(gbasis.TruncatedGroebnerBasis, "_new_row", counted_row)
+    D = 8
+    tgb = complete_to_degree(corpus_fast["free2"].presentation, D)
+    for x, wx in enumerate(tgb.gt.weights):
+        for d in range(D - wx + 1):
+            tgb._letter_table(d, x)
+    assert chased == []
+    named = [w for d in range(1, 4) for w in tgb.normal_words(d)]
+    for w in named:
+        for e in range(1, D - len(w) + 1):
+            idx = tgb.normal_index(e + len(w))
+            assert tgb.products(e, w) == [{idx[w + u]: 1} for u in tgb.normal_words(e)]
+    assert chased == named
 
 
 def test_normal_words_come_out_in_order():

@@ -169,7 +169,7 @@ def test_degree_one_check_builds_no_product_table(corpus_fast):
     # degree 1..11 that a pushed span would multiply out
     tgb = complete_to_degree(corpus_fast["free2"].presentation, 12)
     assert degree_one_generated(tgb)
-    assert not tgb._products and not tgb._rows
+    assert not tgb._products and not tgb._rows and not tgb._letters
 
 
 def test_degree_one_generated_with_a_heavy_letter():
