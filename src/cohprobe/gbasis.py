@@ -28,7 +28,12 @@ from .freealg import (
     word_key,
     word_str,
 )
-from .linalg import SpanSolver
+from .linalg import SpanSolver, field_values, with_multiplier
+
+
+# the row of every word whose normal form is 0: one shared dict, as callers
+# only read rows
+_ZERO_ROW = {}
 
 
 @dataclass
@@ -176,20 +181,23 @@ class TruncatedGroebnerBasis:
     # --- rewriting ---------------------------------------------------
 
     def normal_form_row(self, word):
-        """NF(word) as {index: coeff} over normal_index(deg word); memoized per word.
+        """NF(word) as a column over normal_index(deg word); memoized per word.
 
-        This is the one stored copy of NF(word) for a word that a caller
-        names: normal_form_word and the degree-0 product tables read it, so
-        callers only read rows.  On a binomial basis the product tables of
-        degree >= 1 are walks over the letter tables instead (see products),
-        and no product word keys this memo.
+        A row is an integer vector with its multiplier (linalg.Scaled): over
+        F_p a dict of residues, over Q the integer vector R of the rewriting
+        with the least m for which NF(word) = R / m.  It is the one stored
+        copy of NF(word) for a word that a caller names: normal_form_word
+        and the degree-0 product tables read it, so callers only read rows.
+        On a binomial basis the product tables of degree >= 1 are walks over
+        the letter tables instead (see products), and no product word keys
+        this memo.  Every row of value 0 is the one shared _ZERO_ROW.
 
         On a binomial basis (every element a word or u - c*v) a missing row
         is built by a one-term chase.  While find(w) gives a lead at [i, j)
         with integer reducer (a, tail): an empty tail (a word lead) makes
-        the row {}; otherwise, for the one tail term (t, tc), w becomes
+        the row 0; otherwise, for the one tail term (t, tc), w becomes
         w[:i] + t + w[j:], the numerator is multiplied by tc and the
-        denominator by a.  The row is {w: num / den} at the normal word w.
+        denominator by a.  The row is num / den at the normal word w.
 
         Proof that this is the row of _reduce_terms({word: 1}): there a
         rewrite of one word by a binomial leaves one pending word, so the
@@ -200,7 +208,7 @@ class TruncatedGroebnerBasis:
         value never cancels, as tc and a are nonzero, so both end at the
         same word with the same coefficient.  Over F_p, a is 1 and
         field.canonical keeps the numerator a residue.  Other bases use
-        _reduce_terms.
+        _reduce_terms, whose result R and scale lam give the row R / lam.
         """
         row = self._rows.get(word)
         if row is None:
@@ -212,23 +220,26 @@ class TruncatedGroebnerBasis:
         word when the caller knows it."""
         idx = self.normal_index(self.gt.word_degree(word) if d is None else d)
         if not self.binomial:
-            nf = _reduce_terms({word: self.field.one()}, self._index)
-            return {idx[t]: c for t, c in nf.items()}
+            lam, nf = _reduce_terms({word: 1}, self._index)
+            if not nf:
+                return _ZERO_ROW
+            return with_multiplier({idx[t]: c for t, c in nf.items()}, lam)
         find, canonical = self._index.find, self.field.canonical
         num = den = 1
         while (pos := find(word)) is not None:
             i, j, (a, tail) = pos
             if not tail:
-                return {}
+                return _ZERO_ROW
             ((t, tc),) = tail
             word = word[:i] + t + word[j:]
             num, den = canonical(num * tc), den * a
-        return {idx[word]: self.field.of_fraction(num, den)}
+        return with_multiplier({idx[word]: num}, den)
 
     def normal_form_word(self, word):
         """Normal form of a single word, as a terms dict over normal words."""
         words = self.normal_words(self.gt.word_degree(word))
-        return {words[i]: c for i, c in self.normal_form_row(word).items()}
+        row = field_values(self.field, self.normal_form_row(word))
+        return {words[i]: c for i, c in row.items()}
 
     def products(self, e, word):
         """The product table of word at degree e; memoized per (e, word).
@@ -244,10 +255,11 @@ class TruncatedGroebnerBasis:
         j-th entry of _parent_list(e).  word * u' - NF(word * u') lies in
         the ideal, and so does that difference times x, hence NF(word * u) =
         NF(NF(word * u') * x).  On a binomial basis NF(word * u') is 0 or
-        c * v for one normal word v, row {k: c} of products(e - w_x, word),
-        so NF(word * u) is 0 or c times NF(v * x), row k of
-        _letter_table(e - w_x + deg word, x).  A row costs a lookup, and a
-        field.scale when c != 1.
+        c / m * v for one normal word v, row {k: c} with multiplier m of
+        products(e - w_x, word), so NF(word * u) is 0 or c / m times NF(v *
+        x), row k of _letter_table(e - w_x + deg word, x), which is 0 or
+        r / m' at one word t.  A row costs a lookup, and when c / m != 1 the
+        one-entry row c * r / (m * m') at t, with its multiplier reduced.
 
         Other bases, and e = 0, list the rows of normal_form_row(word * u):
         a product word reached by several splits is one row.
@@ -259,7 +271,7 @@ class TruncatedGroebnerBasis:
         d = e + self.gt.word_degree(word)
         if self.binomial and e:
             weights, letter_table = self.gt.weights, self._letter_table
-            scale, one = self.field.scale, self.field.one()
+            canonical = self.field.canonical
             below = [None] * len(weights)  # x -> (products(e - w_x, word), its letter table)
             rows = []
             for u, i in zip(self.normal_words(e), self._parent_list(e)):
@@ -271,9 +283,11 @@ class TruncatedGroebnerBasis:
                 row = tables[0][i]
                 if row:
                     ((k, c),) = row.items()
+                    m = getattr(row, "m", 1)  # linalg.multiplier, inlined
                     row = tables[1][k]
-                    if c != one and row:
-                        row = scale(c, row)
+                    if c != m and row:  # c / m != 1, as gcd(c, m) = 1
+                        ((t, r),) = row.items()
+                        row = with_multiplier({t: canonical(c * r)}, m * getattr(row, "m", 1))
                 rows.append(row)
         else:
             memo, new_row = self._rows, self._new_row
@@ -313,11 +327,10 @@ class TruncatedGroebnerBasis:
         table = self._letters.get(key)
         if table is None:
             t = d + self.gt.weights[x]
-            one = self.field.one()
             table = [None] * self.dim(d)
             for j, (u, i) in enumerate(zip(self.normal_words(t), self._parent_list(t))):
                 if u[-1] == x:
-                    table[i] = {j: one}
+                    table[i] = {j: 1}
             words = self.normal_words(d)
             for i, row in enumerate(table):
                 if row is None:
@@ -504,20 +517,22 @@ class _LeadIndex:
 
 
 def _reduce_terms(terms, index):
-    """Normal form of a terms dict modulo the indexed basis; deterministic.
+    """(lam, result): the normal form of a terms dict modulo the indexed
+    basis is result / lam, result a dict of integers; deterministic.
 
     Rewrites the largest unreduced word first, at its leftmost lead word;
     every rewrite replaces a word by strictly smaller ones of the same
     degree, so the heap drains.  Coefficients stay integers over Q: to
     rewrite c * w with reducer (a, tail), everything is first scaled by
-    a / gcd(a, c), and lam carries the product of the scales, so result /
-    lam is the exact normal form.  Over F_p a = 1 and nothing is scaled.
+    a / gcd(a, c), and lam carries the product of the scales, starting from
+    the m of field.integral(terms).  Over F_p a = 1, lam = 1 and result
+    holds residues.
     Rewrites add plain integers to the pending words; the field puts a
     word's value in canonical form only when the word is popped, so a word
     whose value cancelled is skipped then.
     """
     if not terms:
-        return {}
+        return 1, {}
     fld = index.field
     canonical, find = fld.canonical, index.find
     push, pop = heapq.heappush, heapq.heappop
@@ -556,7 +571,7 @@ def _reduce_terms(terms, index):
                 push(heap, (tuple(map(neg_prec, nw)), nw))
             else:
                 pending[nw] = cur + c * tc
-    return {w: fld.of_fraction(v, lam) for w, v in result.items()}
+    return lam, result
 
 
 def complete_to_degree(p, D):
@@ -609,7 +624,12 @@ def complete_to_degree(p, D):
 
     basis = {}  # leading word -> (monic element, its reducer)
     index = _LeadIndex(gt, fld)
-    canonical = fld.canonical
+    canonical, of_fraction = fld.canonical, fld.of_fraction
+
+    def normal_form(terms):
+        lam, nf = _reduce_terms(terms, index)
+        return {w: of_fraction(v, lam) for w, v in nf.items()}
+
     counter = 0
     heap = []
 
@@ -629,7 +649,7 @@ def complete_to_degree(p, D):
 
     while heap:
         q = heapq.heappop(heap)[2]
-        terms = _reduce_terms(q.terms, index)
+        terms = normal_form(q.terms)
         if not terms:
             continue
         q = make_monic(gt, fld, NcPoly(terms, q.degree))
@@ -675,7 +695,7 @@ def complete_to_degree(p, D):
     for lw in sorted(basis, key=lambda w: word_key(gt, w)):
         g = basis[lw][0]
         terms = {lw: g.terms[lw]}
-        terms.update(_reduce_terms({w: c for w, c in g.terms.items() if w != lw}, index))
+        terms.update(normal_form({w: c for w, c in g.terms.items() if w != lw}))
         elements.append(NcPoly(terms, g.degree))
     log.events.append(f"completed with {len(elements)} elements at D={D}")
     return TruncatedGroebnerBasis(p, D, elements, log)

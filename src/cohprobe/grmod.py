@@ -11,10 +11,11 @@ so all coordinates and witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import InputError
 from .freealg import NcPoly
-from .linalg import SpanSolver, kernel_basis, rank
+from .linalg import SpanSolver, field_values, kernel_basis, multiplier, rank, with_multiplier
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,10 @@ class ModuleMap:
         entry is read off its normal-word coordinates, already in normal form.
         """
         basis = free_basis(self.tgb, self.target, d)
+        fld = self.tgb.field
         for l, vec in enumerate(vecs, len(self.source)):
             polys = {}
-            for i, c in vec.items():
+            for i, c in field_values(fld, vec).items():
                 k, u = basis[i]
                 polys.setdefault(k, {})[u] = c
             for k, terms in polys.items():
@@ -113,16 +115,22 @@ class ModuleMap:
         self.source = FreeModule(self.source.shifts + (d,) * len(vecs))
 
     def component_columns(self, d):
-        """Columns of the degree-d component matrix over the target basis index.
+        """Columns of the degree-d component matrix over the target basis
+        index, as integer vectors with their multipliers (linalg.Scaled).
 
         The column of e_l * u is the sum over the terms c * w of the entries
         (k, l) of c times row u of the product table of w, shifted to
-        block k.  A single unit term in the first block is the table itself,
-        so such columns share its row dicts: callers only read columns.
+        block k.  With c = p / q and the row R / m', that term is p * R /
+        (q * m'), so the column is the integer combination of the rows R
+        with coefficients p * (m / (q * m')) over m, the lcm of the q * m',
+        divided by its gcd with the entries; no field value is built.  Over
+        F_p every q and m' is 1 and this is the sum of c * R.  A single unit
+        term in the first block is the table itself, so such columns share
+        its rows: callers only read columns.
         """
         tgb = self.tgb
         fld = tgb.field
-        one = fld.one()
+        axpy, scale = fld.axpy, fld.scale
         tgt_off = _block_offsets(tgb, self.target, d)
         cols = []
         for l, s in enumerate(self.source.shifts):
@@ -130,18 +138,27 @@ class ModuleMap:
             if e < 0:
                 continue
             terms = [
-                (tgt_off[k], c, tgb.products(e, w))
+                (tgt_off[k], c.numerator, c.denominator, tgb.products(e, w))
                 for k in range(len(self.target)) if (k, l) in self.entries
                 for w, c in self.entries[(k, l)].terms.items()
             ]
-            if len(terms) == 1 and terms[0][0] == 0 and terms[0][1] == one:
-                cols.extend(terms[0][2])
+            if len(terms) == 1 and terms[0][:3] == (0, 1, 1):
+                cols.extend(terms[0][3])
                 continue
             for i in range(tgb.dim(e)):
-                vec = {}
-                for off, c, rows in terms:
-                    fld.axpy(vec, c, _shifted(rows[i], off))
-                cols.append(vec)
+                vec, m = {}, 1
+                for off, p, q, rows in terms:
+                    row = rows[i]
+                    if not row:
+                        continue
+                    k = q * getattr(row, "m", 1)  # linalg.multiplier, inlined
+                    if k != m:  # the term is p * R / k: bring it over m
+                        if m % k:  # m becomes lcm(m, k)
+                            up = k // gcd(m, k)
+                            vec, m = scale(up, vec), m * up
+                        p *= m // k
+                    axpy(vec, p, _shifted(row, off))
+                cols.append(with_multiplier(vec, m) if m != 1 else vec)
         return cols
 
 
@@ -318,14 +335,20 @@ def audit_resolution(res):
         # a complex: P0 -> M kills image(d1) and di kills image(d(i+1)).  The
         # maps are right A-linear, so the columns of the generators of degree
         # d suffice; a generator's block starts with its empty-word column.
+        # Column R / m of d(i+1) sends R / m to sum_j c_j * R_j / (m * m_j)
+        # over the columns R_j / m_j of the map before it; image is that
+        # exact value times m * lcm(m_j), so it is zero or in the span iff
+        # the value is.
         for i, (outer, dmap, cols) in enumerate(zip([pcols] + dcols, res.diffs, dcols)):
             offsets = _block_offsets(tgb, dmap.source, d)
             for l, s in enumerate(dmap.source.shifts):
                 if s != d:
                     continue
+                col = cols[offsets[l]]
+                m = lcm(*(multiplier(outer[j]) for j in col))
                 image = {}
-                for j, c in cols[offsets[l]].items():
-                    fld.axpy(image, c, outer[j])
+                for j, c in col.items():
+                    fld.axpy(image, c * (m // multiplier(outer[j])), outer[j])
                 in_kernel = both.contains(image) if i == 0 else not image
                 if not in_kernel:
                     findings["exact"] = False

@@ -13,6 +13,14 @@ fraction-free elimination; E. H. Bareiss, Math. Comp. 22 (1968) gives the
 multistep form), so no ``Fraction`` is built inside the loop.  A field
 supplies two hooks: ``integral``, an integer multiple of a vector as a new
 dict the caller owns, and ``normalized``, the canonical form of a new row.
+
+A column is an integer vector R with its multiplier m > 0, standing for
+R / m.  A ``Scaled`` dict carries an m > 1; any other dict has m = 1, and
+its values are the field's own (over Q ints or ``Fraction``s, over F_p
+residues), so over F_p every column is a plain dict.  The product tables
+and the component columns over Q are such integer vectors, ``integral``
+hands a ``Scaled`` column over with its own m, and values leave as
+``Fraction``s only through ``field_values``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,59 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
+
+
+class Scaled(dict):
+    """An integer vector R with its multiplier m > 1, standing for R / m.
+
+    ``with_multiplier`` builds it with gcd(m, R) = 1, so m is the least
+    k > 0 for which k * (R / m) is integral, the m that
+    ``Rationals.integral`` gives for R / m.  Equal only to a Scaled vector
+    with the same entries and m.
+    """
+
+    __slots__ = ("m",)
+
+    def __eq__(self, other):
+        return isinstance(other, dict) and dict.__eq__(self, other) and self.m == multiplier(other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self):
+        return f"Scaled({dict.__repr__(self)}, m={self.m})"
+
+
+def multiplier(vec):
+    """The multiplier m of a column: Scaled.m, else 1."""
+    return getattr(vec, "m", 1)
+
+
+def with_multiplier(vec, m):
+    """The column vec / m for an integer vector vec and an integer m > 0,
+    divided by g = gcd(m, vec): vec itself when m is 1, a new dict (Scaled
+    when m / g > 1) otherwise."""
+    if m == 1:
+        return vec
+    g = gcd(m, *vec.values())
+    if g != 1:
+        m //= g
+        vec = {k: v // g for k, v in vec.items()}
+    if m == 1:
+        return vec
+    out = Scaled(vec)
+    out.m = m
+    return out
+
+
+def field_values(field, vec):
+    """The column vec as field values: vec itself when its multiplier is 1,
+    else a new dict of v / m."""
+    m = multiplier(vec)
+    if m == 1:
+        return vec
+    of_fraction = field.of_fraction
+    return {k: of_fraction(v, m) for k, v in vec.items()}
 
 
 class Rationals:
@@ -35,7 +96,11 @@ class Rationals:
         return Fraction(num, den)
 
     def integral(self, terms):
-        """(m, {k: m * v}) for the least integer m > 0 making every value integral."""
+        """(m, {k: m * v}) for the least integer m > 0 making every value
+        integral; a Scaled column gives its own m and a copy of its entries."""
+        m = multiplier(terms)
+        if m != 1:
+            return m, dict(terms)
         m = lcm(*(v.denominator for v in terms.values()))
         return m, {k: v.numerator * (m // v.denominator) for k, v in terms.items()}
 
@@ -199,7 +264,10 @@ class SpanSolver:
     def reduce(self, vec):
         """The residue of vec against the stored rows, as a new dict of ints.
 
-        Elimination runs on field.integral(vec), a new dict.  A hit on the
+        Elimination runs on field.integral(vec), a new dict: the integer
+        vector of a column, whatever its multiplier, since a residue is
+        only known up to a nonzero integer factor anyway, and the least
+        integer multiple of a vector of field values.  A hit on the
         pivot column c of a row with pivot a, where the residue holds b, is
         cleared by residue <- (a/g)*residue - (b/g)*row with g = gcd(a, b).
         So the residue is a nonzero integer multiple of the residue over the
@@ -278,14 +346,16 @@ def kernel_basis(field, columns):
     One vector per column j that depends on the columns before it, in
     ascending j: a 1 in position j and minus the dependency coefficients on
     the independent columns, so the count is len(columns) - rank.  Column j
-    is eliminated as m * col, its copy from field.integral, with m at n + j,
-    n one past the largest row index, so its residue records the
-    combination it came from: a residue with no entry below n is a multiple
-    of the kernel vector shifted by n, and any other residue is stored.  A
-    kernel vector is divided once by its entry at n + j, a nonzero integer
-    over Q; over F_p m = 1 and that entry stays 1, since no row
-    stored before column j has an entry at n + j.  An empty column is not
-    eliminated: its residue would be {n + j: 1}, so its vector is {j: 1}.
+    is R / m, with (m, R) from field.integral: the column's own multiplier
+    for a Scaled column, the least one for field values.  It is eliminated
+    as R with m at n + j, n one past the largest row index, which is m
+    times (col, e_j), so its residue records the combination it came from:
+    a residue with no entry below n is a multiple of the kernel vector
+    shifted by n, and any other residue is stored.  A kernel vector is
+    divided once by its entry at n + j, a nonzero integer over Q; over F_p
+    m = 1 and that entry stays 1, since no row stored before column j has
+    an entry at n + j.  An empty column is not eliminated: its residue
+    would be {n + j: 1}, so its vector is {j: 1}.
     """
     n = 1 + max((max(col) for col in columns if col), default=-1)
     solver = SpanSolver(field)

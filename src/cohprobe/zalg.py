@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DegreeBoundExceeded, InputError, WindowTooShallow
 from .gbasis import complete_to_degree  # noqa: F401  (a binding the bench tracer patches)
 from .grmod import free_basis  # noqa: F401  (a binding the bench tracer patches)
-from .linalg import SpanSolver
+from .linalg import SpanSolver, field_values
 
 STABLE_RUN = 4
 MIN_LEVELS = 6
@@ -55,9 +55,13 @@ class ZAlgebraWindow:
     def mult(self, i, j, k):
         """Tensor A_jk (x) A_ij -> A_ik: [x_idx][y_idx] -> vec over the A_ik basis.
 
-        Row y_idx of the product table of x at degree j - i is NF(x * y).
+        Row y_idx of the product table of x at degree j - i is NF(x * y), as
+        field values: a row with multiplier 1 is the table's own.
         """
-        return [self.tgb.products(j - i, x) for x in self.basis(j, k)]
+        tgb = self.tgb
+        fld = tgb.field
+        return [[field_values(fld, row) for row in tgb.products(j - i, x)]
+                for x in self.basis(j, k)]
 
     def audit(self):
         """Unit laws and associativity on the window.
@@ -149,7 +153,7 @@ def transport_module(zw, j):
 
     Entry [b][a] of the action of A_ik on (P_j)_k is NF(x_b * y_a), row a of
     the product table of the normal word x_b at degree k - i.  The rows are
-    the tables' own, so callers only read them.
+    the tables' own where their multiplier is 1, so callers only read them.
     """
     lo, hi = zw.lo, zw.hi
     dims = {i: zw.dim(i, j) for i in range(lo, hi + 1)}

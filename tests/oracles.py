@@ -11,6 +11,7 @@ import heapq
 from cohprobe.freealg import NcPoly, leading_word, word_key, word_str
 from cohprobe.gbasis import _ideal_slice
 from cohprobe.grmod import FreeModule, ModuleMap, _projected_kernel, free_dim, min_generators
+from cohprobe.linalg import with_multiplier
 
 from windows import ModuleComponents
 
@@ -41,6 +42,39 @@ def reference_axpy(field, target, coeff, source):
             target.pop(c, None)
         else:
             target[c] = nv
+
+
+def column_of(field, values):
+    """The column that a vector of field values is stored as: its least
+    integer multiple R with that multiplier m, R / m (a linalg.Scaled when
+    m > 1), read off field.integral."""
+    m, vec = field.integral(values)
+    return with_multiplier(vec, m)
+
+
+def reference_columns(f, d):
+    """The degree-d component columns of the map f as field values: the
+    column of e_l * u sums c * NF(w * u) over the terms c * w of the entries
+    (k, l), shifted to block k, one scalar at a time (reference_axpy), with
+    the normal forms of normal_form_word."""
+    tgb, field = f.tgb, f.tgb.field
+    offsets, off = [], 0
+    for t in f.target.shifts:
+        offsets.append(off)
+        off += tgb.dim(d - t) if d >= t else 0
+    cols = []
+    for l, s in enumerate(f.source.shifts):
+        for u in tgb.normal_words(d - s) if d >= s else []:
+            vec = {}
+            for (k, col), poly in f.entries.items():
+                if col != l:
+                    continue
+                idx = tgb.normal_index(d - f.target.shifts[k])
+                for w, c in poly.terms.items():
+                    nf = tgb.normal_form_word(w + u)
+                    reference_axpy(field, vec, c, {offsets[k] + idx[t]: v for t, v in nf.items()})
+            cols.append(vec)
+    return cols
 
 
 def reference_scale(field, a, vec):

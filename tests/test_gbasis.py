@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cohprobe.gbasis as gbasis
 from cohprobe.algfile import parse_algebra_file
-from cohprobe.coherence import RightIdealSpec, builtin_corpus, probe_ideal
+from cohprobe.coherence import RightIdealSpec, builtin_corpus, probe_algebra, probe_ideal
 from cohprobe.errors import DegreeBoundExceeded, NonHomogeneousRelation, ZeroDegreeGenerator
 from cohprobe.freealg import (
     GeneratorTable,
@@ -28,10 +28,11 @@ from cohprobe.gbasis import (
     validate_presentation,
 )
 from cohprobe.grmod import FreeModule, ModuleMap, minimal_resolution
-from cohprobe.linalg import QQ, PrimeField
+from cohprobe.linalg import QQ, PrimeField, field_values
 from cohprobe.veronese import degree_one_generated, veronese_presentation
 from oracles import (
     bar_tor_trivial_module,
+    column_of,
     ideal_syzygy_profile_oracle,
     overlap_failures,
     poly_in_ideal_bruteforce,
@@ -351,8 +352,9 @@ def test_random_presentations_against_references(case):
         assert tor[2] == [c[d] + tor[1][d] - (d == 0) for d in range(6)]
         assert not any(tor[3])
     # product tables: row i of products(e, w) is NF(w * u) for u the i-th
-    # normal word of degree e, indexed by normal words; the stored row of
-    # u * w, which a table of u lists when w is normal, is NF(u * w)
+    # normal word of degree e, indexed by normal words, as an integer vector
+    # with its least multiplier; the stored row of u * w, which a table of u
+    # lists when w is normal, is NF(u * w)
     for w in sorted({w for q in polys for w in q.terms}):
         dw = p.gens.word_degree(w)
         for e in range(6 - dw):
@@ -362,7 +364,7 @@ def test_random_presentations_against_references(case):
             for u, row in zip(tgb.normal_words(e), rows):
                 for word, got in ((w + u, row), (u + w, tgb.normal_form_row(u + w))):
                     want = reference_normal_form(tgb, {word: p.field.one()})
-                    assert got == {idx[t]: c for t, c in want.items()}
+                    assert got == column_of(p.field, {idx[t]: c for t, c in want.items()})
 
 
 def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
@@ -420,11 +422,11 @@ def test_one_normal_form_row_per_word(corpus_fast, monkeypatch):
         row = tgb.normal_form_row(x + y + x)
         assert tgb.products(2, x)[tgb.normal_index(2)[y + x]] == row
         assert tgb.products(1, x + y)[tgb.normal_index(1)[x]] == row
-        # normal_form_word is a row keyed by normal words
+        # normal_form_word is the field values of a row, keyed by normal words
         for d in range(7):
             words = tgb.normal_words(d)
             for w in enumerate_words(tgb.gt, d):
-                row = tgb.normal_form_row(w)
+                row = field_values(tgb.field, tgb.normal_form_row(w))
                 assert tgb.normal_form_word(w) == {words[t]: c for t, c in row.items()}
 
 
@@ -467,7 +469,7 @@ def test_product_rows_are_the_reference_rewriting(name):
                 for u, row in zip(fresh.normal_words(e), fresh.products(e, w)):
                     if w + u not in wanted:
                         want = reference_normal_form(tgb, {w + u: one})
-                        wanted[w + u] = {idx[t]: c for t, c in want.items()}
+                        wanted[w + u] = column_of(tgb.field, {idx[t]: c for t, c in want.items()})
                     assert row == wanted[w + u], (name, w, u)
     assert normal_seen and non_normal_seen
 
@@ -492,7 +494,22 @@ def test_letter_tables_are_the_reference_rewriting(name, field):
             assert len(table) == tgb.dim(d)
             for v, row in zip(tgb.normal_words(d), table):
                 want = reference_normal_form(tgb, {v + (x,): one})
-                assert row == {idx[t]: c for t, c in want.items()}, (name, v, x)
+                assert row == column_of(field, {idx[t]: c for t, c in want.items()}), (name, v, x)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_zero_rows_are_one_shared_dict(field):
+    # a word whose normal form is 0 gets no dict of its own: after the
+    # example2 right probe at D=10, every empty row in the letter tables, the
+    # product tables and the row memo is the same object
+    text = (ALGEBRAS / "example2.alg").read_text(encoding="utf-8")
+    tgb = complete_to_degree(parse_algebra_file(text, field=field), 10)
+    probe_algebra(tgb, side="right")
+    empty = [row for table in tgb._letters.values() for row in table if not row]
+    empty += [row for table in tgb._products.values() for row in table if not row]
+    empty += [row for row in tgb._rows.values() if not row]
+    assert len(empty) > 1000
+    assert all(row is empty[0] for row in empty)
 
 
 def test_free_algebra_tables_rewrite_nothing(corpus_fast, monkeypatch):
@@ -615,7 +632,7 @@ def test_interior_lead_overlaps_are_not_reduced(monkeypatch):
 
     monkeypatch.setattr(gbasis, "_reduce_terms", counted)
     tgb = complete_to_degree(p, 9)
-    assert len(results) == 118 and sum(not nf for nf in results) == 66
+    assert len(results) == 118 and sum(not nf for _, nf in results) == 66
     assert tgb.log.skipped_overlaps == 284
     assert tgb.elements == full.truncated(9).elements
 
@@ -647,8 +664,9 @@ def test_rewriting_leaves_its_input_terms_alone(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)], ids=["Q", "F32003", "F3"])
 def test_chase_is_the_general_rewriting(field, slice_cases):
-    # the one-term chase builds the row of _reduce_terms and of the reference
-    # rewriting for every word through D: on the corpus on both sides,
+    # the one-term chase builds the row of _reduce_terms (its result over its
+    # scale lam) and of the reference rewriting for every word through D, as
+    # an integer vector with its least multiplier: on the corpus on both sides,
     # weighted_frac (non-unit integer leads) and the binomial bases of the
     # sweep slice over the field; Sklyanin's three-term basis falls back
     D = 6
@@ -668,6 +686,8 @@ def test_chase_is_the_general_rewriting(field, slice_cases):
             idx = tgb.normal_index(d)
             for w in enumerate_words(tgb.gt, d):
                 row = tgb._new_row(w)
-                general = gbasis._reduce_terms({w: one}, tgb._index)
-                assert row == {idx[t]: c for t, c in general.items()}, tgb.presentation.label
+                lam, general = gbasis._reduce_terms({w: one}, tgb._index)
+                general = {t: field.of_fraction(c, lam) for t, c in general.items()}
+                want = column_of(field, {idx[t]: c for t, c in general.items()})
+                assert row == want, tgb.presentation.label
                 assert general == reference_normal_form(tgb, {w: one}), tgb.presentation.label

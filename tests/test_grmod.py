@@ -24,16 +24,18 @@ from cohprobe.grmod import (
     min_generators,
     minimal_resolution,
 )
-from cohprobe.linalg import QQ, PrimeField, SpanSolver
+from cohprobe.linalg import QQ, PrimeField, SpanSolver, field_values, multiplier
 
 from oracles import (
     bar_tor_trivial_module,
+    column_of,
     euler_characteristic_check,
-    reference_axpy,
+    reference_columns,
+    reference_scale,
     tor0_oracle,
     ungated_kernel_min_generators,
 )
-from test_report_digests import MODULE, _sklyanin_alg
+from test_report_digests import MODULE, WEIGHTED_FRAC, _sklyanin_alg
 from test_veronese import pm_onto
 from windows import ModuleComponents
 
@@ -535,20 +537,65 @@ def test_component_columns_against_normal_forms(field, cells):
     tgt = (0, 1)
     f = presented(tgb, src, tgt, {k: parse_poly(tgb.gt, field, v) for k, v in cells.items()})
     for d in range(tgb.D + 1):
-        offsets, off = [], 0
-        for t in tgt:
-            offsets.append(off)
-            off += tgb.dim(d - t) if d >= t else 0
-        want = []
-        for l, s in enumerate(src):
-            for u in tgb.normal_words(d - s) if d >= s else []:
-                vec = {}
-                for (k, col), poly in f.entries.items():
-                    if col != l:
-                        continue
-                    idx = tgb.normal_index(d - tgt[k])
-                    for w, c in poly.terms.items():
-                        nf = tgb.normal_form_word(w + u)
-                        reference_axpy(field, vec, c, {offsets[k] + idx[t]: v for t, v in nf.items()})
-                want.append(vec)
-        assert f.component_columns(d) == want
+        # each column divided by its multiplier is the reference column, and
+        # it is stored as its least integer multiple
+        want = reference_columns(f, d)
+        cols = f.component_columns(d)
+        assert [field_values(field, col) for col in cols] == want
+        assert cols == [column_of(field, vec) for vec in want]
+
+
+# the module of non-integral cells that CI resolves over example2
+MOD_FRAC = {"shifts0": [0, 1, 1], "shifts1": [1, 2, 2],
+            "matrix": [["x", "1/2*y*y", "0"], ["2/3", "z", "x"], ["0", "0", "3/4*y"]]}
+
+
+def tor_relations(name, field, D):
+    """The relations that `tor --length 3 -D D` resolves in each case of
+    test_resolution_columns_are_their_reference_columns."""
+    if name == "example2-mod-frac":
+        text = (ALGEBRAS / "example2.alg").read_text(encoding="utf-8")
+        tgb = complete_to_degree(parse_algebra_file(text, field=field), D)
+        return _module_from_json(tgb, MOD_FRAC)
+    text = WEIGHTED_FRAC if name == "weighted_frac" else _sklyanin_alg(-2, 2, -1)
+    tgb = complete_to_degree(parse_algebra_file(text, field=field), D)
+    letters = [NcPoly.monomial(tgb.gt, field, (i,)) for i in range(len(tgb.gt.names))]
+    return ideal_map(tgb, RightIdealSpec(letters))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", ["sklyanin(-2,2,-1)", "weighted_frac", "example2-mod-frac"])
+def test_resolution_columns_are_their_reference_columns(name, field):
+    # every column R with multiplier m of every map of a `tor --length 3
+    # -D 6` resolution is m times the reference column, for the least such
+    # m: Sklyanin (rows by _reduce_terms), weighted_frac (non-unit integer
+    # leads) and example2 with CI's module of non-integral cells.  Over F_p
+    # every m is 1; over Q some are not
+    D = 6
+    relations = tor_relations(name, field, D)
+    res = minimal_resolution(relations, length=3)
+    scaled = 0
+    for f in [relations, res.p0_map, *res.diffs]:
+        for d in range(D + 1):
+            for col, ref in zip(f.component_columns(d), reference_columns(f, d), strict=True):
+                m = multiplier(col)
+                assert m == field.integral(ref)[0]
+                assert dict(col) == reference_scale(field, m, ref)
+                scaled += m > 1
+    assert (scaled > 0) == (field == QQ)
+
+
+def test_audit_flags_a_corrupted_entry_between_scaled_columns():
+    # over Q the complex check combines columns R_j / m_j with multipliers
+    # above 1: the Sklyanin resolution of k audits clean, and scaling one
+    # entry of d3 by 2 keeps every rank identity but not d2 * d3 = 0
+    relations = tor_relations("sklyanin(-2,2,-1)", QQ, 6)
+    res = minimal_resolution(relations, length=3)
+    assert audit_resolution(res)["detail"] == []
+    assert sum(multiplier(col) > 1 for col in res.diffs[1].component_columns(3)) > 1
+    entry = res.diffs[2].entries[(1, 0)]
+    set_entry(res, 3, (1, 0), poly_scale(QQ, QQ.of_fraction(2, 1), entry))
+    assert audit_resolution(res) == {
+        "minimal": True, "exact": False, "surjective": True,
+        "detail": ["d2*d3 != 0 at degree 3"],
+    }

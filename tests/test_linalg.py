@@ -16,14 +16,18 @@ from cohprobe.grmod import FreeModule, ModuleMap
 from cohprobe.linalg import (
     PrimeField,
     QQ,
+    Scaled,
     SpanSolver,
     _is_prime,
+    field_values,
     kernel_basis,
+    multiplier,
     parse_field,
     rank,
 )
 
 from oracles import (
+    column_of,
     field_mul,
     kernel_dim,
     reference_axpy,
@@ -266,6 +270,36 @@ def test_kernel_basis_over_q_is_exact(rows):
         assert image == {}
 
 
+def rescaled(k, col):
+    """The column col with its integer vector and multiplier both times k."""
+    out = Scaled({i: k * v for i, v in col.items()})
+    out.m = k * multiplier(col)
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9)),
+             min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5,
+)), st.integers(2, 5))
+def test_columns_with_multipliers_are_their_values(rows, k):
+    # kernel_basis, rank and SpanSolver read an integer column R with its
+    # multiplier m as the Fraction column R / m: the least integer form
+    # (Scaled where m > 1) and the same with R and m times k, a multiplier
+    # that is not the least, give what the Fraction columns give
+    cols = columns_of_fractions(rows)
+    least = [column_of(QQ, col) for col in cols]
+    assert [field_values(QQ, col) for col in least] == cols
+    for scaled in (least, [rescaled(k, col) for col in least]):
+        assert kernel_basis(QQ, scaled) == kernel_basis(QQ, cols)
+        assert rank(QQ, scaled) == rank(QQ, cols)
+        assert rank(QQ, scaled[1:], scaled[:1]) == rank(QQ, cols[1:], cols[:1])
+        solvers = SpanSolver(QQ), SpanSolver(QQ)
+        assert [solvers[0].add(col) for col in scaled] == [solvers[1].add(col) for col in cols]
+        assert solvers[0].pivot_rows == solvers[1].pivot_rows
+
+
 def test_integer_elimination_q_against_fp():
     # reduction mod p cannot raise the rank, so rank_Q >= rank_Fp; the two
     # may differ at a bad prime, so equality is not asserted.  A Q kernel
@@ -501,4 +535,5 @@ def test_elimination_never_mutates_its_inputs(field):
     for tgb, w, e, rows in tables:
         idx = tgb.normal_index(e + tgb.gt.word_degree(w))
         for u, row in zip(tgb.normal_words(e), rows):
-            assert row == {idx[t]: c for t, c in reference_normal_form(tgb, {w + u: one}).items()}
+            want = reference_normal_form(tgb, {w + u: one})
+            assert row == column_of(field, {idx[t]: c for t, c in want.items()})
